@@ -1,4 +1,4 @@
-.PHONY: all build test fmt lint bench bench-json bench-check chaos serving serving-bench ir docs
+.PHONY: all build test fmt lint bench bench-json bench-check chaos serving serving-bench ir docs figures-check
 
 all: build lint test
 
@@ -55,9 +55,10 @@ serving:
 serving-bench:
 	cargo run --release -p blueprint-bench --bin loadgen -- --sessions 1,8,64
 
-# Unified-IR gate: the IR unit tests, the lowering/execution equivalence
-# property battery (including the pinned adaptive re-optimization seeds),
-# and the joint optimizer search.
+# Unified-IR gate: the IR unit tests, the spliced-path property battery
+# (data-level reference against the data planner, sequential ≡ parallel,
+# and the pinned adaptive re-optimization runs through
+# BlueprintSession::handle), and the joint optimizer search.
 ir:
 	cargo test -p blueprint-planner --lib ir::
 	cargo test -p blueprint-planner --test ir_properties
@@ -66,3 +67,9 @@ ir:
 # Rustdoc gate: the API docs must build without warnings.
 docs:
 	RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
+# Figure-artifact gate: regenerate the byte-stable figure artifacts into a
+# temporary directory and diff them against the goldens in tests/figures/
+# (fig8 and fig10 are excluded; see tests/figures/check.sh).
+figures-check:
+	tests/figures/check.sh

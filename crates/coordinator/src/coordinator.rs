@@ -1,6 +1,6 @@
 //! The task coordinator's execution engine.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -9,7 +9,7 @@ use serde_json::{json, Value};
 use blueprint_agents::{AgentReport, DataType, ExecuteAgent, Inputs};
 use blueprint_observability::{Counter, Gauge, MetricsSnapshot, Observability, SpanId};
 use blueprint_optimizer::{Budget, BudgetStatus, QosConstraints, SharedBudget};
-use blueprint_planner::{DataPlanner, IrBinding, IrNode, PlanIr, TaskPlan, TaskPlanner};
+use blueprint_planner::{DataPlanner, IrBinding, IrNode, PlanIr, Schedule, TaskPlan, TaskPlanner};
 use blueprint_registry::AgentRegistry;
 use blueprint_resilience::{BreakerRegistry, DegradationLadder, DegradationNote, RetryPolicy};
 use blueprint_streams::{DeadLetterQueue, Message, Selector, StreamStore, Tag, TagFilter};
@@ -62,35 +62,6 @@ pub enum SchedulerMode {
 impl Default for SchedulerMode {
     fn default() -> Self {
         SchedulerMode::Parallel { max_in_flight: 0 }
-    }
-}
-
-/// Configuration for adaptive re-optimization: when the observed cost or
-/// latency of completed nodes drifts past `drift_threshold` × the estimate,
-/// the coordinator pauses admission, re-selects the implementation of data
-/// operators owned by not-yet-dispatched nodes against the *remaining*
-/// budget, and resumes. Observed per-agent actuals are also folded into the
-/// registry as EWMA statistics (deterministically, in topological order) so
-/// later plans start from calibrated estimates.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdaptiveConfig {
-    /// Re-optimize when observed/estimated exceeds this factor (> 1.0).
-    pub drift_threshold: f64,
-    /// EWMA smoothing factor for registry observation folding (0..=1).
-    pub ewma_alpha: f64,
-    /// Upper bound on mid-flight re-optimization passes per execution.
-    pub max_reoptimizations: u32,
-}
-
-impl AdaptiveConfig {
-    /// Adaptive replanning at the given drift threshold with the default
-    /// smoothing (α = 0.3) and a single bounded re-optimization pass.
-    pub fn with_threshold(drift_threshold: f64) -> Self {
-        AdaptiveConfig {
-            drift_threshold,
-            ewma_alpha: 0.3,
-            max_reoptimizations: 1,
-        }
     }
 }
 
@@ -223,7 +194,8 @@ pub struct TaskCoordinator {
     ladder: DegradationLadder,
     scheduler: SchedulerMode,
     memo: Option<Arc<MemoCache>>,
-    adaptive: Option<AdaptiveConfig>,
+    /// Adaptive re-optimization's drift threshold, when enabled.
+    adaptive: Option<f64>,
     epoch: std::time::Instant,
     obs: Observability,
     instruments: CoordInstruments,
@@ -374,13 +346,13 @@ impl TaskCoordinator {
         self
     }
 
-    /// Enables adaptive cost feedback: observed per-agent actuals fold into
-    /// the registry as EWMA statistics, and when observed cost/latency
-    /// drifts past the configured factor of the estimate the coordinator
-    /// re-optimizes the not-yet-dispatched suffix of the plan IR against
-    /// the remaining budget (bounded by `max_reoptimizations`).
-    pub fn with_adaptive(mut self, config: AdaptiveConfig) -> Self {
-        self.adaptive = Some(config);
+    /// Enables adaptive re-optimization: when the observed cost or latency
+    /// of completed nodes drifts past `drift_threshold` × their estimate,
+    /// the coordinator pauses admission, re-selects the implementation of
+    /// data operators owned by not-yet-dispatched nodes against the
+    /// *remaining* budget, and resumes — at most once per execution.
+    pub fn with_adaptive(mut self, drift_threshold: f64) -> Self {
+        self.adaptive = Some(drift_threshold);
         self
     }
 
@@ -389,30 +361,16 @@ impl TaskCoordinator {
         self.epoch.elapsed().as_micros() as u64
     }
 
-    /// Executes a task plan under the given constraints. This is a lowering
-    /// shim over [`TaskCoordinator::execute_ir`]: the plan is lowered into
-    /// the unified IR (port types filled from the registry) and executed
-    /// there — one DAG representation reaches the optimizer and the
-    /// coordinator.
+    /// Executes a task plan under the given constraints. The plan — like
+    /// every internal replan — is lowered into the unified IR with its data
+    /// plans spliced in ([`PlanIr::from_task_plan`]), and the IR is what
+    /// runs: one DAG reaches the optimizer and the coordinator.
     pub fn execute(
         &self,
         plan: &TaskPlan,
         constraints: QosConstraints,
     ) -> Result<ExecutionReport, ExecutionError> {
-        plan.validate().map_err(|e| ExecutionError(e.to_string()))?;
-        let ir = PlanIr::lower_typed(plan, &self.registry);
-        self.execute_ir(&ir, constraints)
-    }
-
-    /// Executes a unified plan IR under the given constraints. Spliced data
-    /// operators are executed through the data planner when their owning
-    /// node resolves inputs; `FromData` bindings still un-spliced are routed
-    /// at resolution time exactly as before.
-    pub fn execute_ir(
-        &self,
-        ir: &PlanIr,
-        constraints: QosConstraints,
-    ) -> Result<ExecutionReport, ExecutionError> {
+        let ir = self.lower_plan(plan)?;
         let mut budget = Budget::new(constraints);
         budget.set_projection(&ir.projected_profile());
         // One root span per task; node spans hang off it along plan-DAG
@@ -422,12 +380,9 @@ impl TaskCoordinator {
             .tracer
             .span("coordinator", format!("task:{}", ir.task_id));
         task_span.attr("utterance", ir.goal.clone());
-        let result = self.execute_inner(ir.clone(), budget, 0, task_span.id());
+        let result = self.execute_inner(ir, budget, 0, task_span.id());
         task_span.end();
         result.map(|mut report| {
-            if let Some(cfg) = &self.adaptive {
-                self.fold_observations(&report, cfg.ewma_alpha);
-            }
             if self.obs.metrics.is_armed() {
                 report.metrics = Some(self.obs.metrics.snapshot());
             }
@@ -435,30 +390,11 @@ impl TaskCoordinator {
         })
     }
 
-    /// Folds observed per-agent actuals into the registry's EWMA statistics.
-    /// Node results are already merged into topological order (and nested
-    /// replans fold after their parent), so the fold sequence — and the
-    /// resulting statistics — are deterministic under any completion order.
-    fn fold_observations(&self, report: &ExecutionReport, alpha: f64) {
-        for nr in &report.node_results {
-            if nr.ok && nr.attempts > 0 && !nr.cached {
-                let accuracy = self
-                    .registry
-                    .get_spec(&nr.agent)
-                    .map(|s| s.profile.accuracy)
-                    .unwrap_or(1.0);
-                let _ = self.registry.fold_observation(
-                    &nr.agent,
-                    nr.cost,
-                    nr.latency_micros,
-                    accuracy,
-                    alpha,
-                );
-            }
-        }
-        if let Outcome::Replanned { inner, .. } = &report.outcome {
-            self.fold_observations(inner, alpha);
-        }
+    /// The one lowering: a data binding the data planner cannot plan (or
+    /// any, without one) stays in the IR and fails its node on dispatch.
+    fn lower_plan(&self, plan: &TaskPlan) -> Result<PlanIr, ExecutionError> {
+        PlanIr::from_task_plan(plan, self.data_planner.as_deref())
+            .map_err(|e| ExecutionError(e.to_string()))
     }
 
     fn execute_inner(
@@ -469,23 +405,16 @@ impl TaskCoordinator {
         task_span: Option<SpanId>,
     ) -> Result<ExecutionReport, ExecutionError> {
         ir.validate().map_err(|e| ExecutionError(e.to_string()))?;
-        let order = ir.topo_order().map_err(|e| ExecutionError(e.to_string()))?;
+        let Schedule { order, edges } = ir.schedule().map_err(|e| ExecutionError(e.to_string()))?;
         let n = order.len();
 
         // Dependency counts and adjacency, indexed by topological position.
-        // `ir.edges()` emits one edge per `FromNode` binding, so duplicate
+        // The schedule carries one edge per `FromNode` binding, so duplicate
         // edges appear symmetrically in `children` and `indegree`.
-        let position: HashMap<&str, usize> = order
-            .iter()
-            .enumerate()
-            .map(|(i, id)| (id.as_str(), i))
-            .collect();
         let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
         let mut parents: Vec<Vec<usize>> = vec![Vec::new(); n];
         let mut indegree: Vec<usize> = vec![0; n];
-        for edge in ir.edges() {
-            let from = position[edge.from.as_str()];
-            let to = position[edge.to.as_str()];
+        for (from, to) in edges {
             children[from].push(to);
             parents[to].push(from);
             indegree[to] += 1;
@@ -504,10 +433,13 @@ impl TaskCoordinator {
 
         // Results land in per-position slots so the report merges back into
         // topological order no matter when each node completes.
-        let mut result_slots: Vec<Option<NodeResult>> = vec![None; n];
-        let mut note_slots: Vec<Option<DegradationNote>> = vec![None; n];
+        let mut progress = Progress {
+            results: vec![None; n],
+            notes: vec![None; n],
+            cache: CacheSavings::default(),
+            reoptimizations: Vec::new(),
+        };
         let mut output_slots: Vec<Option<Value>> = vec![None; n];
-        let mut cache = CacheSavings::default();
         // Kept sorted ascending: among simultaneously ready nodes the
         // earliest topological position dispatches first, which makes
         // `max_in_flight == 1` exactly the sequential reference execution.
@@ -519,11 +451,11 @@ impl TaskCoordinator {
         // allocated deterministically even under parallel completion.
         let mut span_ids: Vec<Option<SpanId>> = vec![None; n];
         // Adaptive drift tracking: estimated vs observed totals of completed
-        // (actually invoked) nodes, and the re-optimizations applied.
+        // (actually invoked) nodes, and whether the one re-optimization pass
+        // has run.
         let mut est_drift = (0.0f64, 0u64);
         let mut obs_drift = (0.0f64, 0u64);
-        let mut reopt_passes: u32 = 0;
-        let mut reoptimizations: Vec<ReoptimizationNote> = Vec::new();
+        let mut reoptimized = false;
 
         loop {
             let ir_ref = &ir;
@@ -550,7 +482,7 @@ impl TaskCoordinator {
                             && shared.status() != BudgetStatus::Healthy
                         {
                             shared.consume_projection(&node.qos.profile);
-                            note_slots[i] = Some(DegradationNote {
+                            progress.notes[i] = Some(DegradationNote {
                                 from: agent_name.to_string(),
                                 to: None,
                                 accuracy_penalty: 0.0,
@@ -566,7 +498,7 @@ impl TaskCoordinator {
                                 format!("skip:{node_id}"),
                                 task_span,
                             );
-                            result_slots[i] = Some(NodeResult {
+                            progress.results[i] = Some(NodeResult {
                                 node: node_id.to_string(),
                                 agent: agent_name.to_string(),
                                 ok: true,
@@ -660,12 +592,12 @@ impl TaskCoordinator {
                             let failed = !node_result.ok;
                             let error = node_result.error.clone();
                             if let Some((cost, latency)) = saved {
-                                cache.hits += 1;
-                                cache.cost_saved += cost;
-                                cache.latency_saved_micros += latency;
+                                progress.cache.hits += 1;
+                                progress.cache.cost_saved += cost;
+                                progress.cache.latency_saved_micros += latency;
                             }
                             if degradation.is_some() {
-                                note_slots[i] = degradation;
+                                progress.notes[i] = degradation;
                             }
                             // Drift accounting for adaptive re-optimization:
                             // only actually-invoked successes count (skips
@@ -681,7 +613,7 @@ impl TaskCoordinator {
                                 obs_drift.0 += node_result.cost;
                                 obs_drift.1 += node_result.latency_micros;
                             }
-                            result_slots[i] = Some(node_result);
+                            progress.results[i] = Some(node_result);
                             if failed {
                                 raise_failure(
                                     &mut halt,
@@ -723,21 +655,18 @@ impl TaskCoordinator {
                                 };
                             }
                             // Adaptive checkpoint: when observed spend has
-                            // drifted past the configured factor of the
+                            // drifted past the threshold factor of the
                             // estimate, pause admission and re-optimize the
-                            // not-yet-dispatched suffix (bounded passes).
-                            if halt.is_none() {
-                                if let Some(cfg) = &self.adaptive {
-                                    if reopt_passes < cfg.max_reoptimizations {
-                                        let cost_drifted = est_drift.0 > 0.0
-                                            && obs_drift.0 > cfg.drift_threshold * est_drift.0;
-                                        let latency_drifted = est_drift.1 > 0
-                                            && obs_drift.1 as f64
-                                                > cfg.drift_threshold * est_drift.1 as f64;
-                                        if cost_drifted || latency_drifted {
-                                            halt = Some(Halt::Reoptimize);
-                                        }
-                                    }
+                            // not-yet-dispatched suffix (once).
+                            if let (None, Some(threshold), false) =
+                                (&halt, self.adaptive, reoptimized)
+                            {
+                                let cost_drifted =
+                                    est_drift.0 > 0.0 && obs_drift.0 > threshold * est_drift.0;
+                                let latency_drifted = est_drift.1 > 0
+                                    && obs_drift.1 as f64 > threshold * est_drift.1 as f64;
+                                if cost_drifted || latency_drifted {
+                                    halt = Some(Halt::Reoptimize);
                                 }
                             }
                         }
@@ -749,15 +678,15 @@ impl TaskCoordinator {
             // drivers live: re-select the implementation of data operators
             // owned by still-pending nodes against the *remaining* budget,
             // then resume scheduling. Nodes already executed are never
-            // touched, and passes are bounded by the configuration.
+            // touched, and only one pass runs per execution.
             if matches!(halt, Some(Halt::Reoptimize)) {
                 halt = None;
-                reopt_passes += 1;
-                let cfg = self.adaptive.as_ref().expect("reoptimize requires config");
+                reoptimized = true;
+                let threshold = self.adaptive.expect("reoptimize requires a threshold");
                 let pending: HashSet<String> = order
                     .iter()
                     .enumerate()
-                    .filter(|(i, _)| result_slots[*i].is_none())
+                    .filter(|(i, _)| progress.results[*i].is_none())
                     .map(|(_, id)| id.clone())
                     .collect();
                 let objective = ir.objective;
@@ -774,14 +703,11 @@ impl TaskCoordinator {
                         format!("reopt:{}:{}->{}", s.node, s.from, s.to),
                         task_span,
                     );
-                    reoptimizations.push(ReoptimizationNote {
+                    progress.reoptimizations.push(ReoptimizationNote {
                         node: s.node.clone(),
                         from_tier: s.from.clone(),
                         to_tier: s.to.clone(),
-                        reason: format!(
-                            "observed spend drifted past {}x the estimate",
-                            cfg.drift_threshold
-                        ),
+                        reason: format!("observed spend drifted past {threshold}x the estimate"),
                     });
                 }
                 continue;
@@ -802,22 +728,17 @@ impl TaskCoordinator {
                         .ok()
                 });
                 if let Some(new_plan) = replacement {
-                    let new_ir = PlanIr::lower_typed(&new_plan, &self.registry);
-                    let inner =
-                        self.execute_inner(new_ir, shared.snapshot(), depth + 1, task_span)?;
-                    return Ok(ExecutionReport {
-                        task_id: ir.task_id.clone(),
-                        outcome: Outcome::Replanned {
-                            reason: "projected overrun".into(),
-                            inner: Box::new(inner),
-                        },
-                        budget: shared.snapshot(),
-                        node_results: result_slots.into_iter().flatten().collect(),
-                        degradations: note_slots.into_iter().flatten().collect(),
-                        cache,
-                        reoptimizations,
-                        metrics: None,
-                    });
+                    let inner = self.execute_inner(
+                        self.lower_plan(&new_plan)?,
+                        shared.snapshot(),
+                        depth + 1,
+                        task_span,
+                    )?;
+                    let outcome = Outcome::Replanned {
+                        reason: "projected overrun".into(),
+                        inner: Box::new(inner),
+                    };
+                    return Ok(progress.report(&ir.task_id, outcome, shared.snapshot()));
                 }
                 halt = None;
                 continue;
@@ -825,32 +746,18 @@ impl TaskCoordinator {
             break;
         }
 
-        let node_results: Vec<NodeResult> = result_slots.into_iter().flatten().collect();
-        let degradations: Vec<DegradationNote> = note_slots.into_iter().flatten().collect();
         let budget = shared.snapshot();
-
-        match halt {
+        let outcome = match halt {
             None => {
                 // Deterministic final output: the last output-producing node
                 // in topological order, regardless of completion order.
-                let final_output = output_slots
+                let output = output_slots
                     .into_iter()
                     .flatten()
                     .next_back()
                     .unwrap_or(Value::Null);
                 self.publish_status(&ir.task_id, "task-completed", json!({"task": ir.task_id}));
-                Ok(ExecutionReport {
-                    task_id: ir.task_id.clone(),
-                    outcome: Outcome::Completed {
-                        output: final_output,
-                    },
-                    budget,
-                    node_results,
-                    degradations,
-                    cache,
-                    reoptimizations,
-                    metrics: None,
-                })
+                Outcome::Completed { output }
             }
             Some(Halt::Failure {
                 pos,
@@ -862,78 +769,62 @@ impl TaskCoordinator {
                 // whose circuit is currently open (§V-H). Input-resolution
                 // failures skip straight to Failed: no instruction was
                 // issued, so reassigning agents cannot help.
-                if !resolution && depth == 0 {
-                    if let Some(tp) = &self.task_planner {
-                        let failed_agent = ir
-                            .node(node_id)
-                            .and_then(|n| n.agent())
-                            .map(|(a, _)| a.to_string())
-                            .expect("failure references an agent node");
-                        let subtasks: Vec<String> = ir
-                            .agent_nodes()
-                            .map(|n| n.agent().expect("agent node").1.to_string())
-                            .collect();
-                        let mut excluded = vec![failed_agent.clone()];
-                        if let Some(b) = &self.breakers {
-                            for open in b.open_circuits() {
-                                if !excluded.contains(&open) {
-                                    excluded.push(open);
-                                }
+                if let (false, 0, Some(tp)) = (resolution, depth, &self.task_planner) {
+                    let failed_agent = ir
+                        .node(node_id)
+                        .and_then(|n| n.agent())
+                        .map(|(a, _)| a.to_string())
+                        .expect("failure references an agent node");
+                    let subtasks: Vec<String> = ir
+                        .agent_nodes()
+                        .map(|n| n.agent().expect("agent node").1.to_string())
+                        .collect();
+                    let mut excluded = vec![failed_agent.clone()];
+                    if let Some(b) = &self.breakers {
+                        for open in b.open_circuits() {
+                            if !excluded.contains(&open) {
+                                excluded.push(open);
                             }
                         }
-                        if let Ok(new_plan) = tp.plan_subtasks(&ir.goal, &subtasks, &excluded) {
-                            let new_ir = PlanIr::lower_typed(&new_plan, &self.registry);
-                            let inner =
-                                self.execute_inner(new_ir, budget.clone(), depth + 1, task_span)?;
-                            return Ok(ExecutionReport {
-                                task_id: ir.task_id.clone(),
-                                outcome: Outcome::Replanned {
-                                    reason: format!("agent {failed_agent} failed: {error}"),
-                                    inner: Box::new(inner),
-                                },
-                                budget,
-                                node_results,
-                                degradations,
-                                cache,
-                                reoptimizations,
-                                metrics: None,
-                            });
-                        }
+                    }
+                    if let Ok(new_plan) = tp.plan_subtasks(&ir.goal, &subtasks, &excluded) {
+                        let inner = self.execute_inner(
+                            self.lower_plan(&new_plan)?,
+                            budget.clone(),
+                            depth + 1,
+                            task_span,
+                        )?;
+                        let outcome = Outcome::Replanned {
+                            reason: format!("agent {failed_agent} failed: {error}"),
+                            inner: Box::new(inner),
+                        };
+                        return Ok(progress.report(&ir.task_id, outcome, budget));
                     }
                 }
-                self.finish_failed(
+                self.publish_status(
                     &ir.task_id,
-                    budget,
-                    node_results,
-                    degradations,
-                    cache,
-                    reoptimizations,
-                    node_id,
+                    "task-failed",
+                    json!({"node": node_id, "error": error}),
+                );
+                Outcome::Failed {
+                    node: node_id.to_string(),
                     error,
-                )
+                }
             }
-            Some(Halt::Exceeded) => self.finish_aborted(
-                &ir.task_id,
-                budget,
-                node_results,
-                degradations,
-                cache,
-                reoptimizations,
-                "budget exceeded by actual costs".into(),
-            ),
-            Some(Halt::ProjectedAbort) => self.finish_aborted(
-                &ir.task_id,
-                budget,
-                node_results,
-                degradations,
-                cache,
-                reoptimizations,
-                "projected costs exceed the budget".into(),
-            ),
-            Some(Halt::ReplanOverrun) | Some(Halt::Reoptimize) => {
+            Some(abort @ (Halt::Exceeded | Halt::ProjectedAbort)) => {
+                let reason = match abort {
+                    Halt::Exceeded => "budget exceeded by actual costs",
+                    _ => "projected costs exceed the budget",
+                }
+                .to_string();
+                self.publish_status(&ir.task_id, "task-aborted", json!({"reason": reason}));
+                Outcome::Aborted { reason }
+            }
+            Some(Halt::ReplanOverrun | Halt::Reoptimize) => {
                 unreachable!("resolved before leaving the scheduler")
             }
-        }
+        };
+        Ok(progress.report(&ir.task_id, outcome, budget))
     }
 
     /// Drives one node end-to-end on the calling thread: input resolution,
@@ -1352,19 +1243,7 @@ impl TaskCoordinator {
                 }
                 Err(format!("upstream {from}.{output} produced no value"))
             }
-            IrBinding::FromData { query } => {
-                let dp = self
-                    .data_planner
-                    .as_ref()
-                    .ok_or_else(|| format!("no data planner to satisfy: {query}"))?;
-                let executed = dp.satisfy(query, &ir.goal).map_err(|e| e.to_string())?;
-                budget.charge(
-                    executed.actual.cost_per_call,
-                    executed.actual.latency_micros,
-                    executed.actual.accuracy,
-                );
-                Ok(executed.value)
-            }
+            IrBinding::Unplanned { error, .. } => Err(error.clone()),
             IrBinding::Spliced { .. } => {
                 // The data plan was inlined into the IR at lowering time
                 // (and possibly re-optimized mid-flight); reconstruct the
@@ -1425,62 +1304,6 @@ impl TaskCoordinator {
                 .from_producer("task-coordinator"),
         );
     }
-
-    #[allow(clippy::too_many_arguments)]
-    fn finish_aborted(
-        &self,
-        task_id: &str,
-        budget: Budget,
-        node_results: Vec<NodeResult>,
-        degradations: Vec<DegradationNote>,
-        cache: CacheSavings,
-        reoptimizations: Vec<ReoptimizationNote>,
-        reason: String,
-    ) -> Result<ExecutionReport, ExecutionError> {
-        self.publish_status(task_id, "task-aborted", json!({"reason": reason}));
-        Ok(ExecutionReport {
-            task_id: task_id.to_string(),
-            outcome: Outcome::Aborted { reason },
-            budget,
-            node_results,
-            degradations,
-            cache,
-            reoptimizations,
-            metrics: None,
-        })
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn finish_failed(
-        &self,
-        task_id: &str,
-        budget: Budget,
-        node_results: Vec<NodeResult>,
-        degradations: Vec<DegradationNote>,
-        cache: CacheSavings,
-        reoptimizations: Vec<ReoptimizationNote>,
-        node_id: &str,
-        error: String,
-    ) -> Result<ExecutionReport, ExecutionError> {
-        self.publish_status(
-            task_id,
-            "task-failed",
-            json!({"node": node_id, "error": error}),
-        );
-        Ok(ExecutionReport {
-            task_id: task_id.to_string(),
-            outcome: Outcome::Failed {
-                node: node_id.to_string(),
-                error,
-            },
-            budget,
-            node_results,
-            degradations,
-            cache,
-            reoptimizations,
-            metrics: None,
-        })
-    }
 }
 
 /// What one node driver produced. One lives per in-flight node, briefly, on
@@ -1499,6 +1322,32 @@ enum Driven {
         /// Cost and latency the memo cache avoided (hits only).
         saved: Option<(f64, u64)>,
     },
+}
+
+/// What an execution has accumulated so far, in per-position slots; every
+/// [`ExecutionReport`] is built from it.
+struct Progress {
+    results: Vec<Option<NodeResult>>,
+    notes: Vec<Option<DegradationNote>>,
+    cache: CacheSavings,
+    reoptimizations: Vec<ReoptimizationNote>,
+}
+
+impl Progress {
+    /// The report for `outcome`, with results and notes merged back into
+    /// topological order.
+    fn report(self, task_id: &str, outcome: Outcome, budget: Budget) -> ExecutionReport {
+        ExecutionReport {
+            task_id: task_id.to_string(),
+            outcome,
+            budget,
+            node_results: self.results.into_iter().flatten().collect(),
+            degradations: self.notes.into_iter().flatten().collect(),
+            cache: self.cache,
+            reoptimizations: self.reoptimizations,
+            metrics: None,
+        }
+    }
 }
 
 /// Why the scheduler stopped admitting new nodes.

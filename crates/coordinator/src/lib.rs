@@ -7,19 +7,22 @@
 //! extraction), updates the [`Budget`](blueprint_optimizer::Budget) with actual costs from agent
 //! reports, and aborts or replans when thresholds are exceeded.
 //!
-//! Execution happens over the unified [`PlanIr`](blueprint_planner::PlanIr):
-//! `execute(TaskPlan)` is a lowering shim over `execute_ir`, and with
-//! [`AdaptiveConfig`] the coordinator folds observed actuals into registry
-//! EWMA statistics and re-optimizes the pending IR suffix when observed
-//! spend drifts past the configured factor of the estimate.
+//! [`TaskCoordinator::execute`] is the one entry point. It lowers every
+//! plan — internal replans included — into the unified
+//! [`PlanIr`](blueprint_planner::PlanIr) with each `FromData` binding's data
+//! plan spliced under its node, and runs that IR: spliced operators execute
+//! when their owning node resolves its inputs. With
+//! [`TaskCoordinator::with_adaptive`] the coordinator re-optimizes the
+//! pending IR suffix once when observed spend drifts past the given factor
+//! of the estimate.
 
 pub mod coordinator;
 pub mod daemon;
 pub mod memo;
 
 pub use coordinator::{
-    AdaptiveConfig, CacheSavings, ExecutionError, ExecutionReport, NodeResult, Outcome,
-    OverrunPolicy, ReoptimizationNote, SchedulerMode, TaskCoordinator,
+    CacheSavings, ExecutionError, ExecutionReport, NodeResult, Outcome, OverrunPolicy,
+    ReoptimizationNote, SchedulerMode, TaskCoordinator,
 };
 pub use daemon::CoordinatorDaemon;
 pub use memo::{MemoCache, MemoEntry, MemoStats};

@@ -6,8 +6,8 @@ use std::time::Duration;
 
 use blueprint_agents::AgentFactory;
 use blueprint_coordinator::{
-    AdaptiveConfig, CoordinatorDaemon, ExecutionError, ExecutionReport, MemoCache, OverrunPolicy,
-    SchedulerMode, TaskCoordinator,
+    CoordinatorDaemon, ExecutionError, ExecutionReport, MemoCache, OverrunPolicy, SchedulerMode,
+    TaskCoordinator,
 };
 use blueprint_datastore::{
     DataSource, DocumentSource, FaultInjectedSource, GraphSource, InstrumentedSource, KvSource,
@@ -94,7 +94,7 @@ pub struct BlueprintBuilder {
     ladder: DegradationLadder,
     scheduler: SchedulerMode,
     memo_capacity: Option<usize>,
-    adaptive: Option<AdaptiveConfig>,
+    adaptive: Option<f64>,
     tracing: bool,
     metrics: bool,
     serving: Option<(usize, usize)>,
@@ -219,15 +219,13 @@ impl BlueprintBuilder {
         self
     }
 
-    /// Enables adaptive cost feedback on every session's coordinator:
-    /// observed per-agent actuals fold into the registry as seeded,
-    /// deterministic EWMA statistics, and when observed spend drifts past
-    /// `drift_threshold` × the estimate mid-flight, the coordinator
-    /// re-optimizes the not-yet-dispatched suffix of the plan IR (e.g.
-    /// downgrading a knowledge operator's model tier) against the remaining
-    /// budget. One bounded re-optimization pass per execution.
+    /// Enables adaptive re-optimization on every session's coordinator: when
+    /// observed spend drifts past `drift_threshold` × the estimate
+    /// mid-flight, the coordinator re-optimizes the not-yet-dispatched
+    /// suffix of the plan IR (e.g. downgrading a knowledge operator's model
+    /// tier) against the remaining budget. One pass per execution.
     pub fn with_adaptive_replanning(mut self, drift_threshold: f64) -> Self {
-        self.adaptive = Some(AdaptiveConfig::with_threshold(drift_threshold));
+        self.adaptive = Some(drift_threshold);
         self
     }
 
@@ -422,7 +420,7 @@ pub struct Blueprint {
     ladder: DegradationLadder,
     scheduler: SchedulerMode,
     memo: Option<Arc<MemoCache>>,
-    adaptive: Option<AdaptiveConfig>,
+    adaptive: Option<f64>,
     pub(crate) observability: Observability,
     pub(crate) serving: Option<(usize, usize)>,
 }
@@ -523,8 +521,8 @@ impl Blueprint {
         if let Some(m) = &self.memo {
             coordinator = coordinator.with_memoization(Arc::clone(m));
         }
-        if let Some(cfg) = self.adaptive {
-            coordinator = coordinator.with_adaptive(cfg);
+        if let Some(threshold) = self.adaptive {
+            coordinator = coordinator.with_adaptive(threshold);
         }
         if self.observability.is_armed() {
             coordinator = coordinator.with_observability(self.observability.clone());
@@ -792,6 +790,22 @@ mod tests {
             .handle("I am looking for a data scientist position in SF bay area.")
             .unwrap();
         assert!(matches!(report.outcome, Outcome::Aborted { .. }));
+    }
+
+    #[test]
+    fn finished_tasks_leave_no_subscriptions_behind() {
+        let bp = blueprint();
+        let session = bp.start_session().unwrap();
+        let before = bp.store().stats().active_subscriptions;
+        for _ in 0..5 {
+            let report = session
+                .handle("I am looking for a data scientist position in SF bay area.")
+                .unwrap();
+            assert!(report.outcome.succeeded(), "outcome: {:?}", report.outcome);
+        }
+        // Each node driver's report subscription unregisters when the
+        // driver finishes.
+        assert_eq!(bp.store().stats().active_subscriptions, before);
     }
 
     #[test]

@@ -1,53 +1,44 @@
-//! The unified **plan IR**: one typed DAG for agent invocations, data
-//! operators, and guard/fallback annotations.
+//! The unified **plan IR**: one typed DAG for agent invocations and data
+//! operators.
 //!
 //! The paper treats task plans (§V-F, Fig 6) and data plans (§V-G, Fig 7)
 //! as one composable artifact — a data plan is *spliced* into the task plan
 //! as an input transformation, and the optimizer picks operators and model
 //! tiers over the whole composite DAG. This module is that artifact:
 //!
-//! * [`PlanIr::lower`] / [`PlanIr::lower_typed`] lower a [`TaskPlan`] into
-//!   IR (the typed variant fills port types from registry agent specs);
+//! * [`PlanIr::from_task_plan`] is the one lowering of a [`TaskPlan`]: it
+//!   splices a data plan into every `FromData` binding via the
+//!   [`DataPlanner`]'s routing, annotating `Knowledge` operators with their
+//!   interchangeable parametric sources. A binding the planner cannot plan
+//!   stays in the IR as [`IrBinding::Unplanned`], carrying the error its
+//!   node fails with when dispatched. [`PlanIr::lower_spliced`] is the same
+//!   lowering with a data planner at hand;
 //! * [`PlanIr::from_data_plan`] lowers a standalone [`DataPlan`];
-//! * [`PlanIr::splice`] inlines a data plan into the task node that owns its
-//!   `FromData` binding, rewriting the binding to [`IrBinding::Spliced`];
-//! * [`PlanIr::lower_spliced`] does all of the above for every `FromData`
-//!   binding via the [`DataPlanner`]'s routing, annotating `Knowledge`
-//!   operators with their interchangeable parametric sources;
 //! * [`PlanIr::optimize`] runs the optimizer's joint Pareto-pruned search
 //!   over every choice point (model tiers *and* data sources) at once;
 //! * [`PlanIr::reoptimize_pending`] is the bounded mid-flight pass the
 //!   coordinator triggers when observed cost drifts past its estimate.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
 
-use blueprint_agents::{CostProfile, DataType};
+use blueprint_agents::CostProfile;
 use blueprint_datastore::CostEstimate;
 use blueprint_optimizer::{
     optimize_unified, select, Candidate, ChoicePoint, Objective, QosConstraints,
 };
-use blueprint_registry::AgentRegistry;
 
 use crate::data_plan::{DataNode, DataOp, DataPlan};
 use crate::data_planner::DataPlanner;
 use crate::error::PlanError;
-use crate::plan::{InputBinding, PlanEdge, TaskPlan};
+use crate::plan::{index_edges, topo_sort, InputBinding, TaskPlan};
 use crate::Result;
 
-/// A typed port on an IR node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct IrPort {
-    /// Parameter name.
-    pub name: String,
-    /// Expected value type (from the agent spec; `Any` when unknown).
-    pub dtype: DataType,
-}
-
-/// Where an IR node's input comes from. Mirrors [`InputBinding`] plus the
-/// [`IrBinding::Spliced`] variant produced by inlining a data plan.
+/// Where an IR node's input comes from. Mirrors [`InputBinding`], with each
+/// `FromData` binding lowered to [`IrBinding::Spliced`] or
+/// [`IrBinding::Unplanned`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum IrBinding {
     /// The original user utterance.
@@ -61,11 +52,14 @@ pub enum IrBinding {
     },
     /// A constant.
     Literal(Value),
-    /// Still unresolved: the data planner routes this at execution time
-    /// (present only in un-spliced IR).
-    FromData {
+    /// A `FromData` binding the lowering could not plan (no data planner,
+    /// or the planner's error). Lowering succeeds; resolving the binding
+    /// fails its node with `error` when the node is dispatched.
+    Unplanned {
         /// Natural-language description of the data needed.
         query: String,
+        /// Why no data plan could be spliced.
+        error: String,
     },
     /// Satisfied by the inlined data-operator subgraph owned by this
     /// `(node, slot)`; `output` names the subgraph's result node.
@@ -96,19 +90,6 @@ pub enum IrKind {
         /// `(agent node id, input slot)` this operator was spliced under;
         /// `None` for standalone data-plan lowerings.
         owner: Option<(String, String)>,
-    },
-    /// A resilience annotation: the protected node may fall back or be
-    /// skipped under pressure (mirrors the coordinator's degradation
-    /// ladder, so the IR carries the full execution semantics).
-    Guard {
-        /// The node this guard protects.
-        protects: String,
-        /// Fallback agent to substitute on failure, if any.
-        fallback: Option<String>,
-        /// Accuracy penalty charged when the fallback runs.
-        accuracy_penalty: f64,
-        /// Whether the node may be skipped entirely under budget pressure.
-        skippable: bool,
     },
 }
 
@@ -151,15 +132,11 @@ impl IrQos {
 pub struct IrNode {
     /// Node id, unique across the whole IR.
     pub id: String,
-    /// Agent invocation, data operator, or guard.
+    /// Agent invocation or data operator.
     pub kind: IrKind,
     /// Input bindings (agent nodes; data operators carry their wiring in
     /// the embedded [`DataNode`], mirrored here for rendering).
     pub inputs: BTreeMap<String, IrBinding>,
-    /// Typed input ports.
-    pub in_ports: Vec<IrPort>,
-    /// Typed output ports.
-    pub out_ports: Vec<IrPort>,
     /// QoS annotation.
     pub qos: IrQos,
 }
@@ -178,16 +155,15 @@ impl IrNode {
         }
     }
 
-    /// The implementation currently selected at this node (agent name or
-    /// data-source name), when the node is a choice point at all.
-    fn current_target(&self) -> Option<String> {
+    /// The implementation currently selected at this node: the agent name,
+    /// a `Knowledge` operator's source, or the node id for other operators.
+    fn current_target(&self) -> String {
         match &self.kind {
-            IrKind::AgentInvocation { agent, .. } => Some(agent.clone()),
+            IrKind::AgentInvocation { agent, .. } => agent.clone(),
             IrKind::DataOperator { node, .. } => match &node.op {
-                DataOp::Knowledge { source } => Some(source.clone()),
-                _ => Some(self.id.clone()),
+                DataOp::Knowledge { source } => source.clone(),
+                _ => self.id.clone(),
             },
-            IrKind::Guard { .. } => None,
         }
     }
 }
@@ -212,6 +188,17 @@ fn tier_label(target: &str) -> String {
     }
 }
 
+/// The agent nodes of a [`PlanIr`] in execution order, from
+/// [`PlanIr::schedule`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Schedule {
+    /// Agent node ids in topological order.
+    pub order: Vec<String>,
+    /// One `(from, to)` edge per `FromNode` binding, as indices into
+    /// `order`.
+    pub edges: Vec<(usize, usize)>,
+}
+
 /// The unified plan IR: one DAG reaching the optimizer and the coordinator.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PlanIr {
@@ -220,7 +207,7 @@ pub struct PlanIr {
     /// The user utterance this plan serves.
     pub goal: String,
     /// Nodes in insertion order: agent nodes in task-plan order, then
-    /// spliced data operators and guards.
+    /// spliced data operators.
     pub nodes: Vec<IrNode>,
     /// Objective the plan was optimized for.
     pub objective: Objective,
@@ -229,94 +216,62 @@ pub struct PlanIr {
 }
 
 impl PlanIr {
-    /// Lowers a task plan into IR without type information: ports default
-    /// to `Any`, `FromData` bindings stay unresolved.
-    pub fn lower(plan: &TaskPlan) -> PlanIr {
-        Self::lower_with_ports(plan, |_, _| None)
-    }
-
-    /// Lowers a task plan into IR with port types filled from the agent
-    /// registry's specs (unknown agents fall back to `Any`-typed ports).
-    pub fn lower_typed(plan: &TaskPlan, registry: &AgentRegistry) -> PlanIr {
-        Self::lower_with_ports(plan, |agent, _| registry.get_spec(agent).ok())
-    }
-
-    fn lower_with_ports(
-        plan: &TaskPlan,
-        spec_of: impl Fn(&str, &str) -> Option<blueprint_agents::AgentSpec>,
-    ) -> PlanIr {
-        let nodes = plan
-            .nodes
-            .iter()
-            .map(|n| {
-                let spec = spec_of(&n.agent, &n.id);
-                let in_ports = match &spec {
-                    Some(s) => s
-                        .inputs
-                        .iter()
-                        .map(|p| IrPort {
-                            name: p.name.clone(),
-                            dtype: p.data_type,
-                        })
-                        .collect(),
-                    None => n
-                        .inputs
-                        .keys()
-                        .map(|name| IrPort {
-                            name: name.clone(),
-                            dtype: DataType::Any,
-                        })
-                        .collect(),
-                };
-                let out_ports = spec
-                    .map(|s| {
-                        s.outputs
-                            .iter()
-                            .map(|p| IrPort {
-                                name: p.name.clone(),
-                                dtype: p.data_type,
-                            })
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                let inputs = n
-                    .inputs
-                    .iter()
-                    .map(|(slot, b)| {
-                        let binding = match b {
-                            InputBinding::FromUser => IrBinding::FromUser,
-                            InputBinding::FromNode { node, output } => IrBinding::FromNode {
-                                node: node.clone(),
-                                output: output.clone(),
-                            },
-                            InputBinding::Literal(v) => IrBinding::Literal(v.clone()),
-                            InputBinding::FromData { query } => IrBinding::FromData {
-                                query: query.clone(),
-                            },
-                        };
-                        (slot.clone(), binding)
-                    })
-                    .collect();
-                IrNode {
-                    id: n.id.clone(),
-                    kind: IrKind::AgentInvocation {
-                        agent: n.agent.clone(),
-                        task: n.task.clone(),
-                    },
-                    inputs,
-                    in_ports,
-                    out_ports,
-                    qos: IrQos::fixed(n.profile),
-                }
-            })
-            .collect();
-        PlanIr {
+    /// Lowers a task plan into IR — the one lowering every execution takes.
+    /// Each `FromData` binding gets its data plan from `dp`'s routing,
+    /// spliced under the owning node with the interchangeable parametric
+    /// sources of its `Knowledge` operators as alternatives; one it cannot
+    /// plan (or every one, without a data planner) becomes
+    /// [`IrBinding::Unplanned`]. The IR carries the data planner's
+    /// objective and constraints so the optimizer and coordinator work from
+    /// the same QoS contract. Errors only on a structurally invalid plan.
+    pub fn from_task_plan(plan: &TaskPlan, dp: Option<&DataPlanner>) -> Result<PlanIr> {
+        plan.validate()?;
+        let mut ir = PlanIr {
             task_id: plan.task_id.clone(),
             goal: plan.utterance.clone(),
-            nodes,
-            objective: Objective::balanced(),
-            constraints: QosConstraints::none(),
+            nodes: Vec::with_capacity(plan.nodes.len()),
+            objective: dp.map_or_else(Objective::balanced, DataPlanner::objective),
+            constraints: dp.map_or_else(QosConstraints::none, DataPlanner::constraints),
+        };
+        // Agent nodes in insertion order, slots in BTreeMap order: the
+        // splice order (and therefore data-node id allocation) is
+        // deterministic.
+        let mut data_nodes = Vec::new();
+        for n in &plan.nodes {
+            let mut inputs = BTreeMap::new();
+            for (slot, b) in &n.inputs {
+                let binding = match b {
+                    InputBinding::FromUser => IrBinding::FromUser,
+                    InputBinding::FromNode { node, output } => IrBinding::FromNode {
+                        node: node.clone(),
+                        output: output.clone(),
+                    },
+                    InputBinding::Literal(v) => IrBinding::Literal(v.clone()),
+                    InputBinding::FromData { query } => {
+                        let owner = (n.id.clone(), slot.clone());
+                        lower_data_binding(query, owner, &plan.utterance, dp, &mut data_nodes)
+                    }
+                };
+                inputs.insert(slot.clone(), binding);
+            }
+            ir.nodes.push(IrNode {
+                id: n.id.clone(),
+                kind: IrKind::AgentInvocation {
+                    agent: n.agent.clone(),
+                    task: n.task.clone(),
+                },
+                inputs,
+                qos: IrQos::fixed(n.profile),
+            });
         }
+        ir.nodes.extend(data_nodes);
+        Ok(ir)
+    }
+
+    /// [`PlanIr::from_task_plan`] with a data planner: the spliced lowering
+    /// of Figs 6–7.
+    pub fn lower_spliced(plan: &TaskPlan, dp: &DataPlanner) -> Result<PlanIr> {
+        Self::from_task_plan(plan, Some(dp))
     }
 
     /// Lowers a standalone data plan into IR (one `DataOperator` node per
@@ -333,118 +288,6 @@ impl PlanIr {
         }
     }
 
-    /// Lowers a task plan and splices a data plan into every `FromData`
-    /// binding via the data planner's routing, annotating `Knowledge`
-    /// operators with their interchangeable parametric sources. The
-    /// resulting IR carries the planner's objective and constraints so the
-    /// optimizer and coordinator work from the same QoS contract.
-    pub fn lower_spliced(plan: &TaskPlan, dp: &DataPlanner) -> Result<PlanIr> {
-        let mut ir = Self::lower(plan);
-        ir.objective = dp.objective();
-        ir.constraints = dp.constraints();
-        // Agent nodes in insertion order, slots in BTreeMap order: the
-        // splice order (and therefore data-node id allocation) is
-        // deterministic.
-        let targets: Vec<(String, String, String)> = ir
-            .nodes
-            .iter()
-            .flat_map(|n| {
-                n.inputs.iter().filter_map(|(slot, b)| match b {
-                    IrBinding::FromData { query } => {
-                        Some((n.id.clone(), slot.clone(), query.clone()))
-                    }
-                    _ => None,
-                })
-            })
-            .collect();
-        for (owner, slot, query) in targets {
-            let dplan = dp.plan_for_binding(&query, &plan.utterance)?;
-            let alternatives = dp.knowledge_alternatives(&dplan);
-            ir.splice(&owner, &slot, &dplan, &alternatives)?;
-        }
-        Ok(ir)
-    }
-
-    /// Inlines `dplan` under the `(owner, slot)` binding, which must
-    /// currently be `FromData`. `alternatives` lists, per data-plan node id,
-    /// the interchangeable sources the optimizer may swap in.
-    pub fn splice(
-        &mut self,
-        owner: &str,
-        slot: &str,
-        dplan: &DataPlan,
-        alternatives: &[(String, Vec<Candidate<String>>)],
-    ) -> Result<()> {
-        dplan.validate()?;
-        let node = self
-            .nodes
-            .iter_mut()
-            .find(|n| n.id == owner)
-            .ok_or_else(|| PlanError::InvalidPlan(format!("splice owner {owner} not in IR")))?;
-        let binding = node.inputs.get_mut(slot).ok_or_else(|| {
-            PlanError::InvalidPlan(format!("splice slot {owner}.{slot} not bound"))
-        })?;
-        let query = match binding {
-            IrBinding::FromData { query } => query.clone(),
-            other => {
-                return Err(PlanError::InvalidPlan(format!(
-                    "splice slot {owner}.{slot} is {other:?}, expected FromData"
-                )))
-            }
-        };
-        *binding = IrBinding::Spliced {
-            output: dplan.output.clone(),
-            query,
-        };
-        for dn in &dplan.nodes {
-            let mut ir_node = data_ir_node(dn, Some((owner.to_string(), slot.to_string())));
-            if let Some((_, options)) = alternatives.iter().find(|(id, _)| id == &dn.id) {
-                ir_node.qos.alternatives = options
-                    .iter()
-                    .map(|c| IrAlternative {
-                        tier: tier_label(&c.item),
-                        target: c.item.clone(),
-                        profile: c.profile,
-                    })
-                    .collect();
-            }
-            self.nodes.push(ir_node);
-        }
-        Ok(())
-    }
-
-    /// Appends a guard node protecting `node` (resilience semantics carried
-    /// in the IR: fallback substitution and/or skippability).
-    pub fn annotate_guard(
-        &mut self,
-        protects: &str,
-        fallback: Option<String>,
-        accuracy_penalty: f64,
-        skippable: bool,
-    ) {
-        let id = format!(
-            "g{}",
-            self.nodes
-                .iter()
-                .filter(|n| matches!(n.kind, IrKind::Guard { .. }))
-                .count()
-                + 1
-        );
-        self.nodes.push(IrNode {
-            id,
-            kind: IrKind::Guard {
-                protects: protects.to_string(),
-                fallback,
-                accuracy_penalty,
-                skippable,
-            },
-            inputs: BTreeMap::new(),
-            in_ports: Vec::new(),
-            out_ports: Vec::new(),
-            qos: IrQos::fixed(CostProfile::FREE),
-        });
-    }
-
     /// Node lookup.
     pub fn node(&self, id: &str) -> Option<&IrNode> {
         self.nodes.iter().find(|n| n.id == id)
@@ -455,83 +298,33 @@ impl PlanIr {
         self.nodes.iter().filter(|n| n.is_agent())
     }
 
-    /// The guard annotating `node`, if any.
-    pub fn guard_for(&self, node: &str) -> Option<&IrNode> {
-        self.nodes
-            .iter()
-            .find(|n| matches!(&n.kind, IrKind::Guard { protects, .. } if protects == node))
-    }
-
-    /// Dataflow edges between agent nodes (from `FromNode` bindings).
-    pub fn edges(&self) -> Vec<PlanEdge> {
-        let mut edges = Vec::new();
-        for n in self.agent_nodes() {
-            for binding in n.inputs.values() {
-                if let IrBinding::FromNode { node, .. } = binding {
-                    edges.push(PlanEdge {
-                        from: node.clone(),
-                        to: n.id.clone(),
-                    });
-                }
-            }
+    /// The agent nodes' execution schedule: their ids in topological order
+    /// (insertion order breaks ties, exactly like [`TaskPlan::topo_order`],
+    /// so a lowered plan schedules identically to its source) and the
+    /// dataflow edges between them. Errors on cycles and unknown upstream
+    /// nodes.
+    pub fn schedule(&self) -> Result<Schedule> {
+        let ids: Vec<&str> = self.agent_nodes().map(|n| n.id.as_str()).collect();
+        let edges = self.agent_nodes().flat_map(|n| {
+            n.inputs.values().filter_map(|b| match b {
+                IrBinding::FromNode { node, .. } => Some((node.as_str(), n.id.as_str())),
+                _ => None,
+            })
+        });
+        let pairs = index_edges(&ids, edges)?;
+        let order = topo_sort(ids.len(), &pairs)?;
+        let mut rank = vec![0; order.len()];
+        for (r, &i) in order.iter().enumerate() {
+            rank[i] = r;
         }
-        edges
-    }
-
-    /// Topological order of *agent* node ids; errors on cycles. Mirrors
-    /// [`TaskPlan::topo_order`] exactly (insertion order breaks ties), so a
-    /// lowered plan schedules identically to its source.
-    pub fn topo_order(&self) -> Result<Vec<String>> {
-        let agents: Vec<&IrNode> = self.agent_nodes().collect();
-        let position: HashMap<&str, usize> = agents
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.id.as_str(), i))
-            .collect();
-        let mut indegree: HashMap<&str, usize> =
-            agents.iter().map(|n| (n.id.as_str(), 0)).collect();
-        let mut adjacency: HashMap<&str, Vec<&str>> = HashMap::new();
-        for e in self.edges() {
-            let from = *position
-                .get_key_value(e.from.as_str())
-                .map(|(k, _)| k)
-                .ok_or_else(|| PlanError::InvalidPlan(format!("unknown edge source {}", e.from)))?;
-            let to = *position
-                .get_key_value(e.to.as_str())
-                .map(|(k, _)| k)
-                .expect("edge target exists by construction");
-            adjacency.entry(from).or_default().push(to);
-            *indegree.get_mut(to).expect("indegree entry") += 1;
-        }
-        let mut ready: Vec<&str> = agents
-            .iter()
-            .filter(|n| indegree[n.id.as_str()] == 0)
-            .map(|n| n.id.as_str())
-            .collect();
-        ready.sort_by_key(|id| position[id]);
-        let mut order = Vec::with_capacity(agents.len());
-        while !ready.is_empty() {
-            let id = ready.remove(0);
-            order.push(id.to_string());
-            for &next in adjacency.get(id).into_iter().flatten() {
-                let d = indegree.get_mut(next).expect("indegree entry");
-                *d -= 1;
-                if *d == 0 {
-                    let pos = ready
-                        .binary_search_by_key(&position[next], |r| position[r])
-                        .unwrap_or_else(|i| i);
-                    ready.insert(pos, next);
-                }
-            }
-        }
-        if order.len() != agents.len() {
-            return Err(PlanError::InvalidPlan("plan contains a cycle".into()));
-        }
-        Ok(order)
+        Ok(Schedule {
+            order: order.iter().map(|&i| ids[i].to_string()).collect(),
+            edges: pairs.iter().map(|&(f, t)| (rank[f], rank[t])).collect(),
+        })
     }
 
     /// Validates the whole IR: unique ids, known references, acyclic agent
-    /// DAG, spliced bindings resolvable, guards protecting real nodes.
+    /// DAG, spliced bindings resolvable.
     pub fn validate(&self) -> Result<()> {
         let mut ids = HashSet::new();
         for n in &self.nodes {
@@ -586,17 +379,7 @@ impl PlanIr {
                 }
             }
         }
-        for n in &self.nodes {
-            if let IrKind::Guard { protects, .. } = &n.kind {
-                if !ids.contains(protects.as_str()) {
-                    return Err(PlanError::InvalidPlan(format!(
-                        "guard {} protects unknown node {protects}",
-                        n.id
-                    )));
-                }
-            }
-        }
-        self.topo_order().map(|_| ())
+        self.schedule().map(|_| ())
     }
 
     /// Projected QoS of the plan: composes the *agent* nodes in insertion
@@ -612,13 +395,8 @@ impl PlanIr {
     /// the owned operators in insertion order with the recorded output.
     /// Byte-identical to the plan that was spliced in.
     pub fn data_subplan(&self, owner: &str, slot: &str) -> Option<DataPlan> {
-        let output = match self.node(owner)?.inputs.get(slot)? {
-            IrBinding::Spliced { output, query: _ } => output.clone(),
-            _ => return None,
-        };
-        let request = match self.node(owner)?.inputs.get(slot)? {
-            IrBinding::Spliced { query, .. } => query.clone(),
-            _ => unreachable!("matched Spliced above"),
+        let IrBinding::Spliced { output, query } = self.node(owner)?.inputs.get(slot)? else {
+            return None;
         };
         let nodes: Vec<DataNode> = self
             .nodes
@@ -635,23 +413,22 @@ impl PlanIr {
             return None;
         }
         Some(DataPlan {
-            request,
+            request: query.clone(),
             nodes,
-            output,
+            output: output.clone(),
         })
     }
 
     /// Every optimizable position in the IR as a [`ChoicePoint`]: nodes
     /// with alternatives offer them all; fixed nodes offer exactly their
     /// current profile, so the composed feasibility check covers the whole
-    /// plan. Guards are free and excluded.
+    /// plan.
     pub fn choice_points(&self) -> Vec<ChoicePoint<String>> {
         self.nodes
             .iter()
-            .filter_map(|n| {
-                let current = n.current_target()?;
+            .map(|n| {
                 let options = if n.qos.alternatives.is_empty() {
-                    vec![Candidate::new(current, n.qos.profile)]
+                    vec![Candidate::new(n.current_target(), n.qos.profile)]
                 } else {
                     n.qos
                         .alternatives
@@ -659,7 +436,7 @@ impl PlanIr {
                         .map(|a| Candidate::new(a.target.clone(), a.profile))
                         .collect()
                 };
-                Some(ChoicePoint::new(n.id.clone(), options))
+                ChoicePoint::new(n.id.clone(), options)
             })
             .collect()
     }
@@ -715,7 +492,7 @@ impl PlanIr {
                 continue;
             };
             let target = cands[idx].item.clone();
-            if Some(&target) != n.current_target().as_ref() {
+            if target != n.current_target() {
                 plans.push((i, target));
             }
         }
@@ -726,8 +503,7 @@ impl PlanIr {
                 .qos
                 .tier
                 .clone()
-                .or_else(|| self.nodes[i].current_target().map(|t| tier_label(&t)))
-                .unwrap_or_default();
+                .unwrap_or_else(|| tier_label(&self.nodes[i].current_target()));
             if self.apply_alternative(&id, &target) {
                 switches.push(TierSwitch {
                     node: id,
@@ -746,7 +522,7 @@ impl PlanIr {
         let Some(n) = self.nodes.iter_mut().find(|n| n.id == node_id) else {
             return false;
         };
-        if n.current_target().as_deref() == Some(target) {
+        if n.current_target() == target {
             return true;
         }
         let Some(alt) = n
@@ -770,7 +546,6 @@ impl PlanIr {
                     accuracy: alt.profile.accuracy,
                 };
             }
-            IrKind::Guard { .. } => return false,
         }
         n.qos.profile = alt.profile;
         n.qos.tier = Some(alt.tier);
@@ -778,7 +553,7 @@ impl PlanIr {
     }
 
     /// Renders the IR as text: agent nodes in order with their spliced data
-    /// operators indented beneath, then standalone operators and guards.
+    /// operators indented beneath, then standalone operators.
     ///
     /// ```text
     /// plan-ir t1: "I am looking for a data scientist position in SF bay area."
@@ -787,7 +562,6 @@ impl PlanIr {
     ///     ↳ d1 q2nl("city ∈ \"sf bay area\"")
     ///     ↳ d2 knowledge[gpt-large] (question ← d1) ~tier sim-large
     ///   n3 PRESENTER(content ← n2.matches)
-    ///   g1 guard n3 [skippable]
     /// ```
     pub fn render_text(&self) -> String {
         let mut out = format!("plan-ir {}: \"{}\"\n", self.task_id, self.goal);
@@ -825,7 +599,7 @@ impl PlanIr {
                     IrBinding::FromUser => format!("{p} ← user"),
                     IrBinding::FromNode { node, output } => format!("{p} ← {node}.{output}"),
                     IrBinding::Literal(v) => format!("{p} ← {v}"),
-                    IrBinding::FromData { query } => format!("{p} ← data(\"{query}\")"),
+                    IrBinding::Unplanned { query, .. } => format!("{p} ← data(\"{query}\")"),
                     IrBinding::Spliced { output, .. } => format!("{p} ← splice({output})"),
                 })
                 .collect();
@@ -852,29 +626,57 @@ impl PlanIr {
                 render_data(d, node, "  ", &mut out);
             }
         }
-        for n in &self.nodes {
-            if let IrKind::Guard {
-                protects,
-                fallback,
-                skippable,
-                ..
-            } = &n.kind
-            {
-                let mut flags = Vec::new();
-                if let Some(f) = fallback {
-                    flags.push(format!("fallback={f}"));
-                }
-                if *skippable {
-                    flags.push("skippable".to_string());
-                }
-                out.push_str(&format!(
-                    "  {} guard {protects} [{}]\n",
-                    n.id,
-                    flags.join(", ")
-                ));
+        out
+    }
+}
+
+/// Lowers one `FromData` binding of `owner = (node, slot)`: plans it through
+/// `dp` and appends the plan's operators to `data_nodes` (each `Knowledge`
+/// operator carrying its interchangeable sources as alternatives), or
+/// records why it could not be planned.
+fn lower_data_binding(
+    query: &str,
+    owner: (String, String),
+    utterance: &str,
+    dp: Option<&DataPlanner>,
+    data_nodes: &mut Vec<IrNode>,
+) -> IrBinding {
+    let Some(dp) = dp else {
+        return IrBinding::Unplanned {
+            query: query.to_string(),
+            error: format!("no data planner to satisfy: {query}"),
+        };
+    };
+    let dplan = match dp
+        .plan_for_binding(query, utterance)
+        .and_then(|d| d.validate().map(|()| d))
+    {
+        Ok(dplan) => dplan,
+        Err(e) => {
+            return IrBinding::Unplanned {
+                query: query.to_string(),
+                error: e.to_string(),
             }
         }
-        out
+    };
+    let alternatives = dp.knowledge_alternatives(&dplan);
+    for dn in &dplan.nodes {
+        let mut ir_node = data_ir_node(dn, Some(owner.clone()));
+        if let Some((_, options)) = alternatives.iter().find(|(id, _)| id == &dn.id) {
+            ir_node.qos.alternatives = options
+                .iter()
+                .map(|c| IrAlternative {
+                    tier: tier_label(&c.item),
+                    target: c.item.clone(),
+                    profile: c.profile,
+                })
+                .collect();
+        }
+        data_nodes.push(ir_node);
+    }
+    IrBinding::Spliced {
+        output: dplan.output,
+        query: query.to_string(),
     }
 }
 
@@ -893,13 +695,6 @@ fn data_ir_node(dn: &DataNode, owner: Option<(String, String)>) -> IrNode {
             )
         })
         .collect();
-    let out_dtype = match &dn.op {
-        DataOp::SqlTemplate { .. } | DataOp::DocSearch { .. } => DataType::Table,
-        DataOp::Knowledge { .. } | DataOp::GraphExpand { .. } => DataType::List,
-        DataOp::Extract => DataType::Json,
-        DataOp::Q2NL { .. } | DataOp::Summarize => DataType::Text,
-        DataOp::Literal { .. } => DataType::Any,
-    };
     let tier = match &dn.op {
         DataOp::Knowledge { source } => Some(tier_label(source)),
         _ => None,
@@ -911,18 +706,6 @@ fn data_ir_node(dn: &DataNode, owner: Option<(String, String)>) -> IrNode {
             owner,
         },
         inputs,
-        in_ports: dn
-            .inputs
-            .iter()
-            .map(|(slot, _)| IrPort {
-                name: slot.clone(),
-                dtype: DataType::Any,
-            })
-            .collect(),
-        out_ports: vec![IrPort {
-            name: "value".to_string(),
-            dtype: out_dtype,
-        }],
         qos: IrQos {
             profile: CostProfile::new(
                 dn.estimate.cost_units,
@@ -1030,9 +813,11 @@ mod tests {
     #[test]
     fn lowering_preserves_structure_and_profile() {
         let plan = chain();
-        let ir = PlanIr::lower(&plan);
+        let ir = PlanIr::from_task_plan(&plan, None).unwrap();
         ir.validate().unwrap();
-        assert_eq!(ir.topo_order().unwrap(), plan.topo_order().unwrap());
+        let schedule = ir.schedule().unwrap();
+        assert_eq!(schedule.order, plan.topo_order().unwrap());
+        assert_eq!(schedule.edges, [(0, 1)]);
         let a = ir.projected_profile();
         let b = plan.projected_profile();
         assert_eq!(a.cost_per_call.to_bits(), b.cost_per_call.to_bits());
@@ -1044,12 +829,11 @@ mod tests {
     #[test]
     fn splice_rewires_binding_and_reconstructs_byte_identical_subplan() {
         let plan = chain();
-        let dp = data_planner();
-        let dplan = dp
+        // Two identical planners allocate identical data-node ids: one
+        // lowers, the other plans the binding directly as the reference.
+        let ir = PlanIr::lower_spliced(&plan, &data_planner()).unwrap();
+        let dplan = data_planner()
             .plan_for_binding("available job listings", RUNNING_EXAMPLE)
-            .unwrap();
-        let mut ir = PlanIr::lower(&plan);
-        ir.splice("n2", "jobs", &dplan, &dp.knowledge_alternatives(&dplan))
             .unwrap();
         ir.validate().unwrap();
         assert!(matches!(
@@ -1090,40 +874,50 @@ mod tests {
         assert!(!ir.agent_nodes().any(|n| n
             .inputs
             .values()
-            .any(|b| matches!(b, IrBinding::FromData { .. }))));
+            .any(|b| matches!(b, IrBinding::Unplanned { .. }))));
     }
 
     #[test]
-    fn splice_requires_from_data_binding() {
-        let plan = chain();
+    fn unplannable_bindings_carry_the_error() {
+        let mut plan = chain();
+        plan.nodes[1].inputs.insert(
+            "jobs".into(),
+            InputBinding::FromData {
+                query: "candidate profiles".into(),
+            },
+        );
+        let unplanned = |ir: &PlanIr| match ir.node("n2").unwrap().inputs.get("jobs") {
+            Some(IrBinding::Unplanned { error, .. }) => error.clone(),
+            other => panic!("expected an unplanned binding, got {other:?}"),
+        };
+        // No document source to route the query to: lowering still
+        // succeeds and records the planner's own error text.
         let dp = data_planner();
-        let dplan = dp
-            .plan_for_binding("available job listings", RUNNING_EXAMPLE)
-            .unwrap();
-        let mut ir = PlanIr::lower(&plan);
-        assert!(ir.splice("n1", "text", &dplan, &[]).is_err());
-        assert!(ir.splice("ghost", "jobs", &dplan, &[]).is_err());
-        assert!(ir.splice("n2", "nope", &dplan, &[]).is_err());
-    }
-
-    #[test]
-    fn typed_lowering_fills_ports_from_specs() {
-        use blueprint_agents::{AgentSpec, ParamSpec};
-        let registry = AgentRegistry::new();
-        registry
-            .register(
-                AgentSpec::new("profiler", "collects profiles")
-                    .with_input(ParamSpec::required("text", "raw text", DataType::Text))
-                    .with_output(ParamSpec::required("profile", "profile", DataType::Json)),
-            )
-            .unwrap();
-        let ir = PlanIr::lower_typed(&chain(), &registry);
-        let n1 = ir.node("n1").unwrap();
-        assert_eq!(n1.in_ports[0].dtype, DataType::Text);
-        assert_eq!(n1.out_ports[0].dtype, DataType::Json);
-        // Unknown agent falls back to Any-typed ports from its bindings.
-        let n2 = ir.node("n2").unwrap();
-        assert!(n2.in_ports.iter().all(|p| p.dtype == DataType::Any));
+        let ir = PlanIr::lower_spliced(&plan, &dp).unwrap();
+        ir.validate().unwrap();
+        assert_eq!(
+            unplanned(&ir),
+            dp.plan_for_binding("candidate profiles", RUNNING_EXAMPLE)
+                .unwrap_err()
+                .to_string()
+        );
+        assert!(ir.nodes.iter().all(|n| n.is_agent()));
+        // Without a data planner every data binding is unplanned.
+        let ir = PlanIr::from_task_plan(&chain(), None).unwrap();
+        assert_eq!(
+            unplanned(&ir),
+            "no data planner to satisfy: available job listings"
+        );
+        // Only a structurally invalid plan fails the lowering itself.
+        let mut cyclic = chain();
+        cyclic.nodes[0].inputs.insert(
+            "text".into(),
+            InputBinding::FromNode {
+                node: "n2".into(),
+                output: "matches".into(),
+            },
+        );
+        assert!(PlanIr::from_task_plan(&cyclic, None).is_err());
     }
 
     #[test]
@@ -1210,20 +1004,6 @@ mod tests {
     }
 
     #[test]
-    fn guards_render_and_validate() {
-        let plan = chain();
-        let mut ir = PlanIr::lower(&plan);
-        ir.annotate_guard("n2", Some("matcher-lite".into()), 0.1, true);
-        ir.validate().unwrap();
-        assert!(ir.guard_for("n2").is_some());
-        assert!(ir.guard_for("n1").is_none());
-        let text = ir.render_text();
-        assert!(text.contains("g1 guard n2 [fallback=matcher-lite, skippable]"));
-        ir.annotate_guard("ghost", None, 0.0, false);
-        assert!(ir.validate().is_err());
-    }
-
-    #[test]
     fn from_data_plan_lowers_operators() {
         let dp = data_planner();
         let dplan = dp.plan_job_query(RUNNING_EXAMPLE).unwrap();
@@ -1251,8 +1031,7 @@ mod tests {
     fn serde_round_trip() {
         let plan = chain();
         let dp = data_planner();
-        let mut ir = PlanIr::lower_spliced(&plan, &dp).unwrap();
-        ir.annotate_guard("n1", None, 0.0, true);
+        let ir = PlanIr::lower_spliced(&plan, &dp).unwrap();
         let json = serde_json::to_value(&ir).unwrap();
         let back: PlanIr = serde_json::from_value(json).unwrap();
         assert_eq!(back, ir);

@@ -14,9 +14,10 @@
 //!   splicing the answer into a relational query (Fig 7) — and optimizing
 //!   source choices under QoS constraints.
 //!
-//! Both plan forms lower into the unified [`PlanIr`] (see [`ir`]), the
-//! single typed DAG that the optimizer searches and the coordinator
-//! executes.
+//! A task plan lowers into the unified [`PlanIr`] (see [`ir`]) through one
+//! lowering, [`PlanIr::from_task_plan`], which splices the data plan of
+//! every `FromData` binding into the node that consumes it. That IR is the
+//! single DAG the optimizer searches and the coordinator executes.
 
 pub mod data_plan;
 pub mod data_planner;
@@ -28,7 +29,7 @@ pub mod task_planner;
 pub use data_plan::{DataNode, DataOp, DataPlan};
 pub use data_planner::{DataPlanner, ExecutedPlan};
 pub use error::PlanError;
-pub use ir::{IrAlternative, IrBinding, IrKind, IrNode, IrPort, IrQos, PlanIr, TierSwitch};
+pub use ir::{IrAlternative, IrBinding, IrKind, IrNode, IrQos, PlanIr, Schedule, TierSwitch};
 pub use plan::{InputBinding, PlanEdge, PlanNode, TaskPlan};
 pub use task_planner::{PlanFeedback, TaskPlanner};
 

@@ -1,6 +1,6 @@
 //! Task plans: DAGs connecting agent inputs and outputs (Fig 6).
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
@@ -25,9 +25,10 @@ pub enum InputBinding {
     },
     /// A constant.
     Literal(Value),
-    /// To be satisfied by the data planner at execution time: the task
-    /// coordinator invokes the data planner with this query to produce the
-    /// value (§V-H, e.g. `JOBS ← data("job listings")` in Fig 6).
+    /// To be satisfied by the data planner (§V-H, e.g.
+    /// `JOBS ← data("job listings")` in Fig 6): lowering splices the data
+    /// plan for this query into the consuming node, which executes it when
+    /// it resolves its inputs.
     FromData {
         /// Natural-language description of the data needed.
         query: String,
@@ -144,64 +145,11 @@ impl TaskPlan {
     /// wins — so planner-produced chains execute exactly in the order they
     /// were planned, and hand-built DAGs get a stable order.
     pub fn topo_order(&self) -> Result<Vec<String>> {
-        let position: HashMap<&str, usize> = self
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.id.as_str(), i))
-            .collect();
-        let mut indegree: HashMap<&str, usize> =
-            self.nodes.iter().map(|n| (n.id.as_str(), 0)).collect();
-        let mut adjacency: HashMap<&str, Vec<&str>> = HashMap::new();
-        for e in self.edges() {
-            if !position.contains_key(e.from.as_str()) {
-                return Err(PlanError::InvalidPlan(format!(
-                    "unknown edge source {}",
-                    e.from
-                )));
-            }
-            let from = self
-                .nodes
-                .iter()
-                .find(|n| n.id == e.from)
-                .map(|n| n.id.as_str())
-                .expect("checked above");
-            let to = self
-                .nodes
-                .iter()
-                .find(|n| n.id == e.to)
-                .map(|n| n.id.as_str())
-                .expect("edge target exists by construction");
-            adjacency.entry(from).or_default().push(to);
-            *indegree.get_mut(to).expect("indegree entry") += 1;
-        }
-        // Kahn with the ready set kept sorted by insertion position.
-        let mut ready: Vec<&str> = self
-            .nodes
-            .iter()
-            .filter(|n| indegree[n.id.as_str()] == 0)
-            .map(|n| n.id.as_str())
-            .collect();
-        ready.sort_by_key(|id| position[id]);
-        let mut order = Vec::with_capacity(self.nodes.len());
-        while !ready.is_empty() {
-            let id = ready.remove(0);
-            order.push(id.to_string());
-            for &next in adjacency.get(id).into_iter().flatten() {
-                let d = indegree.get_mut(next).expect("indegree entry");
-                *d -= 1;
-                if *d == 0 {
-                    let pos = ready
-                        .binary_search_by_key(&position[next], |r| position[r])
-                        .unwrap_or_else(|i| i);
-                    ready.insert(pos, next);
-                }
-            }
-        }
-        if order.len() != self.nodes.len() {
-            return Err(PlanError::InvalidPlan("plan contains a cycle".into()));
-        }
-        Ok(order)
+        let ids: Vec<&str> = self.nodes.iter().map(|n| n.id.as_str()).collect();
+        let edges = self.edges();
+        let pairs = index_edges(&ids, edges.iter().map(|e| (e.from.as_str(), e.to.as_str())))?;
+        let order = topo_sort(ids.len(), &pairs)?;
+        Ok(order.into_iter().map(|i| ids[i].to_string()).collect())
     }
 
     /// Projected QoS of the whole plan: cost and latency add along the
@@ -258,6 +206,51 @@ impl TaskPlan {
         }
         out
     }
+}
+
+/// Maps `(from, to)` id edges to position pairs into `ids`. Errors on an
+/// unknown edge source; targets are the consuming nodes themselves.
+pub(crate) fn index_edges<'a>(
+    ids: &[&'a str],
+    edges: impl IntoIterator<Item = (&'a str, &'a str)>,
+) -> Result<Vec<(usize, usize)>> {
+    let position: HashMap<&str, usize> = ids.iter().enumerate().map(|(i, id)| (*id, i)).collect();
+    edges
+        .into_iter()
+        .map(|(from, to)| {
+            let from = *position
+                .get(from)
+                .ok_or_else(|| PlanError::InvalidPlan(format!("unknown edge source {from}")))?;
+            Ok((from, position[to]))
+        })
+        .collect()
+}
+
+/// Kahn's algorithm, shared by [`TaskPlan`] and the plan IR: orders nodes
+/// `0..n` along the `(from, to)` position pairs, breaking ties by the lower
+/// position (insertion order). Errors on a cycle.
+pub(crate) fn topo_sort(n: usize, edges: &[(usize, usize)]) -> Result<Vec<usize>> {
+    let mut indegree = vec![0usize; n];
+    let mut children = vec![Vec::new(); n];
+    for &(from, to) in edges {
+        children[from].push(to);
+        indegree[to] += 1;
+    }
+    let mut ready: BTreeSet<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
+    let mut order = Vec::with_capacity(n);
+    while let Some(i) = ready.pop_first() {
+        order.push(i);
+        for &c in &children[i] {
+            indegree[c] -= 1;
+            if indegree[c] == 0 {
+                ready.insert(c);
+            }
+        }
+    }
+    if order.len() != n {
+        return Err(PlanError::InvalidPlan("plan contains a cycle".into()));
+    }
+    Ok(order)
 }
 
 #[cfg(test)]

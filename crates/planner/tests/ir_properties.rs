@@ -1,28 +1,29 @@
-//! Property-based equivalence of the unified IR path and the legacy path.
+//! Property battery for the one plan path: lowering a task plan into the
+//! spliced IR and executing it through `TaskCoordinator::execute`.
 //!
-//! For randomly generated task DAGs — some nodes of which pull a `FromData`
-//! binding that routes through the data planner's running-example pipeline
-//! (Q2NL → knowledge lookup → graph expansion → SQL) — executing the plan
-//! through the legacy shim (`TaskCoordinator::execute`, which lowers
-//! internally) and executing an explicitly spliced [`PlanIr`] through
-//! `execute_ir` must agree: byte-identical final outputs, identical per-node
-//! results, and bitwise-identical cost/accuracy accounting under the
-//! sequential scheduler.
+//! Random task DAGs — some nodes of which pull a `FromData` binding that
+//! routes through the data planner's running-example pipeline (Q2NL →
+//! knowledge lookup → graph expansion → SQL) — must satisfy:
 //!
-//! Agent charges are dyadic rationals with accuracy exactly 1.0, so those
-//! sums are exact; data-plan charges are *not* dyadic (e.g. 0.032 cost at
-//! 0.9 accuracy), but the sequential scheduler folds them in one fixed
-//! order, so equality is still bitwise. Under the parallel scheduler the
-//! fold order of those non-dyadic charges is timing-dependent, so budget
-//! totals are compared within an epsilon while outputs and per-node results
-//! stay exact. Latency totals are excluded under parallelism for the same
-//! shared-clock reason documented in the coordinator's own property suite.
+//! * **data-level reference**: for every `FromData` binding, executing the
+//!   lowered `data_subplan(owner, slot)` yields the same value, with
+//!   bitwise-equal actual QoS, as `DataPlanner::satisfy(query, utterance)`
+//!   on an identically configured planner;
+//! * **sequential ≡ parallel**: the sequential and parallel schedulers give
+//!   byte-identical final outputs and per-node results. Agent charges are
+//!   dyadic rationals with accuracy exactly 1.0, so those sums are exact,
+//!   but data-plan charges are not (e.g. 0.032 cost at 0.9 accuracy) and
+//!   the parallel fold order is timing-dependent, so budget totals are
+//!   compared within an epsilon. Latency is excluded under parallelism: the
+//!   shared simulated clock over-counts overlapping nodes.
 //!
-//! The file also pins the adaptive feedback loop: a deterministic seed in
-//! which observed latency drifts past the configured threshold must trigger
-//! exactly one mid-flight re-optimization that downgrades the spliced
-//! knowledge operator from `sim-large` to `sim-small`, and an accurate
-//! estimate (the no-drift control) must trigger none.
+//! The file also pins the adaptive feedback loop on the production entry
+//! point (`Blueprint` + `BlueprintSession::handle`): observed latency
+//! drifting past the threshold must trigger exactly one mid-flight
+//! re-optimization that downgrades the spliced knowledge operator from
+//! `sim-large` to `sim-small`, and drift below the threshold must trigger
+//! none. A `FromData` binding nothing can plan must still fail on its own
+//! node, after the upstream node ran.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -35,13 +36,15 @@ use blueprint_agents::{
     AgentContext, AgentFactory, AgentSpec, CostProfile, DataType, FnProcessor, Inputs, Outputs,
     ParamSpec, Processor,
 };
-use blueprint_coordinator::{
-    AdaptiveConfig, ExecutionReport, Outcome, SchedulerMode, TaskCoordinator,
+use blueprint_core::coordinator::{
+    ExecutionReport, NodeResult, Outcome, SchedulerMode, TaskCoordinator,
 };
+use blueprint_core::hrdomain::HrConfig;
+use blueprint_core::Blueprint;
 use blueprint_datastore::{GraphSource, PropertyGraph, RelationalDb, RelationalSource};
 use blueprint_llmsim::{ModelProfile, ParametricSource, SimLlm};
-use blueprint_optimizer::QosConstraints;
-use blueprint_planner::{DataOp, DataPlanner, InputBinding, IrKind, PlanIr, PlanNode, TaskPlan};
+use blueprint_optimizer::{Objective, QosConstraints};
+use blueprint_planner::{DataPlanner, InputBinding, PlanIr, PlanNode, TaskPlan};
 use blueprint_registry::{AgentRegistry, DataRegistry};
 use blueprint_streams::StreamStore;
 
@@ -196,11 +199,10 @@ fn build_plan(raw_deps: &[(Vec<usize>, bool)]) -> TaskPlan {
 }
 
 /// Builds a fresh runtime (store, factory, registry, data planner,
-/// coordinator). Each execution arm gets its own so no usage counters,
-/// memo entries, or clock state leak between the paths under comparison.
-/// The factory is returned alongside the coordinator: dropping it stops the
-/// spawned agent hosts.
-fn fresh_runtime(mode: SchedulerMode) -> (TaskCoordinator, Arc<DataPlanner>, AgentFactory) {
+/// coordinator), so no usage counters, memo entries, or clock state leak
+/// between the runs under comparison. The factory is returned alongside
+/// the coordinator: dropping it stops the spawned agent hosts.
+fn fresh_runtime(mode: SchedulerMode) -> (TaskCoordinator, AgentFactory) {
     let store = StreamStore::new();
     let factory = AgentFactory::new(store.clone());
     let registry = Arc::new(AgentRegistry::new());
@@ -208,28 +210,18 @@ fn fresh_runtime(mode: SchedulerMode) -> (TaskCoordinator, Arc<DataPlanner>, Age
         register_join(&factory, &registry, arity, false);
         register_join(&factory, &registry, arity, true);
     }
-    let dp = Arc::new(data_planner());
     let coordinator = TaskCoordinator::new(store, "session:1", registry)
         .with_report_timeout(Duration::from_secs(10))
-        .with_data_planner(Arc::clone(&dp))
+        .with_data_planner(Arc::new(data_planner()))
         .with_scheduler(mode);
-    (coordinator, dp, factory)
+    (coordinator, factory)
 }
 
-/// Legacy arm: the coordinator lowers the `TaskPlan` internally.
-fn run_legacy(raw_deps: &[(Vec<usize>, bool)], mode: SchedulerMode) -> ExecutionReport {
-    let (coordinator, _dp, _factory) = fresh_runtime(mode);
-    let plan = build_plan(raw_deps);
-    coordinator.execute(&plan, QosConstraints::none()).unwrap()
-}
-
-/// IR arm: lower + splice explicitly, then execute the IR directly.
-fn run_ir(raw_deps: &[(Vec<usize>, bool)], mode: SchedulerMode) -> ExecutionReport {
-    let (coordinator, dp, _factory) = fresh_runtime(mode);
-    let plan = build_plan(raw_deps);
-    let ir = PlanIr::lower_spliced(&plan, &dp).unwrap();
-    ir.validate().unwrap();
-    coordinator.execute_ir(&ir, QosConstraints::none()).unwrap()
+fn run(raw_deps: &[(Vec<usize>, bool)], mode: SchedulerMode) -> ExecutionReport {
+    let (coordinator, _factory) = fresh_runtime(mode);
+    coordinator
+        .execute(&build_plan(raw_deps), QosConstraints::none())
+        .unwrap()
 }
 
 fn final_output(report: &ExecutionReport) -> String {
@@ -241,7 +233,7 @@ fn final_output(report: &ExecutionReport) -> String {
 
 /// Node results with the latency field normalized away (shared-clock
 /// over-counting under parallelism; see module docs).
-fn without_latency(report: &ExecutionReport) -> Vec<blueprint_coordinator::NodeResult> {
+fn without_latency(report: &ExecutionReport) -> Vec<NodeResult> {
     report
         .node_results
         .iter()
@@ -269,178 +261,98 @@ fn deps_strategy() -> impl Strategy<Value = Vec<(Vec<usize>, bool)>> {
 }
 
 proptest! {
-    /// Sequential reference: lowering through the shim and executing the
-    /// explicitly spliced IR are the *same computation* — byte-identical
-    /// outputs, identical node results, bitwise-identical accounting.
+    /// Data-level reference: every spliced sub-plan computes what the data
+    /// planner's own `satisfy` computes for the binding. Bindings are
+    /// visited in lowering order, so the reference planner allocates the
+    /// same data-node ids.
     #[test]
-    fn ir_path_matches_legacy_path_sequential(raw_deps in deps_strategy()) {
-        let legacy = run_legacy(&raw_deps, SchedulerMode::Sequential);
-        let ir = run_ir(&raw_deps, SchedulerMode::Sequential);
-
-        prop_assert!(legacy.outcome.succeeded(), "legacy: {:?}", legacy.outcome);
-        prop_assert!(ir.outcome.succeeded(), "ir: {:?}", ir.outcome);
-        prop_assert_eq!(final_output(&legacy), final_output(&ir));
-        prop_assert_eq!(&legacy.node_results, &ir.node_results);
-        prop_assert_eq!(
-            legacy.budget.spent_cost.to_bits(),
-            ir.budget.spent_cost.to_bits()
-        );
-        prop_assert_eq!(
-            legacy.budget.spent_latency_micros,
-            ir.budget.spent_latency_micros
-        );
-        prop_assert_eq!(
-            legacy.budget.accuracy_so_far.to_bits(),
-            ir.budget.accuracy_so_far.to_bits()
-        );
-        prop_assert!(legacy.reoptimizations.is_empty());
-        prop_assert!(ir.reoptimizations.is_empty());
+    fn spliced_subplans_match_satisfy_reference(raw_deps in deps_strategy()) {
+        let plan = build_plan(&raw_deps);
+        let dp = data_planner();
+        let reference = data_planner();
+        let ir = PlanIr::lower_spliced(&plan, &dp).unwrap();
+        ir.validate().unwrap();
+        for node in &plan.nodes {
+            for (slot, binding) in &node.inputs {
+                let InputBinding::FromData { query } = binding else { continue };
+                let sub = ir.data_subplan(&node.id, slot).expect("binding was spliced");
+                let got = dp.execute(&sub).unwrap();
+                let want = reference.satisfy(query, &plan.utterance).unwrap();
+                prop_assert_eq!(
+                    serde_json::to_string(&got.value).unwrap(),
+                    serde_json::to_string(&want.value).unwrap()
+                );
+                prop_assert_eq!(got.actual.cost_per_call.to_bits(), want.actual.cost_per_call.to_bits());
+                prop_assert_eq!(got.actual.latency_micros, want.actual.latency_micros);
+                prop_assert_eq!(got.actual.accuracy.to_bits(), want.actual.accuracy.to_bits());
+            }
+        }
     }
 
-    /// Parallel scheduler: outputs and per-node results stay exact; budget
-    /// totals fold non-dyadic data-plan charges in a timing-dependent order,
-    /// so they are compared within a relative epsilon.
+    /// Sequential ≡ parallel on the spliced path: outputs and per-node
+    /// results stay exact; budget totals fold non-dyadic data-plan charges
+    /// in a timing-dependent order, so they are compared within a relative
+    /// epsilon.
     #[test]
-    fn ir_path_matches_legacy_path_parallel(raw_deps in deps_strategy()) {
-        let legacy = run_legacy(&raw_deps, SchedulerMode::Parallel { max_in_flight: 0 });
-        let ir = run_ir(&raw_deps, SchedulerMode::Parallel { max_in_flight: 0 });
+    fn spliced_parallel_matches_sequential(raw_deps in deps_strategy()) {
+        let sequential = run(&raw_deps, SchedulerMode::Sequential);
+        let parallel = run(&raw_deps, SchedulerMode::Parallel { max_in_flight: 0 });
 
-        prop_assert!(legacy.outcome.succeeded(), "legacy: {:?}", legacy.outcome);
-        prop_assert!(ir.outcome.succeeded(), "ir: {:?}", ir.outcome);
-        prop_assert_eq!(final_output(&legacy), final_output(&ir));
-        prop_assert_eq!(without_latency(&legacy), without_latency(&ir));
+        prop_assert!(sequential.outcome.succeeded(), "sequential: {:?}", sequential.outcome);
+        prop_assert!(parallel.outcome.succeeded(), "parallel: {:?}", parallel.outcome);
+        prop_assert_eq!(final_output(&sequential), final_output(&parallel));
+        prop_assert_eq!(without_latency(&sequential), without_latency(&parallel));
         prop_assert!(
-            close(legacy.budget.spent_cost, ir.budget.spent_cost),
-            "cost {} vs {}", legacy.budget.spent_cost, ir.budget.spent_cost
+            close(sequential.budget.spent_cost, parallel.budget.spent_cost),
+            "cost {} vs {}", sequential.budget.spent_cost, parallel.budget.spent_cost
         );
         prop_assert!(
-            close(legacy.budget.accuracy_so_far, ir.budget.accuracy_so_far),
-            "accuracy {} vs {}", legacy.budget.accuracy_so_far, ir.budget.accuracy_so_far
+            close(sequential.budget.accuracy_so_far, parallel.budget.accuracy_so_far),
+            "accuracy {} vs {}",
+            sequential.budget.accuracy_so_far,
+            parallel.budget.accuracy_so_far
         );
+        prop_assert!(sequential.reoptimizations.is_empty());
+        prop_assert!(parallel.reoptimizations.is_empty());
     }
 }
 
 // ---------------------------------------------------------------------------
-// Adaptive re-optimization: pinned deterministic scenarios.
+// Adaptive re-optimization through the production entry point.
 // ---------------------------------------------------------------------------
 
-/// Builds the drift fixture: `n1` (whose *estimated* latency understates the
-/// actual charge by `actual / est`) feeding `n2`, which joins the upstream
-/// text with the jobs table spliced from the data layer.
-fn adaptive_runtime(
-    est_latency: u64,
-    actual_latency: u64,
-    threshold: f64,
-) -> (TaskCoordinator, Arc<AgentRegistry>, PlanIr, AgentFactory) {
-    let store = StreamStore::new();
-    let factory = AgentFactory::new(store.clone());
-    let registry = Arc::new(AgentRegistry::new());
-
-    let slow = AgentSpec::new("slow-start", "collects the profile")
-        .with_input(ParamSpec::required("text", "user text", DataType::Text))
-        .with_output(ParamSpec::required("out", "profile", DataType::Text))
-        .with_profile(CostProfile::new(0.125, est_latency, 1.0));
-    let slow_proc: Arc<dyn Processor> = Arc::new(FnProcessor::new(
-        move |inputs: &Inputs, ctx: &AgentContext| {
-            ctx.charge_cost(0.125);
-            ctx.charge_latency_micros(actual_latency);
-            Ok(Outputs::new().with("out", json!(inputs.require_str("text")?.to_uppercase())))
-        },
-    ));
-    factory.register(slow.clone(), slow_proc).unwrap();
-    registry.register(slow).unwrap();
-    factory.spawn("slow-start", "session:1").unwrap();
-
-    let consume = AgentSpec::new("consume-jobs", "matches jobs against the profile")
-        .with_input(ParamSpec::required("text", "profile", DataType::Text))
-        .with_input(ParamSpec::required("jobs", "job listings", DataType::Any))
-        .with_output(ParamSpec::required("out", "matches", DataType::Text))
-        .with_profile(CostProfile::new(0.125, 1_000, 1.0));
-    let consume_proc: Arc<dyn Processor> =
-        Arc::new(FnProcessor::new(|inputs: &Inputs, ctx: &AgentContext| {
-            ctx.charge_cost(0.125);
-            ctx.charge_latency_micros(1_000);
-            let jobs = serde_json::to_string(inputs.require("jobs")?).unwrap();
-            Ok(Outputs::new().with(
-                "out",
-                json!(format!("{}&{}", inputs.require_str("text")?, jobs)),
-            ))
-        }));
-    factory.register(consume.clone(), consume_proc).unwrap();
-    registry.register(consume).unwrap();
-    factory.spawn("consume-jobs", "session:1").unwrap();
-
-    let mut plan = TaskPlan::new("t-adaptive", RUNNING_EXAMPLE);
-    let mut n1 = PlanNode {
-        id: "n1".into(),
-        agent: "slow-start".into(),
-        task: "collect the profile".into(),
-        inputs: BTreeMap::new(),
-        profile: CostProfile::new(0.125, est_latency, 1.0),
-    };
-    n1.inputs.insert("text".into(), InputBinding::FromUser);
-    let mut n2 = PlanNode {
-        id: "n2".into(),
-        agent: "consume-jobs".into(),
-        task: "match jobs".into(),
-        inputs: BTreeMap::new(),
-        profile: CostProfile::new(0.125, 1_000, 1.0),
-    };
-    n2.inputs.insert(
-        "text".into(),
-        InputBinding::FromNode {
-            node: "n1".into(),
-            output: "out".into(),
-        },
-    );
-    n2.inputs.insert(
-        "jobs".into(),
-        InputBinding::FromData {
-            query: JOBS_QUERY.into(),
-        },
-    );
-    plan.push(n1);
-    plan.push(n2);
-
-    let dp = Arc::new(data_planner());
-    let mut ir = PlanIr::lower_spliced(&plan, &dp).unwrap();
-    // Pin the spliced knowledge operator to the large tier so the mid-flight
-    // pass has a downgrade available when the latency budget tightens.
-    let know_id = knowledge_node(&ir);
-    assert!(ir.apply_alternative(&know_id, "gpt-large"));
-
-    let coordinator = TaskCoordinator::new(store, "session:1", Arc::clone(&registry))
-        .with_report_timeout(Duration::from_secs(10))
-        .with_data_planner(dp)
-        .with_scheduler(SchedulerMode::Sequential)
-        .with_adaptive(AdaptiveConfig::with_threshold(threshold));
-    (coordinator, registry, ir, factory)
-}
-
-fn knowledge_node(ir: &PlanIr) -> String {
-    ir.nodes
-        .iter()
-        .find(|n| {
-            matches!(&n.kind, IrKind::DataOperator { node, .. }
-                if matches!(node.op, DataOp::Knowledge { .. }))
+/// Handles the running example on an HR runtime with both model tiers as
+/// knowledge sources. Maximizing accuracy, the data planner splices the
+/// `sim-large` tier (680 000 µs estimated) into the job matcher's jobs
+/// binding. The profiler's estimate understates its actual latency
+/// (440 000 µs observed against 60 000 µs estimated, a 7.3× drift).
+fn handle_with_drift_threshold(threshold: f64) -> ExecutionReport {
+    let bp = Blueprint::builder()
+        .with_hr_domain(HrConfig {
+            seed: 5,
+            jobs: 60,
+            applicants: 50,
+            companies: 8,
+            applications: 100,
         })
-        .expect("spliced plan contains a knowledge operator")
-        .id
-        .clone()
+        .with_model(ModelProfile::large())
+        .with_extra_model(ModelProfile::small())
+        .with_objective(Objective::MaxAccuracy)
+        .with_constraints(QosConstraints::none().with_max_latency_micros(1_000_000))
+        .with_adaptive_replanning(threshold)
+        .build()
+        .unwrap();
+    let session = bp.start_session().unwrap();
+    session.handle(RUNNING_EXAMPLE).unwrap()
 }
 
-/// Observed latency drifting past the threshold (50 000 µs against a
-/// 1 000 µs estimate, threshold 2×) must trigger exactly one bounded
-/// re-optimization of the pending IR suffix, downgrading the knowledge
-/// operator to the small tier — the large tier's 680 000 µs estimate no
-/// longer fits the remaining 350 000 µs latency budget.
+/// Drift past the 2× threshold triggers exactly one re-optimization of the
+/// pending IR suffix: after the profiler, 560 000 µs of the 1 000 000 µs
+/// latency budget remain, so the large tier no longer fits and the
+/// knowledge operator downgrades to the small tier.
 #[test]
 fn adaptive_replanning_downgrades_tier_on_latency_drift() {
-    let (coordinator, _registry, ir, _factory) = adaptive_runtime(1_000, 50_000, 2.0);
-    let know_id = knowledge_node(&ir);
-    let report = coordinator
-        .execute_ir(&ir, QosConstraints::none().with_max_latency_micros(400_000))
-        .unwrap();
+    let report = handle_with_drift_threshold(2.0);
     assert!(report.outcome.succeeded(), "outcome: {:?}", report.outcome);
     assert_eq!(
         report.reoptimizations.len(),
@@ -449,52 +361,56 @@ fn adaptive_replanning_downgrades_tier_on_latency_drift() {
         report.reoptimizations
     );
     let note = &report.reoptimizations[0];
-    assert_eq!(note.node, know_id);
     assert_eq!(note.from_tier, "sim-large");
     assert_eq!(note.to_tier, "sim-small");
     // The run fits the latency budget only because of the downgrade.
-    assert!(report.budget.spent_latency_micros < 400_000);
+    assert!(report.budget.spent_latency_micros < 1_000_000);
 }
 
-/// The no-drift control: with an accurate estimate nothing crosses the
-/// threshold and the pinned large tier is left alone.
+/// The no-drift control: the same run with the threshold above the
+/// observed 7.3× drift never re-optimizes, so the large tier runs and the
+/// actual spend overruns the latency budget.
 #[test]
 fn adaptive_replanning_never_fires_below_threshold() {
-    let (coordinator, _registry, ir, _factory) = adaptive_runtime(50_000, 50_000, 2.0);
-    let report = coordinator
-        .execute_ir(
-            &ir,
-            QosConstraints::none().with_max_latency_micros(2_000_000),
-        )
-        .unwrap();
-    assert!(report.outcome.succeeded(), "outcome: {:?}", report.outcome);
+    let report = handle_with_drift_threshold(8.0);
     assert!(
         report.reoptimizations.is_empty(),
         "unexpected: {:?}",
         report.reoptimizations
     );
+    match &report.outcome {
+        Outcome::Aborted { reason } => assert!(reason.contains("exceeded"), "{reason}"),
+        other => panic!("expected the large tier to overrun, got {other:?}"),
+    }
 }
 
-/// The EWMA fold is deterministic: two identical adaptive runs on fresh
-/// runtimes leave bit-identical observed stats in the registry.
+/// A `FromData` binding no source can satisfy (no document source on this
+/// runtime) still lowers; it fails its own node when dispatched, after the
+/// upstream node ran, with the data planner's error text.
 #[test]
-fn adaptive_feedback_folds_deterministically() {
-    let observe = || {
-        let (coordinator, registry, ir, _factory) = adaptive_runtime(1_000, 50_000, 2.0);
-        coordinator
-            .execute_ir(&ir, QosConstraints::none().with_max_latency_micros(400_000))
-            .unwrap();
-        (
-            registry.observed_profile("slow-start").unwrap(),
-            registry.observed_profile("consume-jobs").unwrap(),
-        )
-    };
-    let (a1, a2) = observe();
-    let (b1, b2) = observe();
-    for (a, b) in [(a1, b1), (a2, b2)] {
-        assert_eq!(a.cost.to_bits(), b.cost.to_bits());
-        assert_eq!(a.latency_micros.to_bits(), b.latency_micros.to_bits());
-        assert_eq!(a.accuracy.to_bits(), b.accuracy.to_bits());
-        assert_eq!(a.samples, b.samples);
+fn unplannable_binding_fails_on_its_own_node() {
+    let (coordinator, _factory) = fresh_runtime(SchedulerMode::Sequential);
+    let mut plan = build_plan(&[(vec![], false), (vec![0], false)]);
+    plan.nodes[1].inputs.insert(
+        "jobs".into(),
+        InputBinding::FromData {
+            query: "candidate profiles".into(),
+        },
+    );
+    plan.nodes[1].agent = "data-join-1".into();
+    let report = coordinator.execute(&plan, QosConstraints::none()).unwrap();
+    let expected = data_planner()
+        .satisfy("candidate profiles", RUNNING_EXAMPLE)
+        .unwrap_err()
+        .to_string();
+    match &report.outcome {
+        Outcome::Failed { node, error } => {
+            assert_eq!(node, "n1");
+            assert_eq!(error, &expected);
+        }
+        other => panic!("unexpected outcome: {other:?}"),
     }
+    assert_eq!(report.node_results.len(), 1);
+    assert!(report.node_results[0].ok);
+    assert_eq!(report.node_results[0].node, "n0");
 }

@@ -18,24 +18,6 @@ use crate::error::RegistryError;
 use crate::search::{rank_entries, SearchHit};
 use crate::Result;
 
-/// Exponentially-weighted moving averages of *observed* per-call QoS,
-/// folded in from execution reports (the adaptive cost-feedback loop).
-///
-/// Deterministic: folds are applied in plan-node topological order after
-/// each execution, so under a pinned seed the same workload always produces
-/// bit-identical averages.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ObservedStats {
-    /// EWMA of observed cost units per call.
-    pub cost: f64,
-    /// EWMA of observed latency per call (µs).
-    pub latency_micros: f64,
-    /// EWMA of observed (estimated-realized) accuracy per call.
-    pub accuracy: f64,
-    /// Number of observations folded in.
-    pub samples: u64,
-}
-
 /// A registered agent: its spec plus registry-side metadata.
 #[derive(Debug, Clone)]
 pub struct AgentEntry {
@@ -47,8 +29,6 @@ pub struct AgentEntry {
     pub usage_count: u64,
     /// Recent queries that led to this agent (bounded log).
     pub usage_queries: Vec<String>,
-    /// Learned per-call QoS averages (None until the first observation).
-    pub observed: Option<ObservedStats>,
 }
 
 impl AgentEntry {
@@ -59,7 +39,6 @@ impl AgentEntry {
             embedding,
             usage_count: 0,
             usage_queries: Vec::new(),
-            observed: None,
         }
     }
 
@@ -245,48 +224,6 @@ impl AgentRegistry {
         entry.refresh_embedding();
         Ok(())
     }
-
-    /// Folds one observed execution of `agent` into its EWMA stats:
-    /// `ewma ← alpha·observation + (1−alpha)·ewma`, with the first
-    /// observation initializing the averages directly.
-    pub fn fold_observation(
-        &self,
-        agent: &str,
-        cost: f64,
-        latency_micros: u64,
-        accuracy: f64,
-        alpha: f64,
-    ) -> Result<()> {
-        let alpha = alpha.clamp(0.0, 1.0);
-        let mut entries = self.entries.write();
-        let entry = entries
-            .get_mut(agent)
-            .ok_or_else(|| RegistryError::NotFound(agent.to_string()))?;
-        let obs = (cost, latency_micros as f64, accuracy);
-        entry.observed = Some(match entry.observed {
-            None => ObservedStats {
-                cost: obs.0,
-                latency_micros: obs.1,
-                accuracy: obs.2,
-                samples: 1,
-            },
-            Some(prev) => ObservedStats {
-                cost: alpha * obs.0 + (1.0 - alpha) * prev.cost,
-                latency_micros: alpha * obs.1 + (1.0 - alpha) * prev.latency_micros,
-                accuracy: alpha * obs.2 + (1.0 - alpha) * prev.accuracy,
-                samples: prev.samples + 1,
-            },
-        });
-        Ok(())
-    }
-
-    /// The learned per-call QoS of an agent as a cost-profile-shaped triple
-    /// ([`ObservedStats`]), or `None` before the first observation. Planners
-    /// can prefer this over the static spec profile once enough samples
-    /// accrue.
-    pub fn observed_profile(&self, name: &str) -> Option<ObservedStats> {
-        self.entries.read().get(name).and_then(|e| e.observed)
-    }
 }
 
 #[cfg(test)]
@@ -444,42 +381,6 @@ mod tests {
     fn record_usage_unknown_fails() {
         let r = AgentRegistry::new();
         assert!(r.record_usage("ghost", "q").is_err());
-    }
-
-    #[test]
-    fn fold_observation_initializes_then_ewma() {
-        let r = seeded();
-        assert!(r.observed_profile("profiler").is_none());
-        r.fold_observation("profiler", 2.0, 1_000, 0.9, 0.5)
-            .unwrap();
-        let first = r.observed_profile("profiler").unwrap();
-        assert_eq!(first.samples, 1);
-        assert!((first.cost - 2.0).abs() < 1e-12);
-        assert!((first.latency_micros - 1_000.0).abs() < 1e-12);
-        // Second fold: 0.5·4 + 0.5·2 = 3.
-        r.fold_observation("profiler", 4.0, 3_000, 0.7, 0.5)
-            .unwrap();
-        let second = r.observed_profile("profiler").unwrap();
-        assert_eq!(second.samples, 2);
-        assert!((second.cost - 3.0).abs() < 1e-12);
-        assert!((second.latency_micros - 2_000.0).abs() < 1e-12);
-        assert!((second.accuracy - 0.8).abs() < 1e-12);
-        assert!(r.fold_observation("ghost", 1.0, 1, 1.0, 0.5).is_err());
-    }
-
-    #[test]
-    fn fold_observation_is_order_deterministic() {
-        // The same observation sequence always yields bit-identical EWMAs.
-        let runs: Vec<u64> = (0..2)
-            .map(|_| {
-                let r = seeded();
-                for (c, l) in [(1.0, 100u64), (5.0, 900), (2.0, 300)] {
-                    r.fold_observation("profiler", c, l, 0.9, 0.3).unwrap();
-                }
-                r.observed_profile("profiler").unwrap().cost.to_bits()
-            })
-            .collect();
-        assert_eq!(runs[0], runs[1]);
     }
 
     #[test]

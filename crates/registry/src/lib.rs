@@ -16,7 +16,7 @@ pub mod embedding;
 pub mod error;
 pub mod search;
 
-pub use agent_registry::{AgentEntry, AgentRegistry, ObservedStats};
+pub use agent_registry::{AgentEntry, AgentRegistry};
 pub use data_registry::{DataAsset, DataLevel, DataModality, DataRegistry, DataStats, FieldMeta};
 pub use embedding::{embed_text, Embedding, EMBED_DIM};
 pub use error::RegistryError;

@@ -40,14 +40,6 @@ pub mod store;
 pub mod stream;
 pub mod subscription;
 
-// The simulated clock moved into `blueprint-observability` (span timestamps
-// come from the same clock); this deprecated shim keeps downstream importers
-// of `blueprint_streams::SimClock` compiling while they migrate.
-#[deprecated(
-    since = "0.1.0",
-    note = "import `SimClock` from `blueprint-observability` instead; this re-export will be removed"
-)]
-pub use blueprint_observability::SimClock;
 pub use dead_letter::{DeadLetterEntry, DeadLetterQueue, DEAD_LETTER_OP, DEAD_LETTER_SEGMENT};
 pub use error::StreamError;
 pub use message::{Message, MessageId, MessageKind};

@@ -25,11 +25,11 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use blueprint_observability::{Counter, MetricsRegistry, SimClock};
 use blueprint_resilience::{FaultInjector, InjectedFault};
-use crossbeam::channel::{unbounded, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::RwLock;
 
 use crate::error::StreamError;
@@ -55,8 +55,7 @@ pub struct StoreStats {
     pub messages_published: u64,
     /// Message hand-offs to matching subscriptions (one message fanned out
     /// to three subscribers counts three deliveries). Counted at fan-out,
-    /// before the receiver can observe the message; a hand-off to a
-    /// just-dropped subscriber still counts once before the entry is pruned.
+    /// before the receiver can observe the message.
     pub deliveries: u64,
     /// Total payload bytes published.
     pub bytes_published: u64,
@@ -73,7 +72,7 @@ pub struct StoreStats {
 /// Live counters behind [`StoreStats`]. Plain atomics keep the publish fast
 /// path lock-free on the stats side: counters are monotonic sums (relaxed
 /// `fetch_add` suffices) except `active_subscriptions`, a gauge adjusted with
-/// relaxed add/sub as subscriptions register, unregister, and get pruned.
+/// relaxed add/sub as subscriptions register and unregister.
 #[derive(Default)]
 struct StatCells {
     streams_created: AtomicU64,
@@ -129,6 +128,7 @@ struct Shard {
 
 /// Where a subscription lives, decided once at registration from its
 /// selector.
+#[derive(Debug, Clone, Copy)]
 enum SubHome {
     /// The selector can only match streams of one shard.
     Shard(usize),
@@ -181,6 +181,53 @@ fn route(selector: &Selector) -> SubHome {
             }
         }
         Selector::AllStreams | Selector::StreamTagged(_) => SubHome::Global,
+    }
+}
+
+/// A subscription's entry in its home list. Dropping the owning
+/// [`Subscription`] removes the entry, taking only the home shard's (or the
+/// global list's) lock, so finished subscribers cost later publishes
+/// nothing. Weak handles: a subscription never keeps a dropped store alive.
+#[derive(Debug)]
+pub(crate) struct Registration {
+    id: u64,
+    home: SubHome,
+    shards: Weak<Vec<RwLock<Shard>>>,
+    global_subs: Weak<RwLock<Vec<SubEntry>>>,
+    stats: Weak<StatCells>,
+}
+
+impl Registration {
+    /// Removes the entry from its home list; a no-op once it is gone.
+    fn unregister(&self) {
+        let remove = |subs: &mut Vec<SubEntry>| {
+            let before = subs.len();
+            subs.retain(|s| s.id != self.id);
+            before - subs.len()
+        };
+        // `unsubscribe` may have removed the entry already; only an actual
+        // removal adjusts the gauge.
+        let removed = match self.home {
+            SubHome::Shard(i) => self
+                .shards
+                .upgrade()
+                .map_or(0, |shards| remove(&mut shards[i].write().subs)),
+            SubHome::Global => self
+                .global_subs
+                .upgrade()
+                .map_or(0, |globals| remove(&mut globals.write())),
+        };
+        if let Some(stats) = self.stats.upgrade() {
+            stats
+                .active_subscriptions
+                .fetch_sub(removed as u64, Ordering::Relaxed);
+        }
+    }
+}
+
+impl Drop for Registration {
+    fn drop(&mut self) {
+        self.unregister();
     }
 }
 
@@ -338,7 +385,7 @@ impl StreamStore {
             _ => 1,
         };
 
-        // Append, deliver, and prune under one critical section — the
+        // Append and deliver under one critical section — the
         // stream's shard lock: delivering outside it would let two
         // concurrent publishers hand a subscriber seq 1 before seq 0 (the
         // channels are unbounded, so the sends never block). Global
@@ -347,7 +394,6 @@ impl StreamStore {
         // publishes proceed in parallel. Lock order everywhere: shard(s)
         // ascending, then the global list.
         let mut delayed_txs: Vec<Sender<Arc<Message>>> = Vec::new();
-        let mut dead_global: Vec<u64> = Vec::new();
         let instruments = self.instruments.read().clone();
         let arc = {
             let mut guard = self.shard_for(id).write();
@@ -372,53 +418,22 @@ impl StreamStore {
                 .fetch_add(arc.payload_size() as u64, Ordering::Relaxed);
             instruments.publishes.inc();
             instruments.bytes_published.add(arc.payload_size() as u64);
-            let mut dead_local: Vec<u64> = Vec::new();
-            Self::fan_out(
-                &shard.subs,
-                id,
-                &stream_tags,
-                &arc,
-                &fault,
-                copies,
-                &self.stats,
-                &instruments,
-                &mut delayed_txs,
-                &mut dead_local,
-            );
-            if !dead_local.is_empty() {
-                // Prune by subscription id (stable under concurrent
-                // subscribe/unsubscribe), never by position.
-                let before = shard.subs.len();
-                shard.subs.retain(|s| !dead_local.contains(&s.id));
-                self.stats
-                    .active_subscriptions
-                    .fetch_sub((before - shard.subs.len()) as u64, Ordering::Relaxed);
-            }
             let globals = self.global_subs.read();
-            Self::fan_out(
-                &globals,
-                id,
-                &stream_tags,
-                &arc,
-                &fault,
-                copies,
-                &self.stats,
-                &instruments,
-                &mut delayed_txs,
-                &mut dead_global,
-            );
+            for subs in [&shard.subs, &*globals] {
+                Self::fan_out(
+                    subs,
+                    id,
+                    &stream_tags,
+                    &arc,
+                    &fault,
+                    copies,
+                    &self.stats,
+                    &instruments,
+                    &mut delayed_txs,
+                );
+            }
             arc
         };
-        if !dead_global.is_empty() {
-            // Outside the shard lock: pruning by id is stable even if a
-            // racing publish collected the same dead entries.
-            let mut globals = self.global_subs.write();
-            let before = globals.len();
-            globals.retain(|s| !dead_global.contains(&s.id));
-            self.stats
-                .active_subscriptions
-                .fetch_sub((before - globals.len()) as u64, Ordering::Relaxed);
-        }
 
         let stats = &self.stats;
         match &fault {
@@ -458,11 +473,10 @@ impl StreamStore {
     }
 
     /// Delivers one appended message to every matching entry of one
-    /// subscription list, collecting dead entries for pruning by id. Each
-    /// hand-off is counted *before* its send: a receiver that observes the
-    /// message (and whatever it unblocks) must find the delivery already
-    /// metered. A send to a just-dropped subscriber still counts as one
-    /// delivery attempt; the entry is then pruned.
+    /// subscription list. Each hand-off is counted *before* its send: a
+    /// receiver that observes the message (and whatever it unblocks) must
+    /// find the delivery already metered. Entries leave the list when their
+    /// subscription drops, so every send reaches a live subscription.
     #[allow(clippy::too_many_arguments)]
     fn fan_out(
         subs: &[SubEntry],
@@ -474,7 +488,6 @@ impl StreamStore {
         stats: &StatCells,
         instruments: &StreamInstruments,
         delayed_txs: &mut Vec<Sender<Arc<Message>>>,
-        dead: &mut Vec<u64>,
     ) {
         for s in subs {
             if s.selector.matches(id, stream_tags) && s.filter.matches(arc) {
@@ -485,10 +498,7 @@ impl StreamStore {
                 for _ in 0..copies {
                     stats.deliveries.fetch_add(1, Ordering::Relaxed);
                     instruments.deliveries.inc();
-                    if s.tx.send(Arc::clone(arc)).is_err() {
-                        dead.push(s.id);
-                        break;
-                    }
+                    let _ = s.tx.send(Arc::clone(arc));
                 }
             }
         }
@@ -510,7 +520,8 @@ impl StreamStore {
     }
 
     /// Registers a subscription. Matching messages published *after* this
-    /// call are delivered in publish order.
+    /// call are delivered in publish order. Dropping the subscription
+    /// unregisters it.
     pub fn subscribe(&self, selector: Selector, filter: TagFilter) -> Result<Subscription> {
         let (tx, rx) = unbounded();
         let id = self.next_sub_id.fetch_add(1, Ordering::Relaxed);
@@ -520,19 +531,12 @@ impl StreamStore {
             filter: filter.clone(),
             tx,
         };
-        match route(&selector) {
+        let home = route(&selector);
+        match home {
             SubHome::Shard(i) => self.shards[i].write().subs.push(entry),
             SubHome::Global => self.global_subs.write().push(entry),
         }
-        self.stats
-            .active_subscriptions
-            .fetch_add(1, Ordering::Relaxed);
-        Ok(Subscription {
-            id,
-            rx,
-            selector,
-            filter,
-        })
+        Ok(self.registered(id, home, rx, selector, filter))
     }
 
     /// Registers a subscription and immediately replays the existing history
@@ -544,12 +548,19 @@ impl StreamStore {
     ) -> Result<Subscription> {
         let (tx, rx) = unbounded();
         let id = self.next_sub_id.fetch_add(1, Ordering::Relaxed);
+        let entry = SubEntry {
+            id,
+            selector: selector.clone(),
+            filter: filter.clone(),
+            tx: tx.clone(),
+        };
         // Replay under lock so no published message is missed or duplicated:
         // a shard-homed subscription needs only its shard's lock; a global
         // one holds read locks on every shard (ascending, matching the
         // publish lock order) until it is registered, which stalls
         // publishers exactly for the catch-up window.
-        match route(&selector) {
+        let home = route(&selector);
+        match home {
             SubHome::Shard(i) => {
                 let mut shard = self.shards[i].write();
                 let mut history = Self::matching_history(&shard.streams, &selector, &filter);
@@ -557,12 +568,7 @@ impl StreamStore {
                 for m in history {
                     let _ = tx.send(m);
                 }
-                shard.subs.push(SubEntry {
-                    id,
-                    selector: selector.clone(),
-                    filter: filter.clone(),
-                    tx,
-                });
+                shard.subs.push(entry);
             }
             SubHome::Global => {
                 let guards: Vec<_> = self.shards.iter().map(|s| s.read()).collect();
@@ -574,23 +580,38 @@ impl StreamStore {
                 for m in history {
                     let _ = tx.send(m);
                 }
-                self.global_subs.write().push(SubEntry {
-                    id,
-                    selector: selector.clone(),
-                    filter: filter.clone(),
-                    tx,
-                });
+                self.global_subs.write().push(entry);
             }
         }
+        Ok(self.registered(id, home, rx, selector, filter))
+    }
+
+    /// Counts a freshly registered entry and wraps its receiver in the
+    /// [`Subscription`] handle that unregisters it on drop.
+    fn registered(
+        &self,
+        id: u64,
+        home: SubHome,
+        rx: Receiver<Arc<Message>>,
+        selector: Selector,
+        filter: TagFilter,
+    ) -> Subscription {
         self.stats
             .active_subscriptions
             .fetch_add(1, Ordering::Relaxed);
-        Ok(Subscription {
+        Subscription {
+            registration: Registration {
+                id,
+                home,
+                shards: Arc::downgrade(&self.shards),
+                global_subs: Arc::downgrade(&self.global_subs),
+                stats: Arc::downgrade(&self.stats),
+            },
             id,
             rx,
             selector,
             filter,
-        })
+        }
     }
 
     fn matching_history(
@@ -612,24 +633,10 @@ impl StreamStore {
         history
     }
 
-    /// Removes a subscription by id. Unknown ids are ignored.
-    pub fn unsubscribe(&self, sub_id: u64) {
-        let mut removed = 0usize;
-        for shard in self.shards.iter() {
-            let mut shard = shard.write();
-            let before = shard.subs.len();
-            shard.subs.retain(|s| s.id != sub_id);
-            removed += before - shard.subs.len();
-        }
-        {
-            let mut globals = self.global_subs.write();
-            let before = globals.len();
-            globals.retain(|s| s.id != sub_id);
-            removed += before - globals.len();
-        }
-        self.stats
-            .active_subscriptions
-            .fetch_sub(removed as u64, Ordering::Relaxed);
+    /// Unregisters a subscription before it is dropped: no further message
+    /// reaches it, and its channel reports disconnection once drained.
+    pub fn unsubscribe(&self, sub: &Subscription) {
+        sub.registration.unregister();
     }
 
     /// Reads a stream's history starting at `from` (replay; does not consume).
@@ -892,7 +899,7 @@ mod tests {
         let sub = store
             .subscribe(Selector::Stream(id.clone()), TagFilter::all())
             .unwrap();
-        store.unsubscribe(sub.id());
+        store.unsubscribe(&sub);
         store.publish(&id, Message::data("x")).unwrap();
         // The store dropped its sender, so the channel reports disconnection
         // with nothing buffered.
@@ -908,8 +915,11 @@ mod tests {
             .subscribe(Selector::Stream(id.clone()), TagFilter::all())
             .unwrap();
         drop(sub);
+        // Dropping unregisters at once, without waiting for a publish.
+        assert_eq!(store.stats().active_subscriptions, 0);
         store.publish(&id, Message::data("x")).unwrap();
         assert_eq!(store.stats().active_subscriptions, 0);
+        assert_eq!(store.stats().deliveries, 0);
     }
 
     #[test]
@@ -920,14 +930,16 @@ mod tests {
             .subscribe(Selector::AllStreams, TagFilter::all())
             .unwrap();
         drop(sub);
+        assert_eq!(store.stats().active_subscriptions, 0);
         store.publish(&id, Message::data("x")).unwrap();
         assert_eq!(store.stats().active_subscriptions, 0);
+        assert_eq!(store.stats().deliveries, 0);
     }
 
     #[test]
     fn pruning_dead_subscriptions_keeps_live_ones() {
-        // Interleave dropped and live subscriptions; after a publish prunes
-        // the dead ones, the live ones must still receive messages.
+        // Interleave dropped and live subscriptions; once the dropped ones
+        // unregister, the live ones must still receive messages.
         let store = StreamStore::new();
         let id = store.create_stream("s", Vec::<Tag>::new()).unwrap();
         let live1 = store

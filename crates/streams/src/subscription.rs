@@ -14,6 +14,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::StreamError;
 use crate::message::Message;
+use crate::store::Registration;
 use crate::stream::StreamId;
 use crate::tag::Tag;
 use crate::Result;
@@ -96,10 +97,12 @@ impl TagFilter {
 
 /// A live subscription handle delivering matching messages in publish order.
 ///
-/// Dropping the subscription detaches it from the store (delivery to a
-/// disconnected channel is silently skipped and the registration is pruned).
+/// Dropping the subscription unregisters it from the store.
 #[derive(Debug)]
 pub struct Subscription {
+    // Declared first so it drops first: the store entry goes before the
+    // receiver, so no publish ever finds the entry disconnected.
+    pub(crate) registration: Registration,
     pub(crate) id: u64,
     pub(crate) rx: Receiver<Arc<Message>>,
     pub(crate) selector: Selector,
