@@ -1,4 +1,4 @@
-.PHONY: all build test fmt lint bench bench-json bench-check chaos serving serving-bench ir docs figures-check
+.PHONY: all build test fmt lint bench bench-json bench-check chaos serving serving-bench ir docs figures-check perfbench-smoke
 
 all: build lint test
 
@@ -73,3 +73,13 @@ docs:
 # (fig8 and fig10 are excluded; see tests/figures/check.sh).
 figures-check:
 	tests/figures/check.sh
+
+# Benchmark smoke run: the benchmark's own unit tests, then a short traced
+# run of each workload. Every answer is checked against a fresh-session
+# reference; a mismatch makes the run exit non-zero.
+PERFBENCH = cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml --
+
+perfbench-smoke:
+	cargo test --release --offline --manifest-path perfbench/Cargo.toml
+	$(PERFBENCH) --workload assistant --seed 1 --seconds 3 --trace 1
+	$(PERFBENCH) --workload serving --seed 1 --seconds 3 --trace 1

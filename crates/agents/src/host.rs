@@ -133,15 +133,21 @@ impl Shared {
         }
         span.end();
 
+        // The outputs already went to the output stream; the report takes
+        // them by move.
+        let (error, outputs) = match result {
+            Ok(outputs) => (None, outputs.into_json()),
+            Err(e) => (Some(e.to_string()), Value::Null),
+        };
         let report = AgentReport {
             agent: self.spec.name.clone(),
             task_id: task_id.to_string(),
             node_id: node_id.to_string(),
-            ok: result.is_ok(),
-            error: result.as_ref().err().map(|e| e.to_string()),
+            ok: error.is_none(),
+            error,
             cost: ctx.cost_charged(),
             latency_micros: ctx.latency_micros(),
-            outputs: result.map(|o| o.to_json()).unwrap_or(Value::Null),
+            outputs,
         };
         let reports_stream = format!("{}:{}", self.scope, REPORTS_SEGMENT);
         let _ = self.store.publish_to(

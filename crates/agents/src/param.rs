@@ -211,6 +211,11 @@ impl Inputs {
         Value::Object(self.0.iter().map(|(k, v)| (k.clone(), v.clone())).collect())
     }
 
+    /// Converts to a JSON object, moving the values.
+    pub fn into_json(self) -> Value {
+        Value::Object(self.0)
+    }
+
     /// Builds an input bag from a JSON object; non-objects yield an empty bag.
     pub fn from_json(value: &Value) -> Self {
         let mut map = BTreeMap::new();

@@ -7,7 +7,7 @@
 //! direct calls) is what makes execution observable and replayable.
 
 use serde::{Deserialize, Serialize};
-use serde_json::Value;
+use serde_json::{Map, Value};
 
 use blueprint_streams::Message;
 
@@ -52,18 +52,29 @@ impl ExecuteAgent {
     /// Wraps the instruction in a control message tagged `execute-agent`
     /// and with the target agent name as an additional tag, so hosts can
     /// subscribe selectively.
+    ///
+    /// Every field is moved into the arguments; the payload equals the
+    /// derived `Serialize` form.
     pub fn into_message(self) -> Message {
-        let value = serde_json::to_value(&self).expect("ExecuteAgent serializes");
-        Message::control(ops::EXECUTE_AGENT, value).with_tag(format!("agent:{}", self.agent))
+        let tag = format!("agent:{}", self.agent);
+        let mut args = Map::new();
+        args.insert("agent".into(), Value::String(self.agent));
+        args.insert("inputs".into(), self.inputs.into_json());
+        args.insert("output_stream".into(), Value::String(self.output_stream));
+        args.insert("task_id".into(), Value::String(self.task_id));
+        args.insert("node_id".into(), Value::String(self.node_id));
+        args.insert("span".into(), self.span.map_or(Value::Null, Value::from));
+        Message::control(ops::EXECUTE_AGENT, Value::Object(args)).with_tag(tag)
     }
 
     /// Parses an instruction out of a control message; `None` when the
-    /// message is not an `execute-agent` op.
+    /// message is not an `execute-agent` op. Decodes straight from the
+    /// borrowed arguments.
     pub fn from_message(msg: &Message) -> Option<Self> {
         if msg.control_op() != Some(ops::EXECUTE_AGENT) {
             return None;
         }
-        serde_json::from_value(msg.control_args()?.clone()).ok()
+        Self::deserialize(msg.control_args()?).ok()
     }
 }
 
@@ -90,17 +101,44 @@ pub struct AgentReport {
 
 impl AgentReport {
     /// Wraps the report in a control message tagged `agent-report`.
+    ///
+    /// Every field is moved into the arguments; the payload equals the
+    /// derived `Serialize` form.
     pub fn into_message(self) -> Message {
-        let value = serde_json::to_value(&self).expect("AgentReport serializes");
-        Message::control(ops::AGENT_REPORT, value).with_tag(format!("task:{}", self.task_id))
+        let tag = format!("task:{}", self.task_id);
+        let mut args = Map::new();
+        args.insert("agent".into(), Value::String(self.agent));
+        args.insert("task_id".into(), Value::String(self.task_id));
+        args.insert("node_id".into(), Value::String(self.node_id));
+        args.insert("ok".into(), Value::Bool(self.ok));
+        args.insert(
+            "error".into(),
+            self.error.map_or(Value::Null, Value::String),
+        );
+        args.insert("cost".into(), Value::from(self.cost));
+        args.insert("latency_micros".into(), Value::from(self.latency_micros));
+        args.insert("outputs".into(), self.outputs);
+        Message::control(ops::AGENT_REPORT, Value::Object(args)).with_tag(tag)
     }
 
-    /// Parses a report out of a control message.
+    /// Parses a report out of a control message, decoding straight from
+    /// the borrowed arguments.
     pub fn from_message(msg: &Message) -> Option<Self> {
         if msg.control_op() != Some(ops::AGENT_REPORT) {
             return None;
         }
-        serde_json::from_value(msg.control_args()?.clone()).ok()
+        Self::deserialize(msg.control_args()?).ok()
+    }
+
+    /// True when `msg` is a report for `node_id` of `task_id`. Reads the
+    /// two ids from the borrowed arguments, so a consumer can skip other
+    /// nodes' reports without decoding them.
+    pub fn is_for(msg: &Message, task_id: &str, node_id: &str) -> bool {
+        msg.control_op() == Some(ops::AGENT_REPORT)
+            && msg.control_args().is_some_and(|args| {
+                args.get("task_id").and_then(Value::as_str) == Some(task_id)
+                    && args.get("node_id").and_then(Value::as_str) == Some(node_id)
+            })
     }
 }
 
@@ -151,6 +189,75 @@ mod tests {
         assert!(msg.has_tag(&Tag::new("task:t9")));
         let back = AgentReport::from_message(&msg).unwrap();
         assert_eq!(back, report);
+    }
+
+    fn instructions() -> Vec<ExecuteAgent> {
+        [None, Some(17)]
+            .into_iter()
+            .map(|span| ExecuteAgent {
+                agent: "job-matcher".into(),
+                inputs: Inputs::new()
+                    .with("jobs", json!([{"id": 1, "title": "a\"b"}, {"id": -2}]))
+                    .with("criteria", json!("remote é")),
+                output_stream: "session:1:task:t1:n1".into(),
+                task_id: "t1".into(),
+                node_id: "n1".into(),
+                span,
+            })
+            .collect()
+    }
+
+    fn reports() -> Vec<AgentReport> {
+        let mut out = Vec::new();
+        for error in [None, Some("boom".to_string())] {
+            for cost in [0.0, 0.125, 2.0 / 3.0] {
+                out.push(AgentReport {
+                    agent: "nl2q".into(),
+                    task_id: "t9".into(),
+                    node_id: "n2".into(),
+                    ok: error.is_none(),
+                    error: error.clone(),
+                    cost,
+                    latency_micros: 1500,
+                    outputs: json!({"rows": [{"n": 1.5}, null]}),
+                });
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn instruction_payload_is_the_serialized_struct() {
+        for exec in instructions() {
+            let wire = Message::control(ops::EXECUTE_AGENT, serde_json::to_value(&exec).unwrap())
+                .with_tag(format!("agent:{}", exec.agent));
+            let msg = exec.clone().into_message();
+            assert_eq!(msg.payload, wire.payload);
+            assert_eq!(msg.tags, wire.tags);
+            assert_eq!(ExecuteAgent::from_message(&msg), Some(exec));
+        }
+    }
+
+    #[test]
+    fn report_payload_is_the_serialized_struct() {
+        for report in reports() {
+            let wire = Message::control(ops::AGENT_REPORT, serde_json::to_value(&report).unwrap())
+                .with_tag(format!("task:{}", report.task_id));
+            let msg = report.clone().into_message();
+            assert_eq!(msg.payload, wire.payload);
+            assert_eq!(msg.tags, wire.tags);
+            assert_eq!(AgentReport::from_message(&msg), Some(report));
+        }
+    }
+
+    #[test]
+    fn is_for_matches_task_and_node_only() {
+        let msg = reports().remove(0).into_message();
+        assert!(AgentReport::is_for(&msg, "t9", "n2"));
+        assert!(!AgentReport::is_for(&msg, "t9", "n1"));
+        assert!(!AgentReport::is_for(&msg, "t1", "n2"));
+        let instruction = instructions().remove(0).into_message();
+        assert!(!AgentReport::is_for(&instruction, "t1", "n1"));
     }
 
     #[test]

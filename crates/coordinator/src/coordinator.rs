@@ -12,7 +12,9 @@ use blueprint_optimizer::{Budget, BudgetStatus, QosConstraints, SharedBudget};
 use blueprint_planner::{DataPlanner, IrBinding, IrNode, PlanIr, Schedule, TaskPlan, TaskPlanner};
 use blueprint_registry::AgentRegistry;
 use blueprint_resilience::{BreakerRegistry, DegradationLadder, DegradationNote, RetryPolicy};
-use blueprint_streams::{DeadLetterQueue, Message, Selector, StreamStore, Tag, TagFilter};
+use blueprint_streams::{
+    DeadLetterQueue, Message, Selector, StreamError, StreamId, StreamStore, Tag, TagFilter,
+};
 
 use crate::memo::{MemoCache, MemoEntry};
 
@@ -211,6 +213,33 @@ struct CoordInstruments {
     retries: Counter,
     queue_depth: Gauge,
     in_flight: Gauge,
+}
+
+/// The inputs of a node's instruction. The resolved inputs are owned until
+/// the first publish moves them into the instruction; after that the
+/// published message is the one copy, and a retry, fallback or quarantine
+/// decodes its inputs from it.
+enum Instruction {
+    /// Not published yet.
+    Pending(Inputs),
+    /// The last instruction published for the node.
+    Published(Arc<Message>),
+}
+
+impl Instruction {
+    /// The inputs, moved out if never published, else decoded from the
+    /// published message. Leaves an empty pending bag behind; the caller
+    /// publishes a new instruction or is done with the node.
+    fn take_inputs(&mut self) -> Inputs {
+        match std::mem::replace(self, Instruction::Pending(Inputs::new())) {
+            Instruction::Pending(inputs) => inputs,
+            Instruction::Published(msg) => {
+                ExecuteAgent::from_message(&msg)
+                    .expect("published instructions decode")
+                    .inputs
+            }
+        }
+    }
 }
 
 /// Outcome of driving one node, possibly across several attempts.
@@ -439,7 +468,9 @@ impl TaskCoordinator {
             cache: CacheSavings::default(),
             reoptimizations: Vec::new(),
         };
-        let mut output_slots: Vec<Option<Value>> = vec![None; n];
+        // Shared so a dispatched child can read its parents' outputs
+        // without copying them.
+        let mut output_slots: Vec<Option<Arc<Value>>> = vec![None; n];
         // Kept sorted ascending: among simultaneously ready nodes the
         // earliest topological position dispatches first, which makes
         // `max_in_flight == 1` exactly the sequential reference execution.
@@ -542,11 +573,21 @@ impl TaskCoordinator {
                         span_ids[i] = node_span.id();
                         self.instruments.dispatches.inc();
 
+                        // Every parent has completed, so its slot is final.
+                        let upstream: Vec<(&str, Option<Arc<Value>>)> = parents[i]
+                            .iter()
+                            .map(|&p| (order[p].as_str(), output_slots[p].clone()))
+                            .collect();
                         let tx = done_tx.clone();
                         let node_budget = shared.clone();
                         scope.spawn(move || {
-                            let outcome =
-                                self.drive_node(ir_ref, node, &node_budget, node_span.id());
+                            let outcome = self.drive_node(
+                                ir_ref,
+                                node,
+                                &upstream,
+                                &node_budget,
+                                node_span.id(),
+                            );
                             if let Ok(Driven::Done { node_result, .. }) = &outcome {
                                 node_span.attr("ok", if node_result.ok { "true" } else { "false" });
                                 if node_result.cached {
@@ -624,7 +665,7 @@ impl TaskCoordinator {
                                 continue;
                             }
                             if outputs.is_object() {
-                                output_slots[i] = Some(outputs);
+                                output_slots[i] = Some(Arc::new(outputs));
                             }
                             for &c in &children[i] {
                                 indegree[c] -= 1;
@@ -751,11 +792,14 @@ impl TaskCoordinator {
             None => {
                 // Deterministic final output: the last output-producing node
                 // in topological order, regardless of completion order.
+                // No driver is live, so the slot is its only holder.
                 let output = output_slots
                     .into_iter()
                     .flatten()
                     .next_back()
-                    .unwrap_or(Value::Null);
+                    .map_or(Value::Null, |v| {
+                        Arc::try_unwrap(v).unwrap_or_else(|v| (*v).clone())
+                    });
                 self.publish_status(&ir.task_id, "task-completed", json!({"task": ir.task_id}));
                 Outcome::Completed { output }
             }
@@ -831,10 +875,14 @@ impl TaskCoordinator {
     /// memo-cache lookup, breaker-gated invocation with retries, fallback
     /// down the degradation ladder, and quarantine on exhaustion. Every
     /// charge goes through the shared ledger.
+    ///
+    /// `upstream` holds each parent's recorded outputs (None when the
+    /// parent produced none, e.g. it was skipped).
     fn drive_node(
         &self,
         ir: &PlanIr,
         node: &IrNode,
+        upstream: &[(&str, Option<Arc<Value>>)],
         budget: &SharedBudget,
         span: Option<SpanId>,
     ) -> Result<Driven, ExecutionError> {
@@ -858,7 +906,7 @@ impl TaskCoordinator {
         // Resolve inputs, applying transformations.
         let mut inputs = Inputs::new();
         for (param, binding) in &node.inputs {
-            match self.resolve_input(ir, node, param, binding, budget) {
+            match self.resolve_input(ir, node, param, binding, upstream, budget) {
                 Ok(v) => {
                     inputs.insert(param.clone(), v);
                 }
@@ -894,19 +942,21 @@ impl TaskCoordinator {
                         cached: true,
                     },
                     degradation: None,
-                    outputs: entry.outputs.clone(),
+                    outputs: entry.outputs,
                     saved: Some((entry.cost, entry.latency_micros)),
                 });
             }
         }
 
         // Drive the node: breaker gate, instruction publish, report await,
-        // retries with budget-debited backoff.
+        // retries with budget-debited backoff. The inputs move into the
+        // first instruction.
+        let mut instruction = Instruction::Pending(inputs);
         let mut attempt = self.run_node(
             &ir.task_id,
             node_id,
             &agent,
-            &inputs,
+            &mut instruction,
             &report_sub,
             budget,
             span,
@@ -929,7 +979,7 @@ impl TaskCoordinator {
                         &ir.task_id,
                         node_id,
                         &fallback,
-                        &inputs,
+                        &mut instruction,
                         &report_sub,
                         budget,
                         span,
@@ -974,7 +1024,14 @@ impl TaskCoordinator {
 
             // Quarantine the instruction that exhausted its attempts so
             // operators can inspect and replay it once the fault clears.
-            self.quarantine_instruction(&ir.task_id, node_id, &agent, &inputs, &error, attempts);
+            self.quarantine_instruction(
+                &ir.task_id,
+                node_id,
+                &agent,
+                instruction.take_inputs(),
+                &error,
+                attempts,
+            );
 
             return Ok(Driven::Done {
                 node_result: NodeResult {
@@ -1060,13 +1117,14 @@ impl TaskCoordinator {
     /// Drives one node to a terminal attempt outcome: checks the circuit
     /// breaker, publishes the instruction, awaits the report, and retries
     /// per the retry policy with backoff debited from the latency budget.
+    /// `instruction` ends up holding the last instruction published.
     #[allow(clippy::too_many_arguments)]
     fn run_node(
         &self,
         task_id: &str,
         node_id: &str,
         agent: &str,
-        inputs: &Inputs,
+        instruction: &mut Instruction,
         report_sub: &blueprint_streams::Subscription,
         budget: &SharedBudget,
         span: Option<SpanId>,
@@ -1087,21 +1145,23 @@ impl TaskCoordinator {
         let mut spent_delay: u64 = 0;
         loop {
             attempts += 1;
-            let instruction = ExecuteAgent {
+            let exec = ExecuteAgent {
                 agent: agent.to_string(),
-                inputs: inputs.clone(),
+                inputs: instruction.take_inputs(),
                 output_stream: format!("{}:task:{}:{}", self.scope, task_id, node_id),
                 task_id: task_id.to_string(),
                 node_id: node_id.to_string(),
                 span: span.map(|s| s.0),
             };
-            self.store
+            let published = self
+                .store
                 .publish_to(
                     format!("{}:instructions", self.instruction_scope()),
                     ["instructions"],
-                    instruction.into_message().from_producer("task-coordinator"),
+                    exec.into_message().from_producer("task-coordinator"),
                 )
                 .map_err(|e| ExecutionError(e.to_string()))?;
+            *instruction = Instruction::Published(published);
 
             let report = self.await_report(report_sub, task_id, node_id);
             let ok = report.as_ref().is_some_and(|r| r.ok);
@@ -1163,7 +1223,7 @@ impl TaskCoordinator {
         task_id: &str,
         node_id: &str,
         agent: &str,
-        inputs: &Inputs,
+        inputs: Inputs,
         error: &str,
         attempts: u32,
     ) {
@@ -1172,7 +1232,7 @@ impl TaskCoordinator {
         };
         let instruction = ExecuteAgent {
             agent: agent.to_string(),
-            inputs: inputs.clone(),
+            inputs,
             output_stream: format!("{}:task:{}:{}", self.scope, task_id, node_id),
             task_id: task_id.to_string(),
             node_id: node_id.to_string(),
@@ -1194,6 +1254,7 @@ impl TaskCoordinator {
         node: &IrNode,
         param: &str,
         binding: &IrBinding,
+        upstream: &[(&str, Option<Arc<Value>>)],
         budget: &SharedBudget,
     ) -> Result<Value, String> {
         match binding {
@@ -1223,25 +1284,22 @@ impl TaskCoordinator {
                 Ok(Value::String(ir.goal.clone()))
             }
             IrBinding::FromNode { node: from, output } => {
-                // The producing node has already run (topological order);
-                // read its recorded output from the reports stream? We keep
-                // them in-memory via the outputs map owned by the caller —
-                // but resolve_input has no access; instead re-read from the
-                // producing node's report output stream.
-                let stream = blueprint_streams::StreamId::new(format!(
-                    "{}:task:{}:{}",
-                    self.scope, ir.task_id, from
-                ));
-                let history = self
-                    .store
-                    .read(&stream, 0)
-                    .map_err(|e| format!("missing upstream output stream: {e}"))?;
-                for msg in history.iter().rev() {
-                    if msg.has_tag(&Tag::new(output.as_str())) {
-                        return Ok(msg.payload.clone());
-                    }
-                }
-                Err(format!("upstream {from}.{output} produced no value"))
+                let outputs = upstream
+                    .iter()
+                    .find(|(id, _)| id == from)
+                    .and_then(|(_, slot)| slot.as_deref())
+                    .ok_or_else(|| {
+                        let stream =
+                            StreamId::new(format!("{}:task:{}:{}", self.scope, ir.task_id, from));
+                        format!(
+                            "missing upstream output stream: {}",
+                            StreamError::NotFound(stream)
+                        )
+                    })?;
+                outputs
+                    .get(output.as_str())
+                    .cloned()
+                    .ok_or_else(|| format!("upstream {from}.{output} produced no value"))
             }
             IrBinding::Unplanned { error, .. } => Err(error.clone()),
             IrBinding::Spliced { .. } => {
@@ -1291,8 +1349,14 @@ impl TaskCoordinator {
         }
     }
 
+    /// Decodes `msg` only when it is this node's report: sibling drivers
+    /// of the task see each other's reports and skip them undecoded.
     fn matching_report(msg: &Message, task_id: &str, node_id: &str) -> Option<AgentReport> {
-        AgentReport::from_message(msg).filter(|r| r.task_id == task_id && r.node_id == node_id)
+        if AgentReport::is_for(msg, task_id, node_id) {
+            AgentReport::from_message(msg)
+        } else {
+            None
+        }
     }
 
     fn publish_status(&self, task_id: &str, op: &str, args: Value) {
@@ -1908,6 +1972,112 @@ mod tests {
         assert_eq!(report.degradations[0].from, "premium-up");
         assert_eq!(report.degradations[0].to.as_deref(), Some("econ-up"));
         assert!((report.degradations[0].accuracy_penalty - 0.1).abs() < 1e-9);
+    }
+
+    /// Registers and spawns an agent that appends `!` to its text, so a
+    /// downstream node's output shows which value it was fed.
+    fn bang_agent(factory: &AgentFactory, registry: &AgentRegistry, name: &str) {
+        let spec = AgentSpec::new(name, format!("{name} exclaims"))
+            .with_input(ParamSpec::required("text", "input", DataType::Text))
+            .with_output(ParamSpec::required("out", "output", DataType::Text))
+            .with_profile(CostProfile::new(1.0, 1_000, 0.95));
+        let proc: Arc<dyn Processor> =
+            Arc::new(FnProcessor::new(|inputs: &Inputs, ctx: &AgentContext| {
+                ctx.charge_cost(0.5);
+                Ok(Outputs::new().with("out", json!(format!("{}!", inputs.require_str("text")?))))
+            }));
+        factory.register(spec.clone(), proc).unwrap();
+        registry.register(spec).unwrap();
+        factory.spawn(name, "session:1").unwrap();
+    }
+
+    fn completed_output(report: &ExecutionReport) -> Value {
+        match &report.outcome {
+            Outcome::Completed { output } => output.clone(),
+            other => panic!("unexpected outcome: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn from_node_reads_a_fallback_upstream_output() {
+        let (factory, coordinator, registry) = setup(&["econ-up"]);
+        failing_agent(&factory, &registry, "premium-up");
+        bang_agent(&factory, &registry, "bang");
+        let coordinator = coordinator.with_degradation(DegradationLadder::new().with_fallback(
+            "premium-up",
+            "econ-up",
+            0.1,
+        ));
+        let plan = chain_plan("t-fb-chain", &["premium-up", "bang"]);
+        let report = coordinator.execute(&plan, QosConstraints::none()).unwrap();
+        assert_eq!(completed_output(&report)["out"], json!("HELLO WORLD!"));
+        assert_eq!(report.node_results[0].agent, "econ-up");
+        assert_eq!(report.degradations.len(), 1);
+    }
+
+    #[test]
+    fn from_node_reads_a_memo_hit_upstream_output() {
+        let (factory, coordinator, registry) = setup(&["echo-1"]);
+        bang_agent(&factory, &registry, "bang");
+        let coordinator = coordinator.with_memoization(Arc::new(MemoCache::new(64)));
+        let warm = coordinator
+            .execute(&chain_plan("t-warm", &["echo-1"]), QosConstraints::none())
+            .unwrap();
+        assert!(warm.outcome.succeeded(), "outcome: {:?}", warm.outcome);
+
+        // `echo-1` answers from the cache; `bang` is new and really runs
+        // on the replayed output.
+        let plan = chain_plan("t-hit", &["echo-1", "bang"]);
+        let report = coordinator.execute(&plan, QosConstraints::none()).unwrap();
+        assert_eq!(completed_output(&report)["out"], json!("HELLO WORLD!"));
+        assert!(report.node_results[0].cached);
+        assert!(!report.node_results[1].cached);
+        assert_eq!(report.node_results[1].attempts, 1);
+    }
+
+    #[test]
+    fn fan_out_drivers_skip_sibling_reports() {
+        // Four drivers of one task each hold a subscription that sees every
+        // report of the task. Siblings' reports arrive first; each driver
+        // must pass over them and return its own.
+        let (factory, coordinator, _) = setup(&["alpha"]);
+        let store = factory.store();
+        let subs: Vec<_> = (0..4)
+            .map(|_| {
+                store
+                    .subscribe(
+                        Selector::Stream("session:1:reports".into()),
+                        TagFilter::any_of(["task:t-fan4"]),
+                    )
+                    .unwrap()
+            })
+            .collect();
+        for i in (1..=4u32).rev() {
+            let report = AgentReport {
+                agent: format!("branch-{i}"),
+                task_id: "t-fan4".into(),
+                node_id: format!("n{i}"),
+                ok: true,
+                error: None,
+                cost: f64::from(i) / 10.0,
+                latency_micros: 10 * u64::from(i),
+                outputs: json!({"out": format!("from n{i}")}),
+            };
+            store
+                .publish_to(
+                    "session:1:reports",
+                    ["reports"],
+                    report.into_message().from_producer(format!("branch-{i}")),
+                )
+                .unwrap();
+        }
+        for (i, sub) in (1..=4u32).zip(&subs) {
+            let node = format!("n{i}");
+            let got = coordinator.await_report(sub, "t-fan4", &node).unwrap();
+            assert_eq!(got.node_id, node);
+            assert_eq!(got.agent, format!("branch-{i}"));
+            assert_eq!(got.outputs["out"], json!(format!("from n{i}")));
+        }
     }
 
     #[test]

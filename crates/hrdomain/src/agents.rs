@@ -125,11 +125,10 @@ pub fn register_hr_agents(
         let proc = Arc::new(FnProcessor::new(
             move |inputs: &Inputs, ctx: &AgentContext| {
                 let profile = inputs.require("job_seeker_data")?;
-                let jobs: Vec<Value> = inputs
+                let jobs: &[Value] = inputs
                     .require("jobs")?
                     .as_array()
-                    .cloned()
-                    .unwrap_or_default();
+                    .map_or(&[], Vec::as_slice);
                 let related: Vec<String> = profile
                     .get("title")
                     .and_then(Value::as_str)
@@ -150,7 +149,7 @@ pub fn register_hr_agents(
                     .unwrap_or_default();
                 ctx.charge_cost(0.002 * jobs.len() as f64);
                 ctx.charge_latency_micros(100 + 20 * jobs.len() as u64);
-                let ranked = rank_jobs(profile, &jobs, &related, 10);
+                let ranked = rank_jobs(profile, jobs, &related, 10);
                 let matches: Vec<Value> = ranked
                     .into_iter()
                     .map(|m| json!({"job": m.job, "score": m.score, "why": m.explanation}))

@@ -93,41 +93,45 @@ pub fn match_score(profile: &Value, job: &Value, related_titles: &[String]) -> (
 }
 
 /// Ranks jobs for a profile, best first; ties break by job id for
-/// determinism. `limit` caps the result.
+/// determinism. `limit` caps the result. Sorts borrowed rows and copies
+/// only the `limit` winners.
 pub fn rank_jobs(
     profile: &Value,
     jobs: &[Value],
     related_titles: &[String],
     limit: usize,
 ) -> Vec<JobMatch> {
-    let mut scored: Vec<JobMatch> = jobs
+    let mut scored: Vec<(&Value, f64, String)> = jobs
         .iter()
         .map(|job| {
             let (score, explanation) = match_score(profile, job, related_titles);
-            JobMatch {
-                job: job.clone(),
-                score,
-                explanation,
-            }
+            (job, score, explanation)
         })
         .collect();
-    scored.sort_by(|a, b| {
-        b.score
-            .partial_cmp(&a.score)
+    scored.sort_by(|(a, sa, _), (b, sb, _)| {
+        sb.partial_cmp(sa)
             .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| {
-                let ida = a.job.get("id").and_then(Value::as_i64).unwrap_or(0);
-                let idb = b.job.get("id").and_then(Value::as_i64).unwrap_or(0);
-                ida.cmp(&idb)
-            })
+            .then_with(|| id_of(a).cmp(&id_of(b)))
     });
-    scored.truncate(limit);
     scored
+        .into_iter()
+        .take(limit)
+        .map(|(job, score, explanation)| JobMatch {
+            job: job.clone(),
+            score,
+            explanation,
+        })
+        .collect()
+}
+
+fn id_of(job: &Value) -> i64 {
+    job.get("id").and_then(Value::as_i64).unwrap_or(0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use serde_json::json;
 
     fn profile() -> Value {
@@ -196,6 +200,85 @@ mod tests {
         ];
         let ranked = rank_jobs(&profile(), &jobs, &[], 10);
         assert_eq!(ranked[0].job["id"], json!(3));
+    }
+
+    /// Reference ranking: score and clone every job, sort, truncate.
+    fn rank_all_cloned(
+        profile: &Value,
+        jobs: &[Value],
+        related: &[String],
+        limit: usize,
+    ) -> Vec<JobMatch> {
+        let mut scored: Vec<JobMatch> = jobs
+            .iter()
+            .map(|job| {
+                let (score, explanation) = match_score(profile, job, related);
+                JobMatch {
+                    job: job.clone(),
+                    score,
+                    explanation,
+                }
+            })
+            .collect();
+        scored.sort_by(|a, b| {
+            b.score
+                .partial_cmp(&a.score)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then_with(|| {
+                    let ida = a.job.get("id").and_then(Value::as_i64).unwrap_or(0);
+                    let idb = b.job.get("id").and_then(Value::as_i64).unwrap_or(0);
+                    ida.cmp(&idb)
+                })
+        });
+        scored.truncate(limit);
+        scored
+    }
+
+    /// Few titles, cities and ids, so scores and ids tie often; some rows
+    /// have no id at all. `seq` tells otherwise-equal rows apart.
+    fn arb_job() -> impl Strategy<Value = Value> {
+        (0u8..4, 0u8..4, 0i64..6, any::<bool>(), any::<bool>()).prop_map(
+            |(title, city, id, remote, has_id)| {
+                let titles = ["data scientist", "recruiter", "nurse", "ml engineer"];
+                let cities = ["san francisco", "austin", "boston", "remote"];
+                let mut job = json!({
+                    "title": titles[title as usize],
+                    "city": cities[city as usize],
+                    "remote": remote,
+                });
+                if has_id {
+                    job["id"] = json!(id);
+                }
+                job
+            },
+        )
+    }
+
+    proptest! {
+        #[test]
+        fn borrowed_ranking_equals_clone_all_sort(
+            jobs in prop::collection::vec(arb_job(), 0..40),
+            limit in 0usize..12,
+            with_related in any::<bool>(),
+        ) {
+            let jobs: Vec<Value> = jobs
+                .into_iter()
+                .enumerate()
+                .map(|(seq, mut job)| {
+                    job["seq"] = json!(seq);
+                    job
+                })
+                .collect();
+            let related = if with_related {
+                vec!["ml engineer".to_string()]
+            } else {
+                Vec::new()
+            };
+            prop_assert_eq!(
+                rank_jobs(&profile(), &jobs, &related, limit),
+                rank_all_cloned(&profile(), &jobs, &related, limit)
+            );
+        }
     }
 
     #[test]

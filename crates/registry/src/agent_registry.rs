@@ -55,7 +55,7 @@ impl AgentEntry {
         for q in &self.usage_queries {
             parts.push((embed_text(q), 1.0));
         }
-        self.embedding = Embedding::blend(&parts);
+        self.embedding = Embedding::blend(parts.iter().map(|(e, w)| (e, *w)));
     }
 }
 

@@ -8,7 +8,7 @@
 //! indices, and a learned representation; query logs feed enhanced
 //! embeddings exactly as in the agent registry.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
@@ -200,9 +200,14 @@ impl DataAsset {
 #[derive(Debug, Clone)]
 struct AssetEntry {
     asset: DataAsset,
+    /// Embedding of the asset's own text, computed once at registration.
+    base: Embedding,
+    /// `base` blended with `usage`: what discovery ranks by.
     embedding: Embedding,
     usage_count: u64,
-    usage_queries: Vec<String>,
+    /// Embeddings of the most recent usage queries, oldest first (at most
+    /// `MAX_USAGE_QUERIES`), each computed once when recorded.
+    usage: VecDeque<Embedding>,
 }
 
 const MAX_USAGE_QUERIES: usize = 32;
@@ -235,14 +240,15 @@ impl DataRegistry {
                 )));
             }
         }
-        let embedding = embed_text(&asset.embedding_text());
+        let base = embed_text(&asset.embedding_text());
         entries.insert(
             asset.name.clone(),
             AssetEntry {
                 asset,
-                embedding,
+                embedding: base.clone(),
+                base,
                 usage_count: 0,
-                usage_queries: Vec::new(),
+                usage: VecDeque::new(),
             },
         );
         Ok(())
@@ -387,16 +393,13 @@ impl DataRegistry {
             .get_mut(asset)
             .ok_or_else(|| RegistryError::NotFound(asset.to_string()))?;
         entry.usage_count += 1;
-        entry.usage_queries.push(query.to_string());
-        if entry.usage_queries.len() > MAX_USAGE_QUERIES {
-            entry.usage_queries.remove(0);
+        entry.usage.push_back(embed_text(query));
+        if entry.usage.len() > MAX_USAGE_QUERIES {
+            entry.usage.pop_front();
         }
-        let base = embed_text(&entry.asset.embedding_text());
-        let mut parts = vec![(base, 2.0f32)];
-        for q in &entry.usage_queries {
-            parts.push((embed_text(q), 1.0));
-        }
-        entry.embedding = Embedding::blend(&parts);
+        entry.embedding = Embedding::blend(
+            std::iter::once((&entry.base, 2.0)).chain(entry.usage.iter().map(|e| (e, 1.0))),
+        );
         Ok(())
     }
 }
@@ -571,6 +574,30 @@ mod tests {
         // on the blended embedding and on the frequency prior.
         let hits = r.discover("numbers please", None, 2);
         assert_eq!(hits[0].name, "b");
+    }
+
+    #[test]
+    fn usage_embedding_equals_blend_recomputed_from_texts() {
+        let r = seeded();
+        let queries: Vec<String> = (0..40)
+            .map(|i| format!("open data scientist roles batch {i}"))
+            .collect();
+        for q in &queries {
+            r.record_usage("jobs", q).unwrap();
+        }
+        // The reference recomputes every embedding from the texts: the
+        // asset's own, weight 2, then the last 32 queries, oldest first.
+        let entries = r.entries.read();
+        let entry = &entries["jobs"];
+        let mut parts = vec![(embed_text(&entry.asset.embedding_text()), 2.0f32)];
+        for q in &queries[queries.len() - MAX_USAGE_QUERIES..] {
+            parts.push((embed_text(q), 1.0));
+        }
+        let reference = Embedding::blend(parts.iter().map(|(e, w)| (e, *w)));
+        assert_eq!(entry.usage.len(), MAX_USAGE_QUERIES);
+        assert_eq!(entry.usage_count, 40);
+        // Bitwise: the same vectors blend in the same order.
+        assert_eq!(entry.embedding, reference);
     }
 
     #[test]

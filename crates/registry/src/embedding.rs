@@ -39,11 +39,11 @@ impl Embedding {
     /// Weighted average of embeddings, renormalized. Used to fold usage
     /// logs into an entry's representation (the paper's "enhanced
     /// embeddings"). Returns zero when all weights are zero.
-    pub fn blend(parts: &[(Embedding, f32)]) -> Embedding {
+    pub fn blend<'a>(parts: impl IntoIterator<Item = (&'a Embedding, f32)>) -> Embedding {
         let mut acc = vec![0.0f32; EMBED_DIM];
         let mut total = 0.0f32;
         for (e, w) in parts {
-            if *w <= 0.0 {
+            if w <= 0.0 {
                 continue;
             }
             for (a, b) in acc.iter_mut().zip(&e.0) {
@@ -167,22 +167,22 @@ mod tests {
     fn blend_weights_pull_toward_heavier_part() {
         let a = embed_text("relational query execution engine");
         let b = embed_text("summarize candidate resumes");
-        let blended = Embedding::blend(&[(a.clone(), 3.0), (b.clone(), 1.0)]);
+        let blended = Embedding::blend([(&a, 3.0), (&b, 1.0)]);
         assert!(blended.cosine(&a) > blended.cosine(&b));
     }
 
     #[test]
     fn blend_ignores_nonpositive_weights() {
         let a = embed_text("alpha beta");
-        let blended = Embedding::blend(&[(a.clone(), 1.0), (embed_text("noise"), -5.0)]);
+        let blended = Embedding::blend([(&a, 1.0), (&embed_text("noise"), -5.0)]);
         assert!((blended.cosine(&a) - 1.0).abs() < 1e-5);
     }
 
     #[test]
     fn blend_all_zero_weights_is_zero() {
         let a = embed_text("alpha");
-        assert_eq!(Embedding::blend(&[(a, 0.0)]), Embedding::zero());
-        assert_eq!(Embedding::blend(&[]), Embedding::zero());
+        assert_eq!(Embedding::blend([(&a, 0.0)]), Embedding::zero());
+        assert_eq!(Embedding::blend([]), Embedding::zero());
     }
 
     #[test]

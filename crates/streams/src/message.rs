@@ -8,7 +8,7 @@
 //! orchestration observable (§V-A, §V-H).
 
 use std::collections::BTreeSet;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
@@ -77,12 +77,13 @@ impl Message {
     /// `op` names the instruction (e.g. `execute-agent`) and `args` carries
     /// its parameters. The op is also added as a tag so components can
     /// subscribe to specific instructions.
+    /// `args` is moved into the payload, never copied.
     pub fn control(op: impl AsRef<str>, args: Value) -> Self {
         let op = op.as_ref();
-        let mut msg = Self::from_value(
-            MessageKind::Control,
-            serde_json::json!({ "op": op, "args": args }),
-        );
+        let mut payload = serde_json::Map::new();
+        payload.insert("op".to_string(), Value::String(op.to_string()));
+        payload.insert("args".to_string(), args);
+        let mut msg = Self::from_value(MessageKind::Control, Value::Object(payload));
         msg.tags.insert(Tag::new(op));
         msg
     }
@@ -162,20 +163,80 @@ impl Message {
         self.payload.as_str()
     }
 
-    /// Rough payload size in bytes: used by budget accounting and the
-    /// streams-throughput bench.
+    /// Payload size in bytes: the text length of a string payload, 0 for
+    /// `null`, and otherwise the length of the compact JSON text, counted
+    /// without rendering it. Used by budget accounting and the
+    /// bytes-published counters.
     pub fn payload_size(&self) -> usize {
         match &self.payload {
             Value::String(s) => s.len(),
             Value::Null => 0,
-            other => serde_json::to_string(other).map(|s| s.len()).unwrap_or(0),
+            other => json_len(other),
         }
+    }
+}
+
+/// Length in bytes of `serde_json::to_string(v)`, computed by walking the
+/// value with the printer's rules instead of rendering it.
+fn json_len(v: &Value) -> usize {
+    match v {
+        Value::Null => 4,
+        Value::Bool(b) => {
+            if *b {
+                4
+            } else {
+                5
+            }
+        }
+        Value::Number(n) => {
+            let mut counter = ByteCounter(0);
+            let _ = write!(counter, "{n}");
+            counter.0
+        }
+        Value::String(s) => escaped_len(s),
+        Value::Array(items) => {
+            2 + items.len().saturating_sub(1) + items.iter().map(json_len).sum::<usize>()
+        }
+        Value::Object(map) => {
+            2 + map.len().saturating_sub(1)
+                + map
+                    .iter()
+                    .map(|(k, v)| escaped_len(k) + 1 + json_len(v))
+                    .sum::<usize>()
+        }
+    }
+}
+
+/// Length of `s` as a quoted JSON string: characters with a short escape
+/// (`\n`, `\"`, ...) take 2 bytes, other control characters 6 (`\u00XX`),
+/// and every other byte (each byte of a multi-byte character included) is
+/// copied as is.
+fn escaped_len(s: &str) -> usize {
+    2 + s
+        .bytes()
+        .map(|b| match b {
+            b'"' | b'\\' | b'\n' | b'\r' | b'\t' | 0x08 | 0x0C => 2,
+            0x00..=0x1F => 6,
+            _ => 1,
+        })
+        .sum::<usize>()
+}
+
+/// A `fmt::Write` sink that only counts the bytes written to it.
+struct ByteCounter(usize);
+
+impl fmt::Write for ByteCounter {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 += s.len();
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
 
     #[test]
     fn data_message_has_text() {
@@ -230,6 +291,98 @@ mod tests {
         assert_eq!(Message::eos().payload_size(), 0);
         let m = Message::data_json(serde_json::json!({"k": 1}));
         assert!(m.payload_size() >= 7); // {"k":1}
+    }
+
+    #[test]
+    fn control_payload_matches_the_json_literal() {
+        let args = serde_json::json!({"agent": "x", "rows": [1, {"a": null}]});
+        let m = Message::control("execute-agent", args.clone());
+        assert_eq!(
+            m.payload,
+            serde_json::json!({"op": "execute-agent", "args": args})
+        );
+    }
+
+    /// Characters covering every escape class of the JSON printer, plus
+    /// multi-byte characters of each UTF-8 length.
+    const ALPHABET: &[char] = &[
+        'a', 'Z', '0', ' ', '/', '"', '\\', '\n', '\r', '\t', '\u{08}', '\u{0C}', '\u{0}', '\u{1}',
+        '\u{1F}', '\u{7F}', 'é', '€', '😀',
+    ];
+
+    fn arb_string(rng: &mut TestRng) -> String {
+        (0..rng.below(8))
+            .map(|_| ALPHABET[rng.below(ALPHABET.len() as u64) as usize])
+            .collect()
+    }
+
+    fn arb_float(rng: &mut TestRng) -> f64 {
+        let f = match rng.below(4) {
+            0 => f64::from_bits(rng.next_u64()),
+            1 => rng.below(2_000) as f64 - 1_000.0,
+            2 => (rng.unit_f64() - 0.5) * 10f64.powi(rng.below(40) as i32 - 20),
+            _ => [
+                0.0,
+                -0.0,
+                1e15,
+                -1e15,
+                1e16,
+                0.1,
+                1e-7,
+                f64::MAX,
+                f64::MIN_POSITIVE,
+            ][rng.below(9) as usize],
+        };
+        if f.is_finite() {
+            f
+        } else {
+            0.5
+        }
+    }
+
+    fn arb_value(rng: &mut TestRng, depth: u32) -> Value {
+        let kinds = if depth == 0 { 7 } else { 9 };
+        match rng.below(kinds) {
+            0 => Value::Null,
+            1 => Value::Bool(rng.chance(0.5)),
+            2 => Value::from(rng.next_u64() >> rng.below(64)),
+            3 => Value::from(-1 - (rng.next_u64() >> (1 + rng.below(63))) as i64),
+            4 => Value::from(i64::MIN),
+            5 => Value::from(arb_float(rng)),
+            6 => Value::String(arb_string(rng)),
+            7 => Value::Array(
+                (0..rng.below(4))
+                    .map(|_| arb_value(rng, depth - 1))
+                    .collect(),
+            ),
+            _ => Value::Object(
+                (0..rng.below(4))
+                    .map(|_| (arb_string(rng), arb_value(rng, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    /// Random nested JSON values, up to four levels deep.
+    struct ArbValue;
+
+    impl Strategy for ArbValue {
+        type Value = Value;
+        fn new_value(&self, rng: &mut TestRng) -> Value {
+            arb_value(rng, 4)
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn payload_size_counts_the_rendered_json(v in ArbValue) {
+            let text = serde_json::to_string(&v).unwrap();
+            prop_assert_eq!(json_len(&v), text.len());
+            // Wrapped, so the payload is a container whatever `v` is.
+            let wrapped = Value::Array(vec![v]);
+            let text = serde_json::to_string(&wrapped).unwrap();
+            prop_assert_eq!(Message::data_json(wrapped).payload_size(), text.len());
+        }
     }
 
     #[test]

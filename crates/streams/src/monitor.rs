@@ -40,14 +40,13 @@ pub enum FlowDirection {
     Consume,
 }
 
+/// A short label for `msg`: its op, `eos`, or its text cut to at most 48
+/// bytes on a character boundary. Only the kept prefix is copied.
 fn label_of(msg: &Message) -> String {
     let raw = match msg.kind {
-        MessageKind::Control => msg.control_op().unwrap_or("control").to_string(),
-        MessageKind::Eos => "eos".to_string(),
-        MessageKind::Data => msg
-            .text()
-            .map(str::to_string)
-            .unwrap_or_else(|| "<json>".to_string()),
+        MessageKind::Control => msg.control_op().unwrap_or("control"),
+        MessageKind::Eos => "eos",
+        MessageKind::Data => msg.text().unwrap_or("<json>"),
     };
     const MAX: usize = 48;
     if raw.len() > MAX {
@@ -57,7 +56,7 @@ fn label_of(msg: &Message) -> String {
         }
         format!("{}…", &raw[..cut])
     } else {
-        raw
+        raw.to_string()
     }
 }
 
@@ -101,14 +100,16 @@ impl FlowMonitor {
         } else {
             component
         };
-        self.edges.write().push(FlowEdge {
+        // Built before the global write lock: only the push is serialized.
+        let edge = FlowEdge {
             direction,
             component: component.to_string(),
             stream: stream.clone(),
             message: msg.id,
             kind: msg.kind,
             label: label_of(msg),
-        });
+        };
+        self.edges.write().push(edge);
     }
 
     /// Snapshot of all recorded edges in order.
@@ -219,6 +220,21 @@ mod tests {
         let edge = &mon.edges()[0];
         assert!(edge.label.len() <= 52);
         assert!(edge.label.ends_with('…'));
+    }
+
+    #[test]
+    fn long_text_label_cuts_on_a_char_boundary() {
+        let mon = FlowMonitor::new();
+        let tail = "b".repeat(1 << 20);
+        // `é` spans bytes 47..49, across the 48-byte cut: it is dropped.
+        let across = format!("{}é{tail}", "a".repeat(47));
+        mon.record_publish("u", &sid(), &Message::data(across));
+        // Here it spans bytes 46..48 and ends exactly at the cut: it stays.
+        let within = format!("{}é{tail}", "a".repeat(46));
+        mon.record_publish("u", &sid(), &Message::data(within));
+        let edges = mon.edges();
+        assert_eq!(edges[0].label, format!("{}…", "a".repeat(47)));
+        assert_eq!(edges[1].label, format!("{}é…", "a".repeat(46)));
     }
 
     #[test]

@@ -370,6 +370,9 @@ impl StreamStore {
     pub fn publish(&self, id: &StreamId, mut msg: Message) -> Result<Arc<Message>> {
         msg.id = MessageId(self.next_msg_id.fetch_add(1, Ordering::Relaxed));
         msg.published_at_micros = self.clock.now_micros();
+        // Sized once, before the shard lock: the walk is linear in the
+        // payload and needs no lock.
+        let size = msg.payload_size() as u64;
 
         // Fault decision is taken up front (keyed by stream + message id) so
         // the same seeded plan perturbs the same publishes on every run.
@@ -415,9 +418,9 @@ impl StreamStore {
                 .fetch_add(1, Ordering::Relaxed);
             self.stats
                 .bytes_published
-                .fetch_add(arc.payload_size() as u64, Ordering::Relaxed);
+                .fetch_add(size, Ordering::Relaxed);
             instruments.publishes.inc();
-            instruments.bytes_published.add(arc.payload_size() as u64);
+            instruments.bytes_published.add(size);
             let globals = self.global_subs.read();
             for subs in [&shard.subs, &*globals] {
                 Self::fan_out(
