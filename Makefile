@@ -1,4 +1,4 @@
-.PHONY: all build test fmt lint bench bench-json bench-check chaos serving serving-bench ir docs figures-check perfbench-smoke
+.PHONY: all build test fmt lint bench bench-json bench-check chaos serving serving-bench scheduler ir docs figures-check perfbench-smoke
 
 all: build lint test
 
@@ -48,6 +48,17 @@ chaos:
 serving:
 	PROPTEST_CASES=256 cargo test -p blueprint-session --test isolation_properties
 	cargo test -p integration-tests --test serving
+
+# Scheduler gate: the pure scheduler's property battery (random DAGs,
+# completion orders, failures and budget halts against the sequential
+# reference) and the parallel ≡ sequential battery at 256 cases, plus the
+# pins of the event loop's work: two store deliveries per dispatched node,
+# and no thread started by an execution.
+scheduler:
+	PROPTEST_CASES=256 cargo test -p blueprint-coordinator --lib scheduler::
+	PROPTEST_CASES=256 cargo test -p blueprint-coordinator --test parallel_properties
+	cargo test -p blueprint-coordinator --test threads
+	cargo test -p integration-tests --test deliveries
 
 # Throughput sweep: the deterministic load generator replays the mixed
 # workload across 1/8/64 sessions and writes BENCH_serving.json at the repo

@@ -16,7 +16,7 @@ use crossbeam::channel::{bounded, Select, Sender};
 use serde_json::Value;
 
 use blueprint_observability::{Counter, Observability, SpanId, Tracer};
-use blueprint_streams::{Message, StreamStore, Subscription, Tag};
+use blueprint_streams::{Message, MessageId, StreamStore, Subscription, Tag};
 
 use crate::context::AgentContext;
 use crate::error::AgentError;
@@ -69,8 +69,12 @@ impl Shared {
     /// instruction (`span_parent`), and the span is closed *before* the
     /// report is published so it is fully recorded by the time the
     /// coordinator observes the completion.
+    ///
+    /// `instruction` is the id of the `execute-agent` message that caused
+    /// the run (`MessageId(0)` for an autonomous fire); the report echoes it.
     fn run(
         &self,
+        instruction: MessageId,
         inputs: Inputs,
         output_stream: &str,
         task_id: &str,
@@ -140,6 +144,7 @@ impl Shared {
             Err(e) => (Some(e.to_string()), Value::Null),
         };
         let report = AgentReport {
+            instruction,
             agent: self.spec.name.clone(),
             task_id: task_id.to_string(),
             node_id: node_id.to_string(),
@@ -222,13 +227,10 @@ impl AgentHost {
             for b in &shared.spec.bindings {
                 // Autonomous agents monitor streams *within the session*
                 // (§V-E); an unrestricted selector is narrowed to this
-                // instance's scope so parallel sessions stay isolated.
-                let selector = match &b.selector {
-                    blueprint_streams::Selector::AllStreams => {
-                        blueprint_streams::Selector::Scope(shared.scope.clone())
-                    }
-                    other => other.clone(),
-                };
+                // instance's scope, outside the coordinator's task streams,
+                // so parallel sessions stay isolated and a plan's outputs
+                // never re-fire tag-triggered agents.
+                let selector = b.selector.clone().narrowed_to(&shared.scope);
                 let sub = shared.store.subscribe(selector, b.filter.clone())?;
                 binding_subs.push((b.param.clone(), sub));
             }
@@ -277,8 +279,10 @@ impl AgentHost {
                                 if exec.agent == shared.spec.name {
                                     shared.instructed.fetch_add(1, Ordering::Relaxed);
                                     let shared2 = Arc::clone(&shared);
+                                    let instruction = msg.id;
                                     pool.submit(move || {
                                         shared2.run(
+                                            instruction,
                                             exec.inputs,
                                             &exec.output_stream,
                                             &exec.task_id,
@@ -310,7 +314,14 @@ impl AgentHost {
                                 let out_stream =
                                     format!("{}:{}:out", shared.scope, shared.spec.name);
                                 pool.submit(move || {
-                                    shared2.run(inputs, &out_stream, "", "", None);
+                                    shared2.run(
+                                        MessageId::default(),
+                                        inputs,
+                                        &out_stream,
+                                        "",
+                                        "",
+                                        None,
+                                    );
                                 });
                             }
                         }
@@ -448,7 +459,7 @@ mod tests {
             node_id: "n1".into(),
             span: None,
         };
-        store
+        let published = store
             .publish_to(
                 "session:1:instructions",
                 ["instructions"],
@@ -464,6 +475,7 @@ mod tests {
         let report_msg = report_sub.recv_timeout(Duration::from_secs(2)).unwrap();
         let report = AgentReport::from_message(&report_msg).unwrap();
         assert!(report.ok);
+        assert_eq!(report.instruction, published.id);
         assert_eq!(report.task_id, "t1");
         assert!((report.cost - 0.1).abs() < 1e-9);
         assert_eq!(report.latency_micros, 100);

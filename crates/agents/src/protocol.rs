@@ -9,7 +9,7 @@
 use serde::{Deserialize, Serialize};
 use serde_json::{Map, Value};
 
-use blueprint_streams::Message;
+use blueprint_streams::{Message, MessageId};
 
 use crate::param::Inputs;
 
@@ -38,7 +38,11 @@ pub struct ExecuteAgent {
     pub inputs: Inputs,
     /// Stream the outputs should be published to.
     pub output_stream: String,
-    /// Task (plan execution) this instruction belongs to.
+    /// Task this instruction belongs to. Its report is tagged
+    /// `task:<task_id>`, which is what the coordinator's one report
+    /// subscription per task watches; a replan's instructions therefore keep
+    /// the original task's id (their `output_stream` names the replacement
+    /// plan).
     pub task_id: String,
     /// Plan node this instruction executes.
     pub node_id: String,
@@ -81,6 +85,10 @@ impl ExecuteAgent {
 /// Execution report published by an agent host after a processor run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AgentReport {
+    /// The id of the `execute-agent` message this report answers, echoed
+    /// by the host (`MessageId(0)` for autonomous fires). The coordinator
+    /// routes reports by it alone.
+    pub instruction: MessageId,
     /// Reporting agent.
     pub agent: String,
     /// Task this execution belonged to (empty for autonomous fires).
@@ -107,6 +115,7 @@ impl AgentReport {
     pub fn into_message(self) -> Message {
         let tag = format!("task:{}", self.task_id);
         let mut args = Map::new();
+        args.insert("instruction".into(), Value::from(self.instruction.0));
         args.insert("agent".into(), Value::String(self.agent));
         args.insert("task_id".into(), Value::String(self.task_id));
         args.insert("node_id".into(), Value::String(self.node_id));
@@ -130,15 +139,17 @@ impl AgentReport {
         Self::deserialize(msg.control_args()?).ok()
     }
 
-    /// True when `msg` is a report for `node_id` of `task_id`. Reads the
-    /// two ids from the borrowed arguments, so a consumer can skip other
-    /// nodes' reports without decoding them.
-    pub fn is_for(msg: &Message, task_id: &str, node_id: &str) -> bool {
-        msg.control_op() == Some(ops::AGENT_REPORT)
-            && msg.control_args().is_some_and(|args| {
-                args.get("task_id").and_then(Value::as_str) == Some(task_id)
-                    && args.get("node_id").and_then(Value::as_str) == Some(node_id)
-            })
+    /// The id of the instruction `msg` answers, when `msg` is a report.
+    /// Reads it from the borrowed arguments, so a consumer can route a
+    /// report, or drop one it no longer awaits, without decoding it.
+    pub fn instruction_of(msg: &Message) -> Option<MessageId> {
+        if msg.control_op() != Some(ops::AGENT_REPORT) {
+            return None;
+        }
+        msg.control_args()?
+            .get("instruction")?
+            .as_u64()
+            .map(MessageId)
     }
 }
 
@@ -175,6 +186,7 @@ mod tests {
     #[test]
     fn report_round_trip() {
         let report = AgentReport {
+            instruction: MessageId(41),
             agent: "nl2q".into(),
             task_id: "t9".into(),
             node_id: "n2".into(),
@@ -212,6 +224,7 @@ mod tests {
         for error in [None, Some("boom".to_string())] {
             for cost in [0.0, 0.125, 2.0 / 3.0] {
                 out.push(AgentReport {
+                    instruction: MessageId(41),
                     agent: "nl2q".into(),
                     task_id: "t9".into(),
                     node_id: "n2".into(),
@@ -251,13 +264,13 @@ mod tests {
     }
 
     #[test]
-    fn is_for_matches_task_and_node_only() {
+    fn instruction_of_reads_the_echoed_id_of_reports_only() {
         let msg = reports().remove(0).into_message();
-        assert!(AgentReport::is_for(&msg, "t9", "n2"));
-        assert!(!AgentReport::is_for(&msg, "t9", "n1"));
-        assert!(!AgentReport::is_for(&msg, "t1", "n2"));
+        assert_eq!(AgentReport::instruction_of(&msg), Some(MessageId(41)));
         let instruction = instructions().remove(0).into_message();
-        assert!(!AgentReport::is_for(&instruction, "t1", "n1"));
+        assert_eq!(AgentReport::instruction_of(&instruction), None);
+        let foreign = Message::control(ops::AGENT_REPORT, json!({"instruction": "m41"}));
+        assert_eq!(AgentReport::instruction_of(&foreign), None);
     }
 
     #[test]

@@ -1,22 +1,24 @@
 //! The task coordinator's execution engine.
 
-use std::collections::HashSet;
+use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use serde_json::{json, Value};
 
 use blueprint_agents::{AgentReport, DataType, ExecuteAgent, Inputs};
-use blueprint_observability::{Counter, Gauge, MetricsSnapshot, Observability, SpanId};
+use blueprint_observability::{Counter, Gauge, MetricsSnapshot, Observability, SpanHandle, SpanId};
 use blueprint_optimizer::{Budget, BudgetStatus, QosConstraints, SharedBudget};
 use blueprint_planner::{DataPlanner, IrBinding, IrNode, PlanIr, Schedule, TaskPlan, TaskPlanner};
 use blueprint_registry::AgentRegistry;
 use blueprint_resilience::{BreakerRegistry, DegradationLadder, DegradationNote, RetryPolicy};
 use blueprint_streams::{
-    DeadLetterQueue, Message, Selector, StreamError, StreamId, StreamStore, Tag, TagFilter,
+    DeadLetterQueue, Message, MessageId, Selector, StreamError, StreamId, StreamStore,
+    Subscription, Tag, TagFilter, TASK_SEGMENT,
 };
 
 use crate::memo::{MemoCache, MemoEntry};
+use crate::scheduler::{Completion, Halt, Rules, Scheduler};
 
 /// Hard failures of the coordination machinery itself (stream plumbing);
 /// task-level problems are reported through [`Outcome`] instead.
@@ -242,14 +244,78 @@ impl Instruction {
     }
 }
 
-/// Outcome of driving one node, possibly across several attempts.
+/// How one run of an agent (its attempts under the retry policy) ended.
 struct NodeAttempt {
     /// The last report received (None on timeout or open circuit).
     report: Option<AgentReport>,
     /// Attempts consumed.
     attempts: u32,
-    /// Set when the node ultimately failed.
+    /// Set when the run ultimately failed.
     error: Option<String>,
+}
+
+/// What a dispatched node waits for.
+#[derive(Debug, Clone, Copy)]
+enum Wait {
+    /// The report answering instruction `id`, until `deadline`.
+    Report { id: MessageId, deadline: Instant },
+    /// A retry's backoff, until `until`.
+    Backoff { until: Instant },
+}
+
+impl Wait {
+    fn wake_at(&self) -> Instant {
+        match *self {
+            Wait::Report { deadline, .. } => deadline,
+            Wait::Backoff { until } => until,
+        }
+    }
+}
+
+/// What woke the event loop, by index into the waits it was given.
+#[derive(Debug)]
+enum Wake {
+    /// A report answering the instruction that wait awaits.
+    Report(usize, AgentReport),
+    /// That wait's deadline or backoff passed.
+    Timer(usize),
+}
+
+/// One dispatched node between its dispatch and its terminal state. It is
+/// owned by the event loop; the node's span stays open for as long.
+struct Flight<'ir> {
+    pos: usize,
+    node: &'ir IrNode,
+    /// The agent the current run invokes: the planned one, or its fallback.
+    agent: String,
+    /// The planned agent's failed run, kept while its fallback runs.
+    primary: Option<NodeAttempt>,
+    /// Attempts of the current run so far, and the backoff it has spent.
+    attempts: u32,
+    spent_delay: u64,
+    instruction: Instruction,
+    /// Meaningful while the flight is parked in the loop's in-flight set.
+    wait: Wait,
+    memo_key: Option<String>,
+    span: SpanHandle,
+}
+
+impl Flight<'_> {
+    /// The agent the plan assigned to the node.
+    fn planned(&self) -> &str {
+        self.node.agent().expect("dispatched nodes are agents").0
+    }
+}
+
+/// The task an execution (and every replan nested in it) belongs to.
+struct TaskContext {
+    /// The task's id: its instructions carry it, so every report of the
+    /// task, replans included, is tagged `task:<id>`.
+    id: String,
+    /// The task's one report subscription.
+    reports: Subscription,
+    /// The task's root span.
+    span: Option<SpanId>,
 }
 
 impl TaskCoordinator {
@@ -394,6 +460,11 @@ impl TaskCoordinator {
     /// every internal replan — is lowered into the unified IR with its data
     /// plans spliced in ([`PlanIr::from_task_plan`]), and the IR is what
     /// runs: one DAG reaches the optimizer and the coordinator.
+    ///
+    /// The whole execution runs on the calling thread: one event loop
+    /// dispatches nodes, publishes their instructions, and waits on the
+    /// task's one report subscription for reports, deadlines and retry
+    /// backoffs. The agents themselves run on their hosts' worker pools.
     pub fn execute(
         &self,
         plan: &TaskPlan,
@@ -409,7 +480,22 @@ impl TaskCoordinator {
             .tracer
             .span("coordinator", format!("task:{}", ir.task_id));
         task_span.attr("utterance", ir.goal.clone());
-        let result = self.execute_inner(ir, budget, 0, task_span.id());
+        // Subscribe before any instruction is issued so no report can be
+        // missed. Agents report to `<their scope>:reports`, so watching that
+        // one stream keeps the subscription on its own shard.
+        let reports = self
+            .store
+            .subscribe(
+                Selector::Stream(format!("{}:reports", self.instruction_scope()).into()),
+                TagFilter::any_of([format!("task:{}", ir.task_id)]),
+            )
+            .map_err(|e| ExecutionError(e.to_string()))?;
+        let task = TaskContext {
+            id: ir.task_id.clone(),
+            reports,
+            span: task_span.id(),
+        };
+        let result = self.execute_inner(ir, budget, 0, &task);
         task_span.end();
         result.map(|mut report| {
             if self.obs.metrics.is_armed() {
@@ -431,309 +517,45 @@ impl TaskCoordinator {
         mut ir: PlanIr,
         budget: Budget,
         depth: u8,
-        task_span: Option<SpanId>,
+        task: &TaskContext,
     ) -> Result<ExecutionReport, ExecutionError> {
         ir.validate().map_err(|e| ExecutionError(e.to_string()))?;
         let Schedule { order, edges } = ir.schedule().map_err(|e| ExecutionError(e.to_string()))?;
-        let n = order.len();
-
-        // Dependency counts and adjacency, indexed by topological position.
-        // The schedule carries one edge per `FromNode` binding, so duplicate
-        // edges appear symmetrically in `children` and `indegree`.
-        let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut parents: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut indegree: Vec<usize> = vec![0; n];
-        for (from, to) in edges {
-            children[from].push(to);
-            parents[to].push(from);
-            indegree[to] += 1;
-        }
-
         let cap = match self.scheduler {
             SchedulerMode::Sequential => 1,
-            SchedulerMode::Parallel { max_in_flight: 0 } => usize::MAX,
             SchedulerMode::Parallel { max_in_flight } => max_in_flight,
         };
-
-        // All accounting goes through a shared ledger so concurrent drivers
-        // (charges, retry backoff debits, degradation decisions) stay exact
-        // under any completion order.
+        let mut sched = Scheduler::new(
+            order.len(),
+            edges,
+            cap,
+            Rules {
+                policy: self.policy,
+                can_replan: depth == 0 && self.task_planner.is_some(),
+                adaptive: self.adaptive,
+            },
+        );
         let shared = SharedBudget::new(budget).with_metrics(&self.obs.metrics);
-
-        // Results land in per-position slots so the report merges back into
-        // topological order no matter when each node completes.
-        let mut progress = Progress {
-            results: vec![None; n],
-            notes: vec![None; n],
-            cache: CacheSavings::default(),
-            reoptimizations: Vec::new(),
-        };
-        // Shared so a dispatched child can read its parents' outputs
-        // without copying them.
-        let mut output_slots: Vec<Option<Arc<Value>>> = vec![None; n];
-        // Kept sorted ascending: among simultaneously ready nodes the
-        // earliest topological position dispatches first, which makes
-        // `max_in_flight == 1` exactly the sequential reference execution.
-        let mut ready: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
-        let mut halt: Option<Halt> = None;
         // Span ids per position, recorded at dispatch so children can parent
-        // under the earliest dependency's span. Dispatch happens on this
-        // single scheduler thread in sorted-ready order, so span ids are
-        // allocated deterministically even under parallel completion.
-        let mut span_ids: Vec<Option<SpanId>> = vec![None; n];
-        // Adaptive drift tracking: estimated vs observed totals of completed
-        // (actually invoked) nodes, and whether the one re-optimization pass
-        // has run.
-        let mut est_drift = (0.0f64, 0u64);
-        let mut obs_drift = (0.0f64, 0u64);
-        let mut reoptimized = false;
+        // under the earliest dependency's span. Dispatch happens in
+        // sorted-ready order, so span ids are allocated deterministically
+        // even under parallel completion.
+        let mut span_ids: Vec<Option<SpanId>> = vec![None; order.len()];
 
         loop {
-            let ir_ref = &ir;
-            std::thread::scope(|scope| -> Result<(), ExecutionError> {
-                let (done_tx, done_rx) =
-                    crossbeam::channel::unbounded::<(usize, Result<Driven, ExecutionError>)>();
-                let mut in_flight = 0usize;
-                loop {
-                    // Dispatch every ready node (up to the cap) unless a
-                    // terminal condition stopped admission.
-                    while halt.is_none() && in_flight < cap && !ready.is_empty() {
-                        let i = ready.remove(0);
-                        let node_id = order[i].as_str();
-                        let node = ir_ref
-                            .node(node_id)
-                            .expect("topo order references ir nodes");
-                        let agent_name = node.agent().expect("scheduled nodes are agents").0;
-
-                        // Graceful degradation: a skippable node (e.g. an
-                        // optional guardrail check) is dropped outright once
-                        // the budget is under pressure, trading its
-                        // contribution for headroom.
-                        if self.ladder.is_skippable(agent_name)
-                            && shared.status() != BudgetStatus::Healthy
-                        {
-                            shared.consume_projection(&node.qos.profile);
-                            progress.notes[i] = Some(DegradationNote {
-                                from: agent_name.to_string(),
-                                to: None,
-                                accuracy_penalty: 0.0,
-                                reason: format!("skipped node {node_id} under budget pressure"),
-                            });
-                            self.publish_status(
-                                &ir_ref.task_id,
-                                "node-skipped",
-                                json!({"node": node_id, "agent": agent_name}),
-                            );
-                            self.obs.tracer.instant(
-                                "coordinator",
-                                format!("skip:{node_id}"),
-                                task_span,
-                            );
-                            progress.results[i] = Some(NodeResult {
-                                node: node_id.to_string(),
-                                agent: agent_name.to_string(),
-                                ok: true,
-                                cost: 0.0,
-                                latency_micros: 0,
-                                error: None,
-                                attempts: 0,
-                                cached: false,
-                            });
-                            for &c in &children[i] {
-                                indegree[c] -= 1;
-                                if indegree[c] == 0 {
-                                    insert_sorted(&mut ready, c);
-                                }
-                            }
-                            continue;
-                        }
-
-                        // The node span is opened here on the scheduler
-                        // thread (deterministic id order) and closed by the
-                        // driver when the node reaches a terminal state. It
-                        // parents under the earliest dependency's span, so
-                        // the trace tree mirrors the plan DAG.
-                        let parent = parents[i]
-                            .iter()
-                            .min()
-                            .and_then(|&p| span_ids[p])
-                            .or(task_span);
-                        let mut node_span = match parent {
-                            Some(pid) => self.obs.tracer.child_span(
-                                "coordinator",
-                                format!("node:{node_id}"),
-                                pid,
-                            ),
-                            None => self
-                                .obs
-                                .tracer
-                                .span("coordinator", format!("node:{node_id}")),
-                        };
-                        node_span.attr("agent", agent_name.to_string());
-                        span_ids[i] = node_span.id();
-                        self.instruments.dispatches.inc();
-
-                        // Every parent has completed, so its slot is final.
-                        let upstream: Vec<(&str, Option<Arc<Value>>)> = parents[i]
-                            .iter()
-                            .map(|&p| (order[p].as_str(), output_slots[p].clone()))
-                            .collect();
-                        let tx = done_tx.clone();
-                        let node_budget = shared.clone();
-                        scope.spawn(move || {
-                            let outcome = self.drive_node(
-                                ir_ref,
-                                node,
-                                &upstream,
-                                &node_budget,
-                                node_span.id(),
-                            );
-                            if let Ok(Driven::Done { node_result, .. }) = &outcome {
-                                node_span.attr("ok", if node_result.ok { "true" } else { "false" });
-                                if node_result.cached {
-                                    node_span.attr("cached", "true");
-                                }
-                                if node_result.attempts > 1 {
-                                    node_span.attr("attempts", node_result.attempts.to_string());
-                                }
-                            }
-                            // Record the span before signalling completion so
-                            // the scheduler (and any snapshot it takes) never
-                            // observes a finished node with an open span.
-                            drop(node_span);
-                            let _ = tx.send((i, outcome));
-                        });
-                        in_flight += 1;
-                    }
-                    self.instruments.queue_depth.set(ready.len() as i64);
-                    self.instruments.in_flight.set(in_flight as i64);
-
-                    if in_flight == 0 {
-                        // Nothing running and nothing admissible: leave the
-                        // scope so replan decisions happen with no driver
-                        // threads live.
-                        return Ok(());
-                    }
-
-                    // Correlate the next completion, whatever its order.
-                    let (i, outcome) = done_rx
-                        .recv()
-                        .expect("driver threads outlive the dispatch loop");
-                    in_flight -= 1;
-                    match outcome? {
-                        Driven::ResolutionFailed(reason) => {
-                            raise_failure(&mut halt, i, reason, true);
-                        }
-                        Driven::Done {
-                            node_result,
-                            degradation,
-                            outputs,
-                            saved,
-                        } => {
-                            let failed = !node_result.ok;
-                            let error = node_result.error.clone();
-                            if let Some((cost, latency)) = saved {
-                                progress.cache.hits += 1;
-                                progress.cache.cost_saved += cost;
-                                progress.cache.latency_saved_micros += latency;
-                            }
-                            if degradation.is_some() {
-                                progress.notes[i] = degradation;
-                            }
-                            // Drift accounting for adaptive re-optimization:
-                            // only actually-invoked successes count (skips
-                            // and cache hits carry no observation).
-                            if node_result.ok && !node_result.cached && node_result.attempts > 0 {
-                                let est = &ir_ref
-                                    .node(order[i].as_str())
-                                    .expect("completed node is in the ir")
-                                    .qos
-                                    .profile;
-                                est_drift.0 += est.cost_per_call;
-                                est_drift.1 += est.latency_micros;
-                                obs_drift.0 += node_result.cost;
-                                obs_drift.1 += node_result.latency_micros;
-                            }
-                            progress.results[i] = Some(node_result);
-                            if failed {
-                                raise_failure(
-                                    &mut halt,
-                                    i,
-                                    error.unwrap_or_else(|| "agent failed".into()),
-                                    false,
-                                );
-                                continue;
-                            }
-                            if outputs.is_object() {
-                                output_slots[i] = Some(Arc::new(outputs));
-                            }
-                            for &c in &children[i] {
-                                indegree[c] -= 1;
-                                if indegree[c] == 0 {
-                                    insert_sorted(&mut ready, c);
-                                }
-                            }
-                            // Budget checkpoint — the same decision ladder as
-                            // the sequential reference, evaluated on
-                            // completion events.
-                            if halt.is_none() {
-                                halt = match shared.status() {
-                                    BudgetStatus::Healthy => None,
-                                    BudgetStatus::Exceeded => Some(Halt::Exceeded),
-                                    BudgetStatus::ProjectedOverrun => match self.policy {
-                                        OverrunPolicy::Continue => None,
-                                        OverrunPolicy::Abort => Some(Halt::ProjectedAbort),
-                                        OverrunPolicy::Replan => {
-                                            if depth == 0 && self.task_planner.is_some() {
-                                                Some(Halt::ReplanOverrun)
-                                            } else {
-                                                // Cannot replan: keep going
-                                                // under protest.
-                                                None
-                                            }
-                                        }
-                                    },
-                                };
-                            }
-                            // Adaptive checkpoint: when observed spend has
-                            // drifted past the threshold factor of the
-                            // estimate, pause admission and re-optimize the
-                            // not-yet-dispatched suffix (once).
-                            if let (None, Some(threshold), false) =
-                                (&halt, self.adaptive, reoptimized)
-                            {
-                                let cost_drifted =
-                                    est_drift.0 > 0.0 && obs_drift.0 > threshold * est_drift.0;
-                                let latency_drifted = est_drift.1 > 0
-                                    && obs_drift.1 as f64 > threshold * est_drift.1 as f64;
-                                if cost_drifted || latency_drifted {
-                                    halt = Some(Halt::Reoptimize);
-                                }
-                            }
-                        }
-                    }
-                }
-            })?;
+            self.drive(&ir, &order, &mut sched, &shared, &mut span_ids, task)?;
 
             // A drift-triggered re-optimization is resolved here, with no
-            // drivers live: re-select the implementation of data operators
+            // node in flight: re-select the implementation of data operators
             // owned by still-pending nodes against the *remaining* budget,
             // then resume scheduling. Nodes already executed are never
             // touched, and only one pass runs per execution.
-            if matches!(halt, Some(Halt::Reoptimize)) {
-                halt = None;
-                reoptimized = true;
+            if matches!(sched.halt(), Some(Halt::Reoptimize)) {
                 let threshold = self.adaptive.expect("reoptimize requires a threshold");
-                let pending: HashSet<String> = order
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| progress.results[*i].is_none())
-                    .map(|(_, id)| id.clone())
-                    .collect();
+                let pending: HashSet<String> = sched.pending().map(|i| order[i].clone()).collect();
                 let objective = ir.objective;
                 let remaining = shared.snapshot().remaining_constraints();
-                let switches = ir.reoptimize_pending(&pending, objective, &remaining);
-                for s in &switches {
+                for s in ir.reoptimize_pending(&pending, objective, &remaining) {
                     self.publish_status(
                         &ir.task_id,
                         "node-reoptimized",
@@ -742,24 +564,25 @@ impl TaskCoordinator {
                     self.obs.tracer.instant(
                         "coordinator",
                         format!("reopt:{}:{}->{}", s.node, s.from, s.to),
-                        task_span,
+                        task.span,
                     );
-                    progress.reoptimizations.push(ReoptimizationNote {
-                        node: s.node.clone(),
-                        from_tier: s.from.clone(),
-                        to_tier: s.to.clone(),
+                    sched.note_reoptimization(ReoptimizationNote {
+                        node: s.node,
+                        from_tier: s.from,
+                        to_tier: s.to,
                         reason: format!("observed spend drifted past {threshold}x the estimate"),
                     });
                 }
+                sched.resume();
                 continue;
             }
 
-            // The scope is drained. A projected overrun under the Replan
-            // policy is resolved here, with no drivers live: ask the task
-            // planner for the same decomposition minus the most expensive
-            // agent (§V-H). When no cheaper plan exists, clear the halt and
-            // resume under protest, exactly like the sequential reference.
-            if matches!(halt, Some(Halt::ReplanOverrun)) {
+            // A projected overrun under the Replan policy is resolved here,
+            // with no node in flight: ask the task planner for the same
+            // decomposition minus the most expensive agent (§V-H). When no
+            // cheaper plan exists, resume under protest, exactly like the
+            // sequential reference.
+            if matches!(sched.halt(), Some(Halt::ReplanOverrun)) {
                 let subtasks: Vec<String> = ir
                     .agent_nodes()
                     .map(|n| n.agent().expect("agent node").1.to_string())
@@ -773,33 +596,32 @@ impl TaskCoordinator {
                         self.lower_plan(&new_plan)?,
                         shared.snapshot(),
                         depth + 1,
-                        task_span,
+                        task,
                     )?;
                     let outcome = Outcome::Replanned {
                         reason: "projected overrun".into(),
                         inner: Box::new(inner),
                     };
+                    let (progress, _, _) = sched.finish();
                     return Ok(progress.report(&ir.task_id, outcome, shared.snapshot()));
                 }
-                halt = None;
+                sched.resume();
                 continue;
             }
             break;
         }
 
         let budget = shared.snapshot();
+        let (progress, outputs, halt) = sched.finish();
         let outcome = match halt {
             None => {
                 // Deterministic final output: the last output-producing node
                 // in topological order, regardless of completion order.
-                // No driver is live, so the slot is its only holder.
-                let output = output_slots
+                let output = outputs
                     .into_iter()
                     .flatten()
                     .next_back()
-                    .map_or(Value::Null, |v| {
-                        Arc::try_unwrap(v).unwrap_or_else(|v| (*v).clone())
-                    });
+                    .unwrap_or(Value::Null);
                 self.publish_status(&ir.task_id, "task-completed", json!({"task": ir.task_id}));
                 Outcome::Completed { output }
             }
@@ -836,7 +658,7 @@ impl TaskCoordinator {
                             self.lower_plan(&new_plan)?,
                             budget.clone(),
                             depth + 1,
-                            task_span,
+                            task,
                         )?;
                         let outcome = Outcome::Replanned {
                             reason: format!("agent {failed_agent} failed: {error}"),
@@ -871,69 +693,200 @@ impl TaskCoordinator {
         Ok(progress.report(&ir.task_id, outcome, budget))
     }
 
-    /// Drives one node end-to-end on the calling thread: input resolution,
-    /// memo-cache lookup, breaker-gated invocation with retries, fallback
-    /// down the degradation ladder, and quarantine on exhaustion. Every
-    /// charge goes through the shared ledger.
-    ///
-    /// `upstream` holds each parent's recorded outputs (None when the
-    /// parent produced none, e.g. it was skipped).
-    fn drive_node(
+    /// The event loop: runs the scheduler until no node is in flight and
+    /// none is admissible. Each pass admits every ready node the scheduler
+    /// allows and starts it inline; then feeds the scheduler one node that
+    /// reached its terminal state; and only when there is none, blocks on
+    /// the task's report subscription until a report, a report deadline or
+    /// a retry backoff moves some in-flight node on.
+    fn drive<'ir>(
+        &self,
+        ir: &'ir PlanIr,
+        order: &[String],
+        sched: &mut Scheduler,
+        budget: &SharedBudget,
+        span_ids: &mut [Option<SpanId>],
+        task: &TaskContext,
+    ) -> Result<(), ExecutionError> {
+        // Nodes waiting on an agent, in dispatch order.
+        let mut flights: Vec<Flight<'ir>> = Vec::new();
+        // Nodes that reached their terminal state, in the order they did.
+        let mut finished: VecDeque<(Flight<'ir>, Completion)> = VecDeque::new();
+        loop {
+            while let Some(pos) = sched.admit() {
+                let node_id = order[pos].as_str();
+                let node = ir.node(node_id).expect("topo order references ir nodes");
+                let agent = node.agent().expect("scheduled nodes are agents").0;
+
+                // Graceful degradation: a skippable node (e.g. an optional
+                // guardrail check) is dropped outright once the budget is
+                // under pressure, trading its contribution for headroom.
+                if self.ladder.is_skippable(agent) && budget.status() != BudgetStatus::Healthy {
+                    budget.consume_projection(&node.qos.profile);
+                    self.publish_status(
+                        &ir.task_id,
+                        "node-skipped",
+                        json!({"node": node_id, "agent": agent}),
+                    );
+                    self.obs
+                        .tracer
+                        .instant("coordinator", format!("skip:{node_id}"), task.span);
+                    let skipped = Completion::Skipped {
+                        result: NodeResult {
+                            node: node_id.to_string(),
+                            agent: agent.to_string(),
+                            ok: true,
+                            cost: 0.0,
+                            latency_micros: 0,
+                            error: None,
+                            attempts: 0,
+                            cached: false,
+                        },
+                        note: DegradationNote {
+                            from: agent.to_string(),
+                            to: None,
+                            accuracy_penalty: 0.0,
+                            reason: format!("skipped node {node_id} under budget pressure"),
+                        },
+                    };
+                    sched.complete(pos, skipped, budget.status(), &node.qos.profile);
+                    continue;
+                }
+
+                // The node span parents under the earliest dependency's
+                // span, so the trace tree mirrors the plan DAG; it closes
+                // when the node reaches its terminal state.
+                let parent = sched
+                    .parents(pos)
+                    .iter()
+                    .min()
+                    .and_then(|&p| span_ids[p])
+                    .or(task.span);
+                let mut span = match parent {
+                    Some(pid) => {
+                        self.obs
+                            .tracer
+                            .child_span("coordinator", format!("node:{node_id}"), pid)
+                    }
+                    None => self
+                        .obs
+                        .tracer
+                        .span("coordinator", format!("node:{node_id}")),
+                };
+                span.attr("agent", agent.to_string());
+                span_ids[pos] = span.id();
+                self.instruments.dispatches.inc();
+
+                let mut flight = Flight {
+                    pos,
+                    node,
+                    agent: agent.to_string(),
+                    primary: None,
+                    attempts: 0,
+                    spent_delay: 0,
+                    instruction: Instruction::Pending(Inputs::new()),
+                    wait: Wait::Backoff {
+                        until: Instant::now(),
+                    },
+                    memo_key: None,
+                    span,
+                };
+                // Every parent has completed, so its output is final.
+                let upstream: Vec<(&str, Option<&Value>)> = sched
+                    .parents(pos)
+                    .iter()
+                    .map(|&p| (order[p].as_str(), sched.output(p)))
+                    .collect();
+                match self.start(ir, task, &mut flight, &upstream, budget)? {
+                    Some(completion) => finished.push_back((flight, completion)),
+                    None => flights.push(flight),
+                }
+            }
+            self.instruments.queue_depth.set(sched.queued() as i64);
+            self.instruments.in_flight.set(sched.in_flight() as i64);
+
+            if let Some((flight, completion)) = finished.pop_front() {
+                let Flight {
+                    pos,
+                    node,
+                    mut span,
+                    ..
+                } = flight;
+                if let Completion::Done { result, .. } = &completion {
+                    span.attr("ok", if result.ok { "true" } else { "false" });
+                    if result.cached {
+                        span.attr("cached", "true");
+                    }
+                    if result.attempts > 1 {
+                        span.attr("attempts", result.attempts.to_string());
+                    }
+                }
+                span.end();
+                sched.complete(pos, completion, budget.status(), &node.qos.profile);
+                continue;
+            }
+            if flights.is_empty() {
+                debug_assert_eq!(sched.in_flight(), 0);
+                return Ok(());
+            }
+
+            let (i, step) = match next_wake(&task.reports, flights.iter().map(|f| &f.wait))? {
+                Wake::Report(i, report) => (
+                    i,
+                    self.on_answer(ir, task, &mut flights[i], Some(report), budget)?,
+                ),
+                Wake::Timer(i) => (i, self.on_timer(ir, task, &mut flights[i], budget)?),
+            };
+            if let Some(completion) = step {
+                finished.push_back((flights.remove(i), completion));
+            }
+        }
+    }
+
+    /// Starts a dispatched node on the loop thread: resolves its inputs,
+    /// answers it from the memo cache when it can, and otherwise publishes
+    /// its first instruction. Returns the node's terminal state when it
+    /// needs no agent report, None when it now waits on one.
+    fn start(
         &self,
         ir: &PlanIr,
-        node: &IrNode,
-        upstream: &[(&str, Option<Arc<Value>>)],
+        task: &TaskContext,
+        f: &mut Flight<'_>,
+        upstream: &[(&str, Option<&Value>)],
         budget: &SharedBudget,
-        span: Option<SpanId>,
-    ) -> Result<Driven, ExecutionError> {
-        let node_id = node.id.as_str();
-        let agent = node.agent().expect("driven nodes are agents").0.to_string();
-        // Subscribe to this task's agent reports before issuing any
-        // instruction so none can be missed. Agents always report to
-        // `<their scope>:reports`, so watching that one stream (instead of
-        // every stream) keeps the subscription on the reports stream's own
-        // shard. Each driver holds its own subscription; reports are
-        // correlated by `task:`/node tags, so concurrent drivers never
-        // cross wires.
-        let report_sub = self
-            .store
-            .subscribe(
-                Selector::Stream(format!("{}:reports", self.instruction_scope()).into()),
-                TagFilter::any_of([format!("task:{}", ir.task_id)]),
-            )
-            .map_err(|e| ExecutionError(e.to_string()))?;
-
-        // Resolve inputs, applying transformations.
+    ) -> Result<Option<Completion>, ExecutionError> {
+        let node = f.node;
         let mut inputs = Inputs::new();
         for (param, binding) in &node.inputs {
             match self.resolve_input(ir, node, param, binding, upstream, budget) {
                 Ok(v) => {
                     inputs.insert(param.clone(), v);
                 }
-                Err(reason) => return Ok(Driven::ResolutionFailed(reason)),
+                Err(reason) => return Ok(Some(Completion::Unresolved(reason))),
             }
         }
 
         // Deterministic agents answer repeated inputs from the memo cache:
         // the recorded outputs replay onto the node's output stream (so
-        // downstream bindings still resolve) at zero cost, and the savings
-        // are credited to the execution report.
-        let memo_key = self.memo.as_ref().map(|_| MemoCache::key(&agent, &inputs));
-        if let (Some(memo), Some(key)) = (&self.memo, &memo_key) {
-            if let Some(entry) = memo.lookup(key) {
+        // observers see the same stream contents) at zero cost, and the
+        // savings are credited to the execution report.
+        let agent = f.planned().to_string();
+        if let Some(memo) = &self.memo {
+            let key = MemoCache::key(&agent, &inputs);
+            if let Some(entry) = memo.lookup(&key) {
                 self.instruments.memo_hits.inc();
-                self.replay_cached_outputs(&ir.task_id, node_id, &agent, &entry);
+                self.replay_cached_outputs(&ir.task_id, &node.id, &agent, &entry);
                 budget.charge(0.0, 0, node.qos.profile.accuracy);
                 budget.consume_projection(&node.qos.profile);
                 self.publish_status(
                     &ir.task_id,
                     "node-cached",
-                    json!({"node": node_id, "agent": agent}),
+                    json!({"node": node.id, "agent": agent}),
                 );
-                return Ok(Driven::Done {
-                    node_result: NodeResult {
+                return Ok(Some(Completion::Done {
+                    result: NodeResult {
                         node: node.id.clone(),
-                        agent: agent.clone(),
+                        agent,
                         ok: true,
                         cost: 0.0,
                         latency_micros: 0,
@@ -944,72 +897,235 @@ impl TaskCoordinator {
                     degradation: None,
                     outputs: entry.outputs,
                     saved: Some((entry.cost, entry.latency_micros)),
-                });
+                }));
             }
+            f.memo_key = Some(key);
         }
 
-        // Drive the node: breaker gate, instruction publish, report await,
-        // retries with budget-debited backoff. The inputs move into the
-        // first instruction.
-        let mut instruction = Instruction::Pending(inputs);
-        let mut attempt = self.run_node(
-            &ir.task_id,
-            node_id,
-            &agent,
-            &mut instruction,
-            &report_sub,
-            budget,
-            span,
-        )?;
-        let mut executing_agent = agent.clone();
-        let mut degradation = None;
+        // The inputs move into the first instruction.
+        f.instruction = Instruction::Pending(inputs);
+        match self.begin_run(ir, task, f, agent)? {
+            None => Ok(None),
+            Some(run) => self.run_ended(ir, task, f, run, budget),
+        }
+    }
 
-        // Graceful degradation: a failed agent falls back once to its
-        // configured substitute at a recorded accuracy penalty.
-        if attempt.error.is_some() {
-            if let Some((fallback, penalty)) = self.ladder.fallback_for(&agent) {
-                let fallback = fallback.to_string();
-                if self.registry.get_spec(&fallback).is_ok() {
+    /// Starts a run of `agent` for the node: an open circuit fails it fast
+    /// (no instruction is issued, so the struggling agent gets no more
+    /// traffic until its cooldown elapses); otherwise the first attempt is
+    /// published. Returns the run's end when it ended without an attempt.
+    fn begin_run(
+        &self,
+        ir: &PlanIr,
+        task: &TaskContext,
+        f: &mut Flight<'_>,
+        agent: String,
+    ) -> Result<Option<NodeAttempt>, ExecutionError> {
+        f.agent = agent;
+        f.attempts = 0;
+        f.spent_delay = 0;
+        if let Some(b) = &self.breakers {
+            if !b.allow(&f.agent, self.now_micros()) {
+                return Ok(Some(NodeAttempt {
+                    report: None,
+                    attempts: 0,
+                    error: Some(format!("circuit open for agent {}", f.agent)),
+                }));
+            }
+        }
+        self.publish_attempt(ir, task, f)?;
+        Ok(None)
+    }
+
+    /// Publishes the next attempt's instruction and arms its report
+    /// deadline. `f.instruction` ends up holding the published message.
+    fn publish_attempt(
+        &self,
+        ir: &PlanIr,
+        task: &TaskContext,
+        f: &mut Flight<'_>,
+    ) -> Result<(), ExecutionError> {
+        f.attempts += 1;
+        let exec = ExecuteAgent {
+            agent: f.agent.clone(),
+            inputs: f.instruction.take_inputs(),
+            output_stream: self.task_stream(&ir.task_id, &f.node.id),
+            task_id: task.id.clone(),
+            node_id: f.node.id.clone(),
+            span: f.span.id().map(|s| s.0),
+        };
+        let published = self
+            .store
+            .publish_to(
+                format!("{}:instructions", self.instruction_scope()),
+                ["instructions"],
+                exec.into_message().from_producer("task-coordinator"),
+            )
+            .map_err(|e| ExecutionError(e.to_string()))?;
+        f.wait = Wait::Report {
+            id: published.id,
+            deadline: Instant::now() + self.report_timeout,
+        };
+        f.instruction = Instruction::Published(published);
+        Ok(())
+    }
+
+    /// A flight's timer fired: a report deadline passed (the attempt timed
+    /// out), or a retry's backoff elapsed (publish the next attempt).
+    fn on_timer(
+        &self,
+        ir: &PlanIr,
+        task: &TaskContext,
+        f: &mut Flight<'_>,
+        budget: &SharedBudget,
+    ) -> Result<Option<Completion>, ExecutionError> {
+        match f.wait {
+            Wait::Report { .. } => self.on_answer(ir, task, f, None, budget),
+            Wait::Backoff { .. } => {
+                self.publish_attempt(ir, task, f)?;
+                Ok(None)
+            }
+        }
+    }
+
+    /// An attempt ended with `report` (None on timeout). Records it with
+    /// the breaker, then either ends the run or, per the retry policy,
+    /// starts a backoff debited from the latency budget.
+    fn on_answer(
+        &self,
+        ir: &PlanIr,
+        task: &TaskContext,
+        f: &mut Flight<'_>,
+        report: Option<AgentReport>,
+        budget: &SharedBudget,
+    ) -> Result<Option<Completion>, ExecutionError> {
+        let ok = report.as_ref().is_some_and(|r| r.ok);
+        if let Some(b) = &self.breakers {
+            b.record(&f.agent, ok, self.now_micros());
+        }
+        if ok {
+            let run = NodeAttempt {
+                report,
+                attempts: f.attempts,
+                error: None,
+            };
+            return self.run_ended(ir, task, f, run, budget);
+        }
+
+        let error = report
+            .as_ref()
+            .map(|r| r.error.clone().unwrap_or_else(|| "agent failed".into()))
+            .unwrap_or_else(|| format!("timed out waiting for agent {}", f.agent));
+
+        // Retrying against a tripped breaker is pointless; otherwise ask the
+        // policy whether another attempt fits the retry budget.
+        let circuit_open = self
+            .breakers
+            .as_ref()
+            .is_some_and(|b| !b.allow(&f.agent, self.now_micros()));
+        if !circuit_open {
+            if let Some(delay) = self.retry.delay_before(f.attempts, f.spent_delay) {
+                self.instruments.retries.inc();
+                self.obs.tracer.instant(
+                    "coordinator",
+                    format!("retry:{}#{}", f.agent, f.attempts),
+                    f.span.id(),
+                );
+                // The failed attempt's cost and the backoff are real spend
+                // the caller experienced (accuracy-neutral: the retry
+                // supersedes the failed answer).
+                if let Some(r) = &report {
+                    budget.charge(r.cost, r.latency_micros, 1.0);
+                }
+                budget.charge(0.0, delay, 1.0);
+                f.spent_delay += delay;
+                f.wait = Wait::Backoff {
+                    until: Instant::now() + Duration::from_micros(delay.min(100_000)),
+                };
+                return Ok(None);
+            }
+        }
+        let run = NodeAttempt {
+            report,
+            attempts: f.attempts,
+            error: Some(error),
+        };
+        self.run_ended(ir, task, f, run, budget)
+    }
+
+    /// A run ended. A failed run of the planned agent falls back once to
+    /// its configured substitute (graceful degradation); anything else
+    /// ends the node.
+    fn run_ended(
+        &self,
+        ir: &PlanIr,
+        task: &TaskContext,
+        f: &mut Flight<'_>,
+        run: NodeAttempt,
+        budget: &SharedBudget,
+    ) -> Result<Option<Completion>, ExecutionError> {
+        if run.error.is_some() && f.primary.is_none() {
+            if let Some((fallback, _)) = self.ladder.fallback_for(f.planned()) {
+                if self.registry.contains(fallback) {
                     self.obs.tracer.instant(
                         "coordinator",
-                        format!("fallback:{agent}->{fallback}"),
-                        span,
+                        format!("fallback:{}->{fallback}", f.planned()),
+                        f.span.id(),
                     );
-                    let second = self.run_node(
-                        &ir.task_id,
-                        node_id,
-                        &fallback,
-                        &mut instruction,
-                        &report_sub,
-                        budget,
-                        span,
-                    )?;
-                    if second.error.is_none() {
-                        degradation = Some(DegradationNote {
-                            from: agent.clone(),
-                            to: Some(fallback.clone()),
-                            accuracy_penalty: penalty,
-                            reason: attempt
-                                .error
-                                .clone()
-                                .unwrap_or_else(|| "primary agent failed".into()),
-                        });
-                        self.publish_status(
-                            &ir.task_id,
-                            "node-degraded",
-                            json!({"node": node_id, "from": agent, "to": fallback}),
-                        );
-                        // The fallback answers with degraded quality.
-                        budget.charge(0.0, 0, 1.0 - penalty);
-                        executing_agent = fallback;
-                        attempt = NodeAttempt {
-                            attempts: attempt.attempts + second.attempts,
-                            ..second
-                        };
-                    }
+                    f.primary = Some(run);
+                    return match self.begin_run(ir, task, f, fallback.to_string())? {
+                        None => Ok(None),
+                        Some(second) => self.run_ended(ir, task, f, second, budget),
+                    };
                 }
             }
         }
+        Ok(Some(self.finish_node(ir, f, run, budget)))
+    }
+
+    /// The node's terminal state after its last run: charges the ledger,
+    /// quarantines an exhausted instruction, and records primary successes
+    /// in the memo cache.
+    fn finish_node(
+        &self,
+        ir: &PlanIr,
+        f: &mut Flight<'_>,
+        run: NodeAttempt,
+        budget: &SharedBudget,
+    ) -> Completion {
+        let node = f.node;
+        let agent = f.planned().to_string();
+        let mut executing_agent = agent.clone();
+        let mut degradation = None;
+        let attempt = match f.primary.take() {
+            None => run,
+            // The fallback answered, with degraded quality.
+            Some(first) if run.error.is_none() => {
+                let (fallback, penalty) = self
+                    .ladder
+                    .fallback_for(&agent)
+                    .expect("a fallback ran, so one is configured");
+                degradation = Some(DegradationNote {
+                    from: agent.clone(),
+                    to: Some(fallback.to_string()),
+                    accuracy_penalty: penalty,
+                    reason: first.error.unwrap_or_else(|| "primary agent failed".into()),
+                });
+                self.publish_status(
+                    &ir.task_id,
+                    "node-degraded",
+                    json!({"node": node.id, "from": agent, "to": fallback}),
+                );
+                budget.charge(0.0, 0, 1.0 - penalty);
+                executing_agent = f.agent.clone();
+                NodeAttempt {
+                    attempts: first.attempts + run.attempts,
+                    ..run
+                }
+            }
+            // The fallback failed too: the planned agent's failure stands.
+            Some(first) => first,
+        };
 
         let attempts = attempt.attempts;
         if let Some(error) = attempt.error {
@@ -1026,17 +1142,17 @@ impl TaskCoordinator {
             // operators can inspect and replay it once the fault clears.
             self.quarantine_instruction(
                 &ir.task_id,
-                node_id,
+                &node.id,
                 &agent,
-                instruction.take_inputs(),
+                f.instruction.take_inputs(),
                 &error,
                 attempts,
             );
 
-            return Ok(Driven::Done {
-                node_result: NodeResult {
+            return Completion::Done {
+                result: NodeResult {
                     node: node.id.clone(),
-                    agent: agent.clone(),
+                    agent,
                     ok: false,
                     cost,
                     latency_micros: latency,
@@ -1047,7 +1163,7 @@ impl TaskCoordinator {
                 degradation,
                 outputs: Value::Null,
                 saved: None,
-            });
+            };
         }
 
         let report = attempt.report.expect("successful attempt carries a report");
@@ -1061,7 +1177,7 @@ impl TaskCoordinator {
         // Only primary successes populate the cache: fallback answers carry
         // degraded quality, and caching them would hide the degradation on
         // replay.
-        if let (Some(memo), Some(key)) = (&self.memo, memo_key) {
+        if let (Some(memo), Some(key)) = (&self.memo, f.memo_key.take()) {
             if executing_agent == agent && report.outputs.is_object() {
                 memo.insert(
                     key,
@@ -1074,8 +1190,8 @@ impl TaskCoordinator {
             }
         }
 
-        Ok(Driven::Done {
-            node_result: NodeResult {
+        Completion::Done {
+            result: NodeResult {
                 node: node.id.clone(),
                 agent: executing_agent,
                 ok: true,
@@ -1088,7 +1204,7 @@ impl TaskCoordinator {
             degradation,
             outputs: report.outputs,
             saved: None,
-        })
+        }
     }
 
     /// Republishes a cached node's outputs onto its output stream so
@@ -1097,7 +1213,7 @@ impl TaskCoordinator {
         let Some(outputs) = entry.outputs.as_object() else {
             return;
         };
-        let stream = format!("{}:task:{}:{}", self.scope, task_id, node_id);
+        let stream = self.task_stream(task_id, node_id);
         let tags: Vec<Tag> = self
             .registry
             .get_spec(agent)
@@ -1111,107 +1227,6 @@ impl TaskCoordinator {
             let _ = self
                 .store
                 .publish_to(stream.clone(), Vec::<Tag>::new(), msg);
-        }
-    }
-
-    /// Drives one node to a terminal attempt outcome: checks the circuit
-    /// breaker, publishes the instruction, awaits the report, and retries
-    /// per the retry policy with backoff debited from the latency budget.
-    /// `instruction` ends up holding the last instruction published.
-    #[allow(clippy::too_many_arguments)]
-    fn run_node(
-        &self,
-        task_id: &str,
-        node_id: &str,
-        agent: &str,
-        instruction: &mut Instruction,
-        report_sub: &blueprint_streams::Subscription,
-        budget: &SharedBudget,
-        span: Option<SpanId>,
-    ) -> Result<NodeAttempt, ExecutionError> {
-        // An open circuit fails fast: no instruction is issued, so the
-        // struggling agent gets no more traffic until its cooldown elapses.
-        if let Some(b) = &self.breakers {
-            if !b.allow(agent, self.now_micros()) {
-                return Ok(NodeAttempt {
-                    report: None,
-                    attempts: 0,
-                    error: Some(format!("circuit open for agent {agent}")),
-                });
-            }
-        }
-
-        let mut attempts: u32 = 0;
-        let mut spent_delay: u64 = 0;
-        loop {
-            attempts += 1;
-            let exec = ExecuteAgent {
-                agent: agent.to_string(),
-                inputs: instruction.take_inputs(),
-                output_stream: format!("{}:task:{}:{}", self.scope, task_id, node_id),
-                task_id: task_id.to_string(),
-                node_id: node_id.to_string(),
-                span: span.map(|s| s.0),
-            };
-            let published = self
-                .store
-                .publish_to(
-                    format!("{}:instructions", self.instruction_scope()),
-                    ["instructions"],
-                    exec.into_message().from_producer("task-coordinator"),
-                )
-                .map_err(|e| ExecutionError(e.to_string()))?;
-            *instruction = Instruction::Published(published);
-
-            let report = self.await_report(report_sub, task_id, node_id);
-            let ok = report.as_ref().is_some_and(|r| r.ok);
-            if let Some(b) = &self.breakers {
-                b.record(agent, ok, self.now_micros());
-            }
-            if ok {
-                return Ok(NodeAttempt {
-                    report,
-                    attempts,
-                    error: None,
-                });
-            }
-
-            let error = report
-                .as_ref()
-                .map(|r| r.error.clone().unwrap_or_else(|| "agent failed".into()))
-                .unwrap_or_else(|| format!("timed out waiting for agent {agent}"));
-
-            // Retrying against a tripped breaker is pointless; otherwise ask
-            // the policy whether another attempt fits the retry budget.
-            let circuit_open = self
-                .breakers
-                .as_ref()
-                .is_some_and(|b| !b.allow(agent, self.now_micros()));
-            if !circuit_open {
-                if let Some(delay) = self.retry.delay_before(attempts, spent_delay) {
-                    self.instruments.retries.inc();
-                    self.obs.tracer.instant(
-                        "coordinator",
-                        format!("retry:{agent}#{attempts}"),
-                        span,
-                    );
-                    // The failed attempt's cost and the backoff are real
-                    // spend the caller experienced (accuracy-neutral: the
-                    // retry supersedes the failed answer).
-                    if let Some(r) = &report {
-                        budget.charge(r.cost, r.latency_micros, 1.0);
-                    }
-                    budget.charge(0.0, delay, 1.0);
-                    spent_delay += delay;
-                    std::thread::sleep(Duration::from_micros(delay.min(100_000)));
-                    continue;
-                }
-            }
-            return Ok(NodeAttempt {
-                report,
-                attempts,
-                error: Some(error),
-            });
         }
     }
 
@@ -1233,7 +1248,7 @@ impl TaskCoordinator {
         let instruction = ExecuteAgent {
             agent: agent.to_string(),
             inputs,
-            output_stream: format!("{}:task:{}:{}", self.scope, task_id, node_id),
+            output_stream: self.task_stream(task_id, node_id),
             task_id: task_id.to_string(),
             node_id: node_id.to_string(),
             span: None,
@@ -1254,7 +1269,7 @@ impl TaskCoordinator {
         node: &IrNode,
         param: &str,
         binding: &IrBinding,
-        upstream: &[(&str, Option<Arc<Value>>)],
+        upstream: &[(&str, Option<&Value>)],
         budget: &SharedBudget,
     ) -> Result<Value, String> {
         match binding {
@@ -1287,10 +1302,9 @@ impl TaskCoordinator {
                 let outputs = upstream
                     .iter()
                     .find(|(id, _)| id == from)
-                    .and_then(|(_, slot)| slot.as_deref())
+                    .and_then(|(_, slot)| *slot)
                     .ok_or_else(|| {
-                        let stream =
-                            StreamId::new(format!("{}:task:{}:{}", self.scope, ir.task_id, from));
+                        let stream = StreamId::new(self.task_stream(&ir.task_id, from));
                         format!(
                             "missing upstream output stream: {}",
                             StreamError::NotFound(stream)
@@ -1324,44 +1338,15 @@ impl TaskCoordinator {
         }
     }
 
-    fn await_report(
-        &self,
-        sub: &blueprint_streams::Subscription,
-        task_id: &str,
-        node_id: &str,
-    ) -> Option<AgentReport> {
-        let deadline = std::time::Instant::now() + self.report_timeout;
-        loop {
-            // Drain already-queued messages before any deadline arithmetic:
-            // a report that arrived in time must not be lost just because
-            // the deadline has since passed (nor with a zero timeout, where
-            // `checked_duration_since` is None from the very first loop).
-            while let Ok(Some(msg)) = sub.try_recv() {
-                if let Some(report) = Self::matching_report(&msg, task_id, node_id) {
-                    return Some(report);
-                }
-            }
-            let remaining = deadline.checked_duration_since(std::time::Instant::now())?;
-            let msg = sub.recv_timeout(remaining).ok()?;
-            if let Some(report) = Self::matching_report(&msg, task_id, node_id) {
-                return Some(report);
-            }
-        }
-    }
-
-    /// Decodes `msg` only when it is this node's report: sibling drivers
-    /// of the task see each other's reports and skip them undecoded.
-    fn matching_report(msg: &Message, task_id: &str, node_id: &str) -> Option<AgentReport> {
-        if AgentReport::is_for(msg, task_id, node_id) {
-            AgentReport::from_message(msg)
-        } else {
-            None
-        }
+    /// The id of a task's stream `leaf` (a node id, or `status`) under the
+    /// session's task segment: what tag-triggered bindings never watch.
+    fn task_stream(&self, task_id: &str, leaf: &str) -> String {
+        format!("{}:{TASK_SEGMENT}:{task_id}:{leaf}", self.scope)
     }
 
     fn publish_status(&self, task_id: &str, op: &str, args: Value) {
         let _ = self.store.publish_to(
-            format!("{}:task:{}:status", self.scope, task_id),
+            self.task_stream(task_id, "status"),
             ["task-status"],
             Message::control(op, args)
                 .with_tag("task-status")
@@ -1370,91 +1355,54 @@ impl TaskCoordinator {
     }
 }
 
-/// What one node driver produced. One lives per in-flight node, briefly, on
-/// the completion channel — not worth boxing the large variant.
-#[allow(clippy::large_enum_variant)]
-enum Driven {
-    /// An input binding could not be resolved; no instruction was issued,
-    /// so there is no node result and nothing to quarantine.
-    ResolutionFailed(String),
-    /// The node reached a terminal state: success, cache hit, or failure
-    /// after exhausting retries and fallbacks.
-    Done {
-        node_result: NodeResult,
-        degradation: Option<DegradationNote>,
-        outputs: Value,
-        /// Cost and latency the memo cache avoided (hits only).
-        saved: Option<(f64, u64)>,
-    },
-}
-
-/// What an execution has accumulated so far, in per-position slots; every
-/// [`ExecutionReport`] is built from it.
-struct Progress {
-    results: Vec<Option<NodeResult>>,
-    notes: Vec<Option<DegradationNote>>,
-    cache: CacheSavings,
-    reoptimizations: Vec<ReoptimizationNote>,
-}
-
-impl Progress {
-    /// The report for `outcome`, with results and notes merged back into
-    /// topological order.
-    fn report(self, task_id: &str, outcome: Outcome, budget: Budget) -> ExecutionReport {
-        ExecutionReport {
-            task_id: task_id.to_string(),
-            outcome,
-            budget,
-            node_results: self.results.into_iter().flatten().collect(),
-            degradations: self.notes.into_iter().flatten().collect(),
-            cache: self.cache,
-            reoptimizations: self.reoptimizations,
-            metrics: None,
+/// Blocks on the task's report subscription until a report answers the
+/// instruction one of `waits` awaits, or the earliest of their timers
+/// passes. A timer fires only if it had passed before the queued reports
+/// were drained, so a report that arrived in time is never lost to a
+/// deadline that has passed since (nor with a zero timeout). Reports no
+/// wait awaits — duplicates, late answers to an attempt that timed out, a
+/// replaced plan's stale reports — are dropped undecoded.
+fn next_wake<'w>(
+    reports: &Subscription,
+    waits: impl Iterator<Item = &'w Wait> + Clone,
+) -> Result<Wake, ExecutionError> {
+    loop {
+        let drained_at = Instant::now();
+        while let Some(msg) = reports
+            .try_recv()
+            .map_err(|e| ExecutionError(e.to_string()))?
+        {
+            if let Some(wake) = route(&msg, waits.clone()) {
+                return Ok(wake);
+            }
+        }
+        let (i, at) = waits
+            .clone()
+            .map(Wait::wake_at)
+            .enumerate()
+            .min_by_key(|&(_, at)| at)
+            .expect("the loop waits only with nodes in flight");
+        if at <= drained_at {
+            return Ok(Wake::Timer(i));
+        }
+        match reports.recv_timeout(at.saturating_duration_since(Instant::now())) {
+            Ok(msg) => {
+                if let Some(wake) = route(&msg, waits.clone()) {
+                    return Ok(wake);
+                }
+            }
+            Err(StreamError::Timeout) => {}
+            Err(e) => return Err(ExecutionError(e.to_string())),
         }
     }
 }
 
-/// Why the scheduler stopped admitting new nodes.
-enum Halt {
-    /// A node failed. `resolution` marks input-resolution failures, where
-    /// the agent was never invoked.
-    Failure {
-        pos: usize,
-        error: String,
-        resolution: bool,
-    },
-    /// Actual spend exceeded the constraints.
-    Exceeded,
-    /// Projection exceeded the constraints under [`OverrunPolicy::Abort`].
-    ProjectedAbort,
-    /// Projection exceeded the constraints under [`OverrunPolicy::Replan`].
-    ReplanOverrun,
-    /// Observed spend drifted past the adaptive threshold; the pending IR
-    /// suffix is re-optimized once the in-flight drivers drain.
-    Reoptimize,
-}
-
-/// Records a node failure. The earliest topological position wins so the
-/// reported failing node is deterministic under any completion order, and
-/// abort decisions already taken stand.
-fn raise_failure(halt: &mut Option<Halt>, pos: usize, error: String, resolution: bool) {
-    match halt {
-        Some(Halt::Failure { pos: existing, .. }) if *existing <= pos => {}
-        Some(Halt::Exceeded) | Some(Halt::ProjectedAbort) => {}
-        _ => {
-            *halt = Some(Halt::Failure {
-                pos,
-                error,
-                resolution,
-            });
-        }
-    }
-}
-
-/// Inserts a position into the sorted ready list.
-fn insert_sorted(ready: &mut Vec<usize>, value: usize) {
-    let at = ready.partition_point(|&x| x < value);
-    ready.insert(at, value);
+/// The wait `msg` answers, with the decoded report; None when no wait
+/// awaits the instruction it names.
+fn route<'w>(msg: &Message, mut waits: impl Iterator<Item = &'w Wait>) -> Option<Wake> {
+    let id = AgentReport::instruction_of(msg)?;
+    let i = waits.position(|w| matches!(*w, Wait::Report { id: awaited, .. } if awaited == id))?;
+    AgentReport::from_message(msg).map(|report| Wake::Report(i, report))
 }
 
 /// Name of the plan's most expensive agent (replan exclusion heuristic).
@@ -1821,12 +1769,30 @@ mod tests {
         factory.spawn(name, "session:1").unwrap();
     }
 
+    /// Waits for the report answering instruction `id` the way the event
+    /// loop does with one node in flight: None once the coordinator's
+    /// report timeout passes first.
+    fn await_one(
+        coordinator: &TaskCoordinator,
+        sub: &Subscription,
+        id: MessageId,
+    ) -> Option<AgentReport> {
+        let wait = Wait::Report {
+            id,
+            deadline: Instant::now() + coordinator.report_timeout,
+        };
+        match next_wake(sub, std::iter::once(&wait)).unwrap() {
+            Wake::Report(_, report) => Some(report),
+            Wake::Timer(_) => None,
+        }
+    }
+
     #[test]
     fn await_report_sees_report_queued_at_exact_deadline() {
         // Regression: a zero report timeout puts the deadline exactly at
-        // "now", so the old deadline-first arithmetic returned None without
-        // ever looking at the subscription — losing reports that had
-        // already arrived in time.
+        // "now", so deadline-first arithmetic would time out without ever
+        // looking at the subscription — losing reports that had already
+        // arrived in time.
         let (factory, coordinator, _) = setup(&["alpha"]);
         let coordinator = coordinator.with_report_timeout(Duration::from_millis(0));
         let sub = factory
@@ -1834,6 +1800,7 @@ mod tests {
             .subscribe(Selector::AllStreams, TagFilter::any_of(["task:tz"]))
             .unwrap();
         let queued = AgentReport {
+            instruction: MessageId(7),
             agent: "alpha".into(),
             task_id: "tz".into(),
             node_id: "n1".into(),
@@ -1851,7 +1818,7 @@ mod tests {
                 queued.into_message().from_producer("alpha"),
             )
             .unwrap();
-        let got = coordinator.await_report(&sub, "tz", "n1");
+        let got = await_one(&coordinator, &sub, MessageId(7));
         assert!(got.is_some_and(|r| r.ok && r.node_id == "n1"));
     }
 
@@ -1865,7 +1832,7 @@ mod tests {
             .store()
             .subscribe(Selector::AllStreams, TagFilter::any_of(["task:tq"]))
             .unwrap();
-        assert!(coordinator.await_report(&sub, "tq", "n1").is_none());
+        assert!(await_one(&coordinator, &sub, MessageId(7)).is_none());
     }
 
     #[test]
@@ -2037,23 +2004,20 @@ mod tests {
 
     #[test]
     fn fan_out_drivers_skip_sibling_reports() {
-        // Four drivers of one task each hold a subscription that sees every
-        // report of the task. Siblings' reports arrive first; each driver
-        // must pass over them and return its own.
-        let (factory, coordinator, _) = setup(&["alpha"]);
+        // The task's one subscription sees every report of a 4-way fan-out,
+        // last branch first; the loop must route each to the node whose
+        // instruction it answers.
+        let (factory, _coordinator, _) = setup(&["alpha"]);
         let store = factory.store();
-        let subs: Vec<_> = (0..4)
-            .map(|_| {
-                store
-                    .subscribe(
-                        Selector::Stream("session:1:reports".into()),
-                        TagFilter::any_of(["task:t-fan4"]),
-                    )
-                    .unwrap()
-            })
-            .collect();
+        let sub = store
+            .subscribe(
+                Selector::Stream("session:1:reports".into()),
+                TagFilter::any_of(["task:t-fan4"]),
+            )
+            .unwrap();
         for i in (1..=4u32).rev() {
             let report = AgentReport {
+                instruction: MessageId(100 + u64::from(i)),
                 agent: format!("branch-{i}"),
                 task_id: "t-fan4".into(),
                 node_id: format!("n{i}"),
@@ -2071,12 +2035,174 @@ mod tests {
                 )
                 .unwrap();
         }
-        for (i, sub) in (1..=4u32).zip(&subs) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let mut waits: Vec<(u32, Wait)> = (1..=4u32)
+            .map(|i| {
+                let id = MessageId(100 + u64::from(i));
+                (i, Wait::Report { id, deadline })
+            })
+            .collect();
+        while !waits.is_empty() {
+            let Wake::Report(at, got) = next_wake(&sub, waits.iter().map(|(_, w)| w)).unwrap()
+            else {
+                panic!("deadline passed with reports queued");
+            };
+            let (i, _) = waits.remove(at);
             let node = format!("n{i}");
-            let got = coordinator.await_report(sub, "t-fan4", &node).unwrap();
             assert_eq!(got.node_id, node);
             assert_eq!(got.agent, format!("branch-{i}"));
             assert_eq!(got.outputs["out"], json!(format!("from n{i}")));
+        }
+    }
+
+    /// Registers and spawns `name`, which uppercases its text after
+    /// sleeping `millis(call)` ms, where `call` counts its invocations from
+    /// 0, and tags the answer with the call number.
+    fn paced_agent(
+        factory: &AgentFactory,
+        registry: &AgentRegistry,
+        name: &str,
+        millis: fn(u64) -> u64,
+    ) -> Arc<std::sync::atomic::AtomicU64> {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        let spec = AgentSpec::new(name, "uppercase text transformer service")
+            .with_input(ParamSpec::required("text", "input", DataType::Text))
+            .with_output(ParamSpec::required("out", "output", DataType::Text))
+            .with_profile(CostProfile::new(1.0, 1_000, 0.95));
+        let calls = Arc::new(AtomicU64::new(0));
+        let counter = Arc::clone(&calls);
+        let proc: Arc<dyn Processor> = Arc::new(FnProcessor::new(
+            move |inputs: &Inputs, ctx: &AgentContext| {
+                let call = counter.fetch_add(1, Ordering::SeqCst);
+                std::thread::sleep(Duration::from_millis(millis(call)));
+                ctx.charge_cost(0.5);
+                let text = inputs.require_str("text")?.to_uppercase();
+                Ok(Outputs::new().with("out", json!(format!("{text} #{call}"))))
+            },
+        ));
+        factory.register(spec.clone(), proc).unwrap();
+        registry.register(spec).unwrap();
+        factory.spawn(name, "session:1").unwrap();
+        calls
+    }
+
+    #[test]
+    fn duplicated_reports_leave_the_outcome_unchanged() {
+        use blueprint_resilience::{FaultInjector, FaultPlan};
+
+        let run = |duplicate: bool| {
+            let (factory, coordinator, _) = setup(&["alpha", "beta"]);
+            if duplicate {
+                // Every publish is delivered twice: each instruction runs
+                // its agent twice and each report arrives twice.
+                let plan = FaultPlan::none(3).with_duplicate_rate(1.0);
+                factory
+                    .store()
+                    .set_fault_injector(Arc::new(FaultInjector::new(plan)));
+            }
+            coordinator
+                .execute(
+                    &chain_plan("t-dup", &["alpha", "beta"]),
+                    QosConstraints::none(),
+                )
+                .unwrap()
+        };
+        let clean = run(false);
+        let duplicated = run(true);
+        assert_eq!(completed_output(&duplicated), json!({"out": "HELLO WORLD"}));
+        // Latency is elapsed time on the shared simulated clock, which the
+        // duplicate runs advance for each other; everything else matches.
+        let without_latency = |report: &ExecutionReport| -> Vec<NodeResult> {
+            report
+                .node_results
+                .iter()
+                .map(|r| NodeResult {
+                    latency_micros: 0,
+                    ..r.clone()
+                })
+                .collect()
+        };
+        assert_eq!(without_latency(&duplicated), without_latency(&clean));
+        assert!(duplicated.node_results.iter().all(|r| r.attempts == 1));
+        // Each node is charged once, whatever number of reports arrived.
+        assert_eq!(duplicated.budget.spent_cost, clean.budget.spent_cost);
+    }
+
+    #[test]
+    fn late_report_after_a_timeout_retry_is_dropped() {
+        use std::sync::atomic::Ordering;
+
+        // The first call outlives its 300 ms deadline and answers at
+        // 400 ms, while the retry (published at about 305 ms) is still
+        // running; the retry answers at about 505 ms. The late answer
+        // must not be taken for the retry's.
+        let (factory, coordinator, registry) = setup(&["alpha"]);
+        let calls = paced_agent(&factory, &registry, "slow-first", |call| {
+            if call == 0 {
+                400
+            } else {
+                200
+            }
+        });
+        let coordinator = coordinator
+            .with_report_timeout(Duration::from_millis(300))
+            .with_retry_policy(RetryPolicy::standard(11));
+        let report = coordinator
+            .execute(
+                &chain_plan("t-late", &["slow-first"]),
+                QosConstraints::none(),
+            )
+            .unwrap();
+        assert_eq!(completed_output(&report), json!({"out": "HELLO WORLD #1"}));
+        assert_eq!(report.node_results[0].attempts, 2);
+        assert_eq!(calls.load(Ordering::SeqCst), 2);
+        // The timed-out attempt reported nothing: only the retry's cost.
+        assert_eq!(report.budget.spent_cost, 0.5);
+    }
+
+    #[test]
+    fn stale_outer_report_during_a_replan_is_dropped() {
+        // The planned agent times out on n1 at 400 ms and answers at
+        // 600 ms, while the replan's n1 (same node id, same task) runs on
+        // the backup agent until about 700 ms.
+        let store = StreamStore::new();
+        let factory = AgentFactory::new(store.clone());
+        let registry = Arc::new(AgentRegistry::new());
+        paced_agent(&factory, &registry, "stalling-upper", |_| 600);
+        paced_agent(&factory, &registry, "backup-upper", |_| 300);
+        registry
+            .record_usage("stalling-upper", "uppercase text transformer service")
+            .unwrap();
+        let llm = Arc::new(blueprint_llmsim::SimLlm::new(
+            blueprint_llmsim::ModelProfile::large(),
+        ));
+        let task_planner = Arc::new(TaskPlanner::new(registry.clone(), llm));
+        let coordinator = TaskCoordinator::new(store, "session:1", registry)
+            .with_task_planner(Arc::clone(&task_planner))
+            .with_report_timeout(Duration::from_millis(400));
+        let plan = task_planner
+            .plan_subtasks(
+                "please uppercase this",
+                &["uppercase text transformer service".to_string()],
+                &[],
+            )
+            .unwrap();
+        assert_eq!(plan.nodes[0].agent, "stalling-upper");
+
+        let report = coordinator.execute(&plan, QosConstraints::none()).unwrap();
+        match &report.outcome {
+            Outcome::Replanned { reason, inner } => {
+                assert!(reason.contains("timed out"), "reason: {reason}");
+                assert_eq!(inner.node_results[0].node, "n1");
+                assert_eq!(inner.node_results[0].agent, "backup-upper");
+                assert_eq!(
+                    completed_output(inner),
+                    json!({"out": "PLEASE UPPERCASE THIS #0"})
+                );
+                // The timed-out attempt charged nothing; the backup once.
+                assert_eq!(inner.budget.spent_cost, 0.5);
+            }
+            other => panic!("expected a replan, got {other:?}"),
         }
     }
 

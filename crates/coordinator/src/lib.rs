@@ -19,6 +19,7 @@
 pub mod coordinator;
 pub mod daemon;
 pub mod memo;
+mod scheduler;
 
 pub use coordinator::{
     CacheSavings, ExecutionError, ExecutionReport, NodeResult, Outcome, OverrunPolicy,

@@ -5,7 +5,7 @@
 //! existing ones, keyword/vector search, and usage recording that feeds the
 //! "enhanced embeddings" used for ranking.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -27,36 +27,51 @@ pub struct AgentEntry {
     pub embedding: Embedding,
     /// Times this agent was selected for a task.
     pub usage_count: u64,
-    /// Recent queries that led to this agent (bounded log).
-    pub usage_queries: Vec<String>,
+    /// Recent queries that led to this agent (bounded log, oldest first).
+    pub usage_queries: VecDeque<String>,
 }
 
-impl AgentEntry {
+/// An entry plus the embeddings its blend is made of, each computed once:
+/// the spec's own text when registered or updated, and each usage query
+/// when recorded.
+struct Slot {
+    entry: AgentEntry,
+    /// Embedding of `name description`.
+    base: Embedding,
+    /// Embeddings of `entry.usage_queries`, in the same order.
+    usage: VecDeque<Embedding>,
+}
+
+impl Slot {
     fn new(spec: AgentSpec) -> Self {
-        let embedding = embed_text(&format!("{} {}", spec.name, spec.description));
-        AgentEntry {
-            spec,
-            embedding,
-            usage_count: 0,
-            usage_queries: Vec::new(),
+        let base = base_embedding(&spec);
+        Slot {
+            entry: AgentEntry {
+                spec,
+                embedding: base.clone(),
+                usage_count: 0,
+                usage_queries: VecDeque::new(),
+            },
+            base,
+            usage: VecDeque::new(),
         }
     }
 
-    /// Recomputes the embedding, folding in usage queries with weight
-    /// proportional to their frequency (the paper's log-derived
-    /// representations).
+    /// Recomputes the blended embedding: the base at weight 2, each usage
+    /// query at weight 1 (the paper's log-derived representations).
     fn refresh_embedding(&mut self) {
-        let base = embed_text(&format!("{} {}", self.spec.name, self.spec.description));
-        if self.usage_queries.is_empty() {
-            self.embedding = base;
-            return;
-        }
-        let mut parts = vec![(base, 2.0f32)];
-        for q in &self.usage_queries {
-            parts.push((embed_text(q), 1.0));
-        }
-        self.embedding = Embedding::blend(parts.iter().map(|(e, w)| (e, *w)));
+        self.entry.embedding = if self.usage.is_empty() {
+            self.base.clone()
+        } else {
+            Embedding::blend(
+                std::iter::once((&self.base, 2.0)).chain(self.usage.iter().map(|e| (e, 1.0))),
+            )
+        };
     }
+}
+
+fn base_embedding(spec: &AgentSpec) -> Embedding {
+    embed_text(&format!("{} {}", spec.name, spec.description))
 }
 
 const MAX_USAGE_QUERIES: usize = 32;
@@ -64,7 +79,7 @@ const MAX_USAGE_QUERIES: usize = 32;
 /// Thread-safe registry of agents.
 #[derive(Default)]
 pub struct AgentRegistry {
-    entries: RwLock<HashMap<String, AgentEntry>>,
+    entries: RwLock<HashMap<String, Slot>>,
     breakers: RwLock<Option<Arc<BreakerRegistry>>>,
 }
 
@@ -97,7 +112,7 @@ impl AgentRegistry {
         if entries.contains_key(&spec.name) {
             return Err(RegistryError::Duplicate(spec.name));
         }
-        entries.insert(spec.name.clone(), AgentEntry::new(spec));
+        entries.insert(spec.name.clone(), Slot::new(spec));
         Ok(())
     }
 
@@ -107,11 +122,12 @@ impl AgentRegistry {
         spec.validate()
             .map_err(|e| RegistryError::Invalid(e.to_string()))?;
         let mut entries = self.entries.write();
-        let entry = entries
+        let slot = entries
             .get_mut(&spec.name)
             .ok_or_else(|| RegistryError::NotFound(spec.name.clone()))?;
-        entry.spec = spec;
-        entry.refresh_embedding();
+        slot.base = base_embedding(&spec);
+        slot.entry.spec = spec;
+        slot.refresh_embedding();
         Ok(())
     }
 
@@ -140,13 +156,17 @@ impl AgentRegistry {
         self.entries
             .read()
             .get(name)
-            .cloned()
+            .map(|slot| slot.entry.clone())
             .ok_or_else(|| RegistryError::NotFound(name.to_string()))
     }
 
     /// Fetches just the spec by name.
     pub fn get_spec(&self, name: &str) -> Result<AgentSpec> {
-        self.get(name).map(|e| e.spec)
+        self.entries
+            .read()
+            .get(name)
+            .map(|slot| slot.entry.spec.clone())
+            .ok_or_else(|| RegistryError::NotFound(name.to_string()))
     }
 
     /// True if the agent exists.
@@ -188,7 +208,7 @@ impl AgentRegistry {
         let entries = self.entries.read();
         let max_usage = entries
             .values()
-            .map(|e| e.usage_count)
+            .map(|slot| slot.entry.usage_count)
             .max()
             .unwrap_or(0)
             .max(1) as f32;
@@ -196,6 +216,7 @@ impl AgentRegistry {
             query,
             entries
                 .values()
+                .map(|slot| &slot.entry)
                 .filter(|e| breakers.as_ref().is_none_or(|b| !b.is_open(&e.spec.name)))
                 .map(|e| {
                     (
@@ -213,15 +234,17 @@ impl AgentRegistry {
     /// ranking and refreshing its log-derived embedding.
     pub fn record_usage(&self, agent: &str, query: &str) -> Result<()> {
         let mut entries = self.entries.write();
-        let entry = entries
+        let slot = entries
             .get_mut(agent)
             .ok_or_else(|| RegistryError::NotFound(agent.to_string()))?;
-        entry.usage_count += 1;
-        entry.usage_queries.push(query.to_string());
-        if entry.usage_queries.len() > MAX_USAGE_QUERIES {
-            entry.usage_queries.remove(0);
+        slot.entry.usage_count += 1;
+        slot.entry.usage_queries.push_back(query.to_string());
+        slot.usage.push_back(embed_text(query));
+        if slot.usage.len() > MAX_USAGE_QUERIES {
+            slot.entry.usage_queries.pop_front();
+            slot.usage.pop_front();
         }
-        entry.refresh_embedding();
+        slot.refresh_embedding();
         Ok(())
     }
 }
@@ -341,6 +364,44 @@ mod tests {
         assert_eq!(e.usage_count, 100);
         // Oldest queries were evicted.
         assert_eq!(e.usage_queries[0], "q68");
+    }
+
+    #[test]
+    fn usage_embedding_equals_blend_recomputed_from_texts() {
+        let r = seeded();
+        let queries: Vec<String> = (0..40)
+            .map(|i| format!("collect my seeker profile, take {i}"))
+            .collect();
+        for q in &queries {
+            r.record_usage("profiler", q).unwrap();
+        }
+        // The reference re-embeds every text, as each usage once did: the
+        // agent's own text at weight 2, then the last 32 queries, oldest
+        // first.
+        let e = r.get("profiler").unwrap();
+        let mut parts = vec![(
+            embed_text(&format!("{} {}", e.spec.name, e.spec.description)),
+            2.0f32,
+        )];
+        for q in &e.usage_queries {
+            parts.push((embed_text(q), 1.0));
+        }
+        let reference = Embedding::blend(parts.iter().map(|(e, w)| (e, *w)));
+        assert_eq!(e.usage_queries.len(), MAX_USAGE_QUERIES);
+        assert_eq!(e.usage_queries[0], queries[40 - MAX_USAGE_QUERIES]);
+        assert_eq!(e.usage_count, 40);
+        // Bitwise: the same vectors blend in the same order.
+        assert_eq!(e.embedding, reference);
+
+        // An update re-embeds the base and keeps the usage blend.
+        r.update(spec("profiler", "collect profiles with a UI form"))
+            .unwrap();
+        let e = r.get("profiler").unwrap();
+        parts[0].0 = embed_text("profiler collect profiles with a UI form");
+        assert_eq!(
+            e.embedding,
+            Embedding::blend(parts.iter().map(|(e, w)| (e, *w)))
+        );
     }
 
     #[test]

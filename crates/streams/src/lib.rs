@@ -46,7 +46,7 @@ pub use message::{Message, MessageId, MessageKind};
 pub use monitor::{FlowEdge, FlowMonitor};
 pub use store::{StoreStats, StreamStore, SHARD_COUNT};
 pub use stream::{Stream, StreamId, StreamState};
-pub use subscription::{Selector, Subscription, TagFilter};
+pub use subscription::{Selector, Subscription, TagFilter, TASK_SEGMENT};
 
 mod tag;
 pub use tag::Tag;

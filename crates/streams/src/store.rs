@@ -13,7 +13,8 @@
 //! *shard key* — `session:<id>` for session-scoped streams (first two `:`
 //! segments), the first segment otherwise. Each shard owns its streams and
 //! the subscriptions that can be proven to only ever match streams of that
-//! shard ([`Selector::Stream`] and unambiguous [`Selector::Scope`]s); the
+//! shard ([`Selector::Stream`] and unambiguous [`Selector::Scope`]s or
+//! [`Selector::ScopeOutsideTasks`]); the
 //! remaining subscriptions ([`Selector::AllStreams`], [`Selector::StreamTagged`],
 //! and the bare `session` scope) live on a global list consulted by every
 //! publish. The hot path of a session — publishing to and subscribing on its
@@ -170,7 +171,7 @@ fn shard_index(id: &str) -> usize {
 fn route(selector: &Selector) -> SubHome {
     match selector {
         Selector::Stream(id) => SubHome::Shard(shard_index(id.as_str())),
-        Selector::Scope(prefix) => {
+        Selector::Scope(prefix) | Selector::ScopeOutsideTasks(prefix) => {
             // A scope prefix pins a shard iff every stream under it shares
             // one shard key. Bare `session` (no session id) spans them all.
             let first_len = prefix.find(':').unwrap_or(prefix.len());

@@ -31,7 +31,17 @@ pub enum Selector {
     /// Every stream whose id is scoped under the given prefix
     /// (session scoping, e.g. `session:42`).
     Scope(String),
+    /// Every stream scoped under the given prefix except the task
+    /// coordinator's plan streams `<prefix>:task:…` (node outputs and task
+    /// status): what a tag-triggered agent watches in its session, so a
+    /// plan's outputs never re-fire autonomous agents.
+    ScopeOutsideTasks(String),
 }
+
+/// The stream segment, right under a session scope, that holds the task
+/// coordinator's per-task streams (`<scope>:task:<task>:<node>`,
+/// `<scope>:task:<task>:status`).
+pub const TASK_SEGMENT: &str = "task";
 
 impl Selector {
     /// True if a stream with the given id and tags is covered.
@@ -41,8 +51,29 @@ impl Selector {
             Selector::Stream(want) => want == id,
             Selector::StreamTagged(tag) => stream_tags.contains(tag),
             Selector::Scope(prefix) => id.is_scoped_under(prefix),
+            Selector::ScopeOutsideTasks(prefix) => {
+                id.is_scoped_under(prefix) && !is_task_stream(&id.as_str()[prefix.len()..])
+            }
         }
     }
+
+    /// The selector an agent instance in session `scope` actually watches:
+    /// an unrestricted selector narrows to the session's streams outside
+    /// the coordinator's task streams; any other selector stays as given.
+    pub fn narrowed_to(self, scope: &str) -> Selector {
+        match self {
+            Selector::AllStreams => Selector::ScopeOutsideTasks(scope.to_string()),
+            other => other,
+        }
+    }
+}
+
+/// True when `rest`, the part of a stream id after its scope, names a
+/// stream under the scope's task segment.
+fn is_task_stream(rest: &str) -> bool {
+    rest.strip_prefix(':')
+        .and_then(|r| r.strip_prefix(TASK_SEGMENT))
+        .is_some_and(|r| r.starts_with(':'))
 }
 
 /// Inclusion/exclusion rules over message tags.
@@ -202,6 +233,32 @@ mod tests {
         let id = StreamId::new("session:7:plan");
         assert!(Selector::Scope("session:7".into()).matches(&id, &tags(&[])));
         assert!(!Selector::Scope("session:70".into()).matches(&id, &tags(&[])));
+    }
+
+    #[test]
+    fn scope_outside_tasks_skips_only_task_streams() {
+        let sel = Selector::ScopeOutsideTasks("session:7".into());
+        for id in ["session:7:user", "session:7:nl2q:out", "session:7:tasks:x"] {
+            assert!(sel.matches(&StreamId::new(id), &tags(&[])), "{id}");
+        }
+        for id in [
+            "session:7:task:t1:n1",
+            "session:7:task:t1:status",
+            "session:70:user",
+            "session:8:user",
+        ] {
+            assert!(!sel.matches(&StreamId::new(id), &tags(&[])), "{id}");
+        }
+    }
+
+    #[test]
+    fn narrowing_only_rewrites_unrestricted_selectors() {
+        assert_eq!(
+            Selector::AllStreams.narrowed_to("session:3"),
+            Selector::ScopeOutsideTasks("session:3".into())
+        );
+        let pinned = Selector::Stream(StreamId::new("session:1:result"));
+        assert_eq!(pinned.clone().narrowed_to("session:3"), pinned);
     }
 
     #[test]
