@@ -1,4 +1,4 @@
-.PHONY: all build test fmt lint bench bench-json bench-check chaos serving serving-bench scheduler ir docs figures-check perfbench-smoke
+.PHONY: all build test fmt lint bench bench-json bench-check chaos serving serving-bench scheduler datastore ir docs figures-check perfbench-smoke
 
 all: build lint test
 
@@ -59,6 +59,13 @@ scheduler:
 	PROPTEST_CASES=256 cargo test -p blueprint-coordinator --test parallel_properties
 	cargo test -p blueprint-coordinator --test threads
 	cargo test -p integration-tests --test deliveries
+
+# Relational-engine gate: the SQL property battery at 1,024 cases (index
+# probes against full scans, row order included) and the allocation pins
+# (a query's heap allocations do not grow with the table).
+datastore:
+	PROPTEST_CASES=1024 cargo test -p blueprint-datastore --test sql_properties
+	cargo test -p blueprint-datastore --test alloc_counts
 
 # Throughput sweep: the deterministic load generator replays the mixed
 # workload across 1/8/64 sessions and writes BENCH_serving.json at the repo

@@ -31,6 +31,37 @@ use crate::Result;
 /// Stream segment (under the scope) where agent reports are published.
 pub const REPORTS_SEGMENT: &str = "reports";
 
+/// How many of its most recently accepted instruction ids a host remembers,
+/// to drop a duplicated delivery of an instruction instead of running the
+/// agent twice.
+const RECENT_INSTRUCTIONS: usize = 64;
+
+/// Fixed-size set of the most recently accepted instruction ids; the oldest
+/// id is forgotten first.
+struct RecentInstructions {
+    ids: [Option<MessageId>; RECENT_INSTRUCTIONS],
+    next: usize,
+}
+
+impl RecentInstructions {
+    fn new() -> Self {
+        RecentInstructions {
+            ids: [None; RECENT_INSTRUCTIONS],
+            next: 0,
+        }
+    }
+
+    /// Records `id`; false if it is already among the recent ids.
+    fn accept(&mut self, id: MessageId) -> bool {
+        if self.ids.contains(&Some(id)) {
+            return false;
+        }
+        self.ids[self.next] = Some(id);
+        self.next = (self.next + 1) % RECENT_INSTRUCTIONS;
+        true
+    }
+}
+
 /// Counters describing host activity.
 #[derive(Debug, Clone, Default)]
 pub struct HostStats {
@@ -250,6 +281,7 @@ impl AgentHost {
                         binding_subs.iter().map(|(p, _)| p.clone()),
                         shared.spec.pairing,
                     );
+                    let mut accepted = RecentInstructions::new();
                     loop {
                         let mut select = Select::new();
                         let stop_idx = select.recv(&stop_rx);
@@ -276,7 +308,7 @@ impl AgentHost {
                                 &msg,
                             );
                             if let Some(exec) = ExecuteAgent::from_message(&msg) {
-                                if exec.agent == shared.spec.name {
+                                if exec.agent == shared.spec.name && accepted.accept(msg.id) {
                                     shared.instructed.fetch_add(1, Ordering::Relaxed);
                                     let shared2 = Arc::clone(&shared);
                                     let instruction = msg.id;
@@ -479,6 +511,60 @@ mod tests {
         assert_eq!(report.task_id, "t1");
         assert!((report.cost - 0.1).abs() < 1e-9);
         assert_eq!(report.latency_micros, 100);
+    }
+
+    #[test]
+    fn duplicated_instruction_runs_the_agent_once() {
+        use blueprint_resilience::{FaultInjector, FaultPlan};
+        use std::sync::atomic::AtomicUsize;
+
+        let store = StreamStore::new();
+        // Every publish is delivered twice: the instruction, the output and
+        // the report.
+        store.set_fault_injector(Arc::new(FaultInjector::new(
+            FaultPlan::none(5).with_duplicate_rate(1.0),
+        )));
+        let invocations = Arc::new(AtomicUsize::new(0));
+        let counted = Arc::clone(&invocations);
+        let proc: Arc<dyn Processor> = Arc::new(FnProcessor::new(
+            move |inputs: &Inputs, _: &AgentContext| {
+                counted.fetch_add(1, Ordering::SeqCst);
+                let text = inputs.require_str("text")?;
+                Ok(Outputs::new().with("upper", json!(text.to_uppercase())))
+            },
+        ));
+        let host = AgentHost::start(upper_spec(), proc, store.clone(), "session:1").unwrap();
+        let out_sub = store
+            .subscribe(
+                Selector::Stream(StreamId::new("session:1:result")),
+                TagFilter::all(),
+            )
+            .unwrap();
+        let instr = ExecuteAgent {
+            agent: "upper".into(),
+            inputs: Inputs::new().with("text", json!("once")),
+            output_stream: "session:1:result".into(),
+            task_id: "t1".into(),
+            node_id: "n1".into(),
+            span: None,
+        };
+        store
+            .publish_to(
+                "session:1:instructions",
+                ["instructions"],
+                instr.into_message(),
+            )
+            .unwrap();
+        // Collect every delivery until the host has been quiet for 300 ms.
+        let mut outputs = std::collections::BTreeSet::new();
+        while let Ok(msg) = out_sub.recv_timeout(Duration::from_millis(300)) {
+            assert_eq!(msg.payload, json!("ONCE"));
+            outputs.insert(msg.id);
+        }
+        assert_eq!(invocations.load(Ordering::SeqCst), 1);
+        assert_eq!(host.stats().instructed_fires, 1);
+        // One output publish, which the fault delivered twice.
+        assert_eq!(outputs.len(), 1);
     }
 
     #[test]

@@ -59,6 +59,9 @@ fn main() {
     let out_sub = store
         .subscribe(Selector::AllStreams, TagFilter::any_of(["skills"]))
         .expect("subscribe");
+    let report_sub = store
+        .subscribe(Selector::AllStreams, TagFilter::any_of(["agent-report"]))
+        .expect("subscribe");
 
     println!("\npublishing data message onto session:1:resumes (tagged resume)…");
     store
@@ -76,6 +79,11 @@ fn main() {
         .expect("agent fired");
     println!("agent fired: skills = {}", out.payload);
     println!("output stream: session:1:skill-extractor:out");
+    // The host publishes its report after the output: wait for it, so the
+    // recorded flow is complete whatever the thread timing.
+    report_sub
+        .recv_timeout(Duration::from_secs(5))
+        .expect("agent report");
 
     println!("\nrecorded flow:");
     print!("{}", store.monitor().render_sequence());

@@ -26,6 +26,10 @@ fn main() {
         .store()
         .subscribe(Selector::AllStreams, TagFilter::any_of(["summary"]))
         .expect("subscribe");
+    let statuses = bp
+        .store()
+        .subscribe(Selector::AllStreams, TagFilter::any_of(["task-status"]))
+        .expect("subscribe");
 
     let form = UiForm::new("applicants", "Applicants by job");
     println!("\nStep 1: U clicks job id 3 → ui-event message");
@@ -38,6 +42,18 @@ fn main() {
         "Final: S produced → {}\n",
         summary.payload.as_str().unwrap_or("?")
     );
+
+    // The coordinator publishes the plan's completion after the summary:
+    // wait for it, so the recorded flow is complete whatever the thread
+    // timing.
+    loop {
+        let status = statuses
+            .recv_timeout(Duration::from_secs(10))
+            .expect("task status");
+        if status.control_op() == Some("task-completed") {
+            break;
+        }
+    }
 
     println!("sequence (from the flow monitor):");
     let trace = bp.store().monitor().render_sequence();

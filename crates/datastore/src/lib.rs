@@ -8,8 +8,8 @@
 //!
 //! * [`relational`] — an in-memory relational engine with a SQL subset
 //!   (lexer, parser, executor: scans, filters, projections, inner joins,
-//!   aggregates with GROUP BY/HAVING, ORDER BY, LIMIT, DISTINCT) and hash
-//!   indices for equality predicates;
+//!   aggregates with GROUP BY/HAVING, ORDER BY, LIMIT, DISTINCT) that reads
+//!   rows in place, and hash indices for equality and IN-list predicates;
 //! * [`document`] — a document store with an inverted index and ranked text
 //!   search;
 //! * [`graph`] — a property graph with traversal (the title taxonomy of

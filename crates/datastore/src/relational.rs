@@ -1,11 +1,33 @@
 //! In-memory relational engine executing the SQL subset.
 //!
 //! Design follows the classic iterator-free, materialize-per-stage layout:
-//! scan (index-accelerated when an equality predicate hits a hash index) →
-//! join (hash join on column-equality predicates, nested loop otherwise) →
-//! filter → aggregate → having → project → distinct → order → limit.
-//! Statistics (`row_count`) feed the data planner's cost model.
+//! scan (index-accelerated, see below) → join (hash join on column-equality
+//! predicates, nested loop otherwise) → filter → aggregate → having →
+//! project → distinct → order → limit. Statistics (`row_count`) feed the
+//! data planner's cost model.
+//!
+//! Rows are read in place. Between stages a row is a `Cow<[Datum]>` that
+//! borrows the table's storage; a join's combined row is the only owned
+//! intermediate row. The one expression evaluator returns `Cow<Datum>`,
+//! borrowing column values and literals, so a query copies only the rows
+//! and cells it returns (plus its sort, group and aggregate values).
+//!
+//! Index probe: the base scan reads only the candidate rows of a hash index
+//! when a top-level `AND` conjunct of the WHERE clause is `col = literal` or
+//! a non-negated `col IN (literal, ...)` on an indexed column of the base
+//! table. Among several such conjuncts it takes the one with the fewest
+//! candidates. Candidate row ids come back ascending and deduplicated, so
+//! the output order equals the scan order. The whole WHERE clause is still
+//! evaluated on every candidate, so a probe only has to return a superset
+//! of the matching rows. `NOT IN`, and IN lists that hold non-literals, do
+//! not probe.
+//!
+//! Caveat: a probe never reads a row outside its candidate set, so it skips
+//! a type or column error (e.g. `WHERE city = 'x' AND title > 1`) that a
+//! full scan would have raised on one of those rows.
 
+use std::borrow::Cow;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use parking_lot::RwLock;
@@ -17,6 +39,10 @@ use crate::sql::ast::*;
 use crate::sql::parse;
 use crate::value::{Datum, DatumKey, Row};
 use crate::Result;
+
+/// A row between query stages: borrowed from a table, or owned (a join's
+/// combined row).
+type RowRef<'a> = Cow<'a, [Datum]>;
 
 /// A table: schema + rows + hash indices.
 #[derive(Debug, Default)]
@@ -77,11 +103,22 @@ impl Table {
             .is_some_and(|c| self.indices.contains_key(&c))
     }
 
-    /// Probes an index; `None` when the column is not indexed.
-    fn probe(&self, col: usize, key: &Datum) -> Option<Vec<usize>> {
-        self.indices
-            .get(&col)
-            .map(|index| index.get(&DatumKey::from(key)).cloned().unwrap_or_default())
+    /// The index posting lists (ascending row ids) of the distinct keys of
+    /// `literals` on `column`; `None` when the column is not indexed.
+    fn postings(&self, column: &str, literals: &[&Datum]) -> Option<Vec<&[usize]>> {
+        let index = self.indices.get(&self.schema.index_of(column)?)?;
+        let mut keys: Vec<DatumKey> = Vec::with_capacity(literals.len());
+        for literal in literals {
+            let key = DatumKey::from(*literal);
+            if !keys.contains(&key) {
+                keys.push(key);
+            }
+        }
+        Some(
+            keys.iter()
+                .filter_map(|k| index.get(k).map(Vec::as_slice))
+                .collect(),
+        )
     }
 
     /// Number of rows.
@@ -100,17 +137,19 @@ pub struct ResultSet {
 }
 
 impl ResultSet {
-    /// Converts to the JSON "table" shape (array of objects) used on streams.
-    pub fn to_json(&self) -> Value {
+    /// Converts to the JSON "table" shape (array of objects) used on streams,
+    /// moving each cell into its object.
+    pub fn into_json(self) -> Value {
+        let columns = self.columns;
         Value::Array(
             self.rows
-                .iter()
+                .into_iter()
                 .map(|row| {
                     Value::Object(
-                        self.columns
+                        columns
                             .iter()
-                            .zip(row)
-                            .map(|(c, d)| (c.clone(), d.to_json()))
+                            .cloned()
+                            .zip(row.into_iter().map(Datum::into_json))
                             .collect(),
                     )
                 })
@@ -173,13 +212,13 @@ impl ResultSet {
 
 /// Scope: the bindings visible while evaluating expressions against a
 /// combined (joined) row.
-struct Scope {
+struct Scope<'a> {
     /// `(binding name, schema, offset into the combined row)`.
-    bindings: Vec<(String, Schema, usize)>,
+    bindings: Vec<(&'a str, &'a Schema, usize)>,
     width: usize,
 }
 
-impl Scope {
+impl<'a> Scope<'a> {
     fn empty() -> Self {
         Scope {
             bindings: Vec::new(),
@@ -187,10 +226,10 @@ impl Scope {
         }
     }
 
-    fn push(&mut self, binding: &str, schema: Schema) {
+    fn push(&mut self, binding: &'a str, schema: &'a Schema) {
         let offset = self.width;
         self.width += schema.arity();
-        self.bindings.push((binding.to_string(), schema, offset));
+        self.bindings.push((binding, schema, offset));
     }
 
     /// Resolves a column reference to an absolute index in the combined row.
@@ -200,7 +239,7 @@ impl Scope {
                 let (_, schema, offset) = self
                     .bindings
                     .iter()
-                    .find(|(b, _, _)| b == t)
+                    .find(|(b, _, _)| *b == t)
                     .ok_or_else(|| DataError::UnknownTable(t.to_string()))?;
                 let col = schema
                     .index_of(name)
@@ -356,7 +395,7 @@ impl RelationalDb {
             }
             let mut row: Row = vec![Datum::Null; t.schema.arity()];
             for (pos, expr) in positions.iter().zip(value_row) {
-                row[*pos] = eval(&expr, &[], &scope)?;
+                row[*pos] = eval(&expr, &[], &scope)?.into_owned();
             }
             // Coerce int literals into float columns.
             for (i, c) in t.schema.columns.iter().enumerate() {
@@ -379,19 +418,18 @@ impl RelationalDb {
         // WHERE 1 = 2`).
         let Some(from) = &select.from else {
             let scope = Scope::empty();
+            let (columns, exprs) = projection(select, &scope)?;
             if let Some(w) = &select.where_clause {
-                if !truthy(&eval(w, &[], &scope)?) {
-                    let (columns, _) = projection(select, &scope)?;
+                if !truthy(&*eval(w, &[], &scope)?) {
                     return Ok(ResultSet {
                         columns,
                         rows: Vec::new(),
                     });
                 }
             }
-            let (columns, exprs) = projection(select, &scope)?;
             let row: Row = exprs
                 .iter()
-                .map(|e| eval(e, &[], &scope))
+                .map(|e| eval(e, &[], &scope).map(Cow::into_owned))
                 .collect::<Result<_>>()?;
             return Ok(ResultSet {
                 columns,
@@ -404,18 +442,18 @@ impl RelationalDb {
             .get(&from.table)
             .ok_or_else(|| DataError::UnknownTable(from.table.clone()))?;
         let mut scope = Scope::empty();
-        scope.push(from.binding(), base.schema.clone());
+        scope.push(from.binding(), &base.schema);
 
-        // Unqualified equality conjuncts may only drive an index probe when
-        // there are no joins: with joins, an unqualified name could be
-        // ambiguous, and the probe must not pre-empt the ambiguity error.
+        // Unqualified conjuncts may only drive an index probe when there are
+        // no joins: with joins, an unqualified name could be ambiguous, and
+        // the probe must not pre-empt the ambiguity error.
         let allow_unqualified = select.joins.is_empty();
-        let mut rows: Vec<Row> = scan_base(
+        let mut rows = scan_base(
             base,
             from.binding(),
             select.where_clause.as_ref(),
             allow_unqualified,
-        )?;
+        );
 
         // JOINs.
         for join in &select.joins {
@@ -423,7 +461,7 @@ impl RelationalDb {
                 .get(&join.table.table)
                 .ok_or_else(|| DataError::UnknownTable(join.table.table.clone()))?;
             let left_scope_width = scope.width;
-            scope.push(join.table.binding(), right.schema.clone());
+            scope.push(join.table.binding(), &right.schema);
             rows = execute_join(rows, left_scope_width, right, join, &scope)?;
         }
 
@@ -431,7 +469,7 @@ impl RelationalDb {
         if let Some(w) = &select.where_clause {
             let mut kept = Vec::new();
             for row in rows {
-                if truthy(&eval(w, &row, &scope)?) {
+                if truthy(&*eval(w, &row, &scope)?) {
                     kept.push(row);
                 }
             }
@@ -452,7 +490,7 @@ impl RelationalDb {
             // Plain queries sort on the raw (pre-projection) rows so ORDER BY
             // may reference any column in scope, projected or not.
             let rows = sort_plain(select, rows, &scope)?;
-            plain_path(select, rows, &scope)?
+            plain_path(select, &rows, &scope)?
         };
 
         let mut result = ResultSet {
@@ -472,7 +510,7 @@ impl RelationalDb {
         // Aggregate queries sort on the projected output (aliases resolve to
         // output columns).
         if is_aggregate && !select.order_by.is_empty() {
-            sort_result(&mut result, select, &scope)?;
+            sort_result(&mut result, select)?;
         }
 
         // LIMIT.
@@ -490,8 +528,8 @@ fn projection(select: &SelectStmt, scope: &Scope) -> Result<(Vec<String>, Vec<Ex
     for item in &select.items {
         match item {
             SelectItem::Wildcard => {
-                for (i, name) in scope.all_names().iter().enumerate() {
-                    columns.push(name.clone());
+                for (i, name) in scope.all_names().into_iter().enumerate() {
+                    columns.push(name);
                     // Wildcard columns address the combined row directly;
                     // encode as an absolute-index pseudo column.
                     exprs.push(Expr::Column {
@@ -532,65 +570,90 @@ fn name_of(expr: &Expr) -> String {
     }
 }
 
-/// Base-table scan, probing a hash index when the WHERE clause contains an
-/// `indexed_col = literal` conjunct for this binding.
-fn scan_base(
-    table: &Table,
+/// Base-table scan: borrows every row, or only the candidates of the index
+/// probe with the fewest candidates (see the module docs).
+fn scan_base<'a>(
+    table: &'a Table,
     binding: &str,
     where_clause: Option<&Expr>,
     allow_unqualified: bool,
-) -> Result<Vec<Row>> {
+) -> Vec<RowRef<'a>> {
+    let mut conjuncts = Vec::new();
     if let Some(w) = where_clause {
-        for (col_name, literal) in eq_literal_conjuncts(w, binding, allow_unqualified) {
-            if let Some(col) = table.schema.index_of(&col_name) {
-                if let Some(row_ids) = table.probe(col, &literal) {
-                    return Ok(row_ids.iter().map(|&i| table.rows[i].clone()).collect());
-                }
-            }
-        }
+        probe_conjuncts(w, binding, allow_unqualified, &mut conjuncts);
     }
-    Ok(table.rows.clone())
+    let best = conjuncts
+        .iter()
+        .filter_map(|(column, literals)| table.postings(column, literals))
+        .min_by_key(|postings| postings.iter().map(|p| p.len()).sum::<usize>());
+    let borrow = |i: usize| Cow::Borrowed(table.rows[i].as_slice());
+    match best {
+        // Distinct keys have disjoint posting lists: sorting their
+        // concatenation gives ascending, duplicate-free row ids.
+        Some(postings) => {
+            let mut ids = postings.concat();
+            if postings.len() > 1 {
+                ids.sort_unstable();
+            }
+            ids.into_iter().map(borrow).collect()
+        }
+        None => (0..table.rows.len()).map(borrow).collect(),
+    }
 }
 
-/// Extracts `(column, literal)` pairs from top-level AND-ed equality
-/// conjuncts that reference the given binding (or are unqualified).
-fn eq_literal_conjuncts(
-    expr: &Expr,
+/// Collects the top-level AND-ed conjuncts an index probe can answer —
+/// `col = literal` (either way round) and non-negated `col IN (literal,
+/// ...)` on a column of `binding` (or unqualified, when allowed) — as
+/// `(column name, literals)`.
+fn probe_conjuncts<'e>(
+    expr: &'e Expr,
     binding: &str,
     allow_unqualified: bool,
-) -> Vec<(String, Datum)> {
-    let mut out = Vec::new();
-    collect_eq(expr, binding, allow_unqualified, &mut out);
-    out
-}
-
-fn collect_eq(expr: &Expr, binding: &str, allow_unqualified: bool, out: &mut Vec<(String, Datum)>) {
+    out: &mut Vec<(&'e str, Vec<&'e Datum>)>,
+) {
+    let column = |e: &'e Expr| match e {
+        Expr::Column { table, name } => match table.as_deref() {
+            Some(t) if t == binding => Some(name.as_str()),
+            None if allow_unqualified => Some(name.as_str()),
+            _ => None,
+        },
+        _ => None,
+    };
     match expr {
         Expr::Binary {
             left,
             op: BinOp::And,
             right,
         } => {
-            collect_eq(left, binding, allow_unqualified, out);
-            collect_eq(right, binding, allow_unqualified, out);
+            probe_conjuncts(left, binding, allow_unqualified, out);
+            probe_conjuncts(right, binding, allow_unqualified, out);
         }
         Expr::Binary {
             left,
             op: BinOp::Eq,
             right,
-        } => {
-            let pairs: [(&Expr, &Expr); 2] = [(left, right), (right, left)];
-            for (a, b) in pairs {
-                if let (Expr::Column { table, name }, Expr::Literal(d)) = (a, b) {
-                    let matches_binding = match table.as_deref() {
-                        Some(t) => t == binding,
-                        None => allow_unqualified,
-                    };
-                    if matches_binding {
-                        out.push((name.clone(), d.clone()));
-                        break;
-                    }
+        } => match (left.as_ref(), right.as_ref()) {
+            (c, Expr::Literal(d)) | (Expr::Literal(d), c) => {
+                if let Some(name) = column(c) {
+                    out.push((name, vec![d]));
                 }
+            }
+            _ => {}
+        },
+        Expr::InList {
+            expr,
+            list,
+            negated: false,
+        } => {
+            let literals: Option<Vec<&Datum>> = list
+                .iter()
+                .map(|item| match item {
+                    Expr::Literal(d) => Some(d),
+                    _ => None,
+                })
+                .collect();
+            if let (Some(name), Some(literals)) = (column(expr), literals) {
+                out.push((name, literals));
             }
         }
         _ => {}
@@ -599,13 +662,13 @@ fn collect_eq(expr: &Expr, binding: &str, allow_unqualified: bool, out: &mut Vec
 
 /// Executes one join step: hash join on `left_col = right_col` predicates,
 /// nested loop otherwise.
-fn execute_join(
-    left_rows: Vec<Row>,
+fn execute_join<'a>(
+    left_rows: Vec<RowRef<'a>>,
     left_width: usize,
-    right: &Table,
+    right: &'a Table,
     join: &Join,
     scope: &Scope,
-) -> Result<Vec<Row>> {
+) -> Result<Vec<RowRef<'a>>> {
     // Try to recognize an equi-join predicate.
     if let Expr::Binary {
         left: a,
@@ -642,15 +705,13 @@ fn execute_join(
                     .push(row);
             }
             let mut out = Vec::new();
-            for lrow in left_rows {
+            for lrow in &left_rows {
                 if lrow[left_idx].is_null() {
                     continue; // NULL never joins
                 }
                 if let Some(matches) = built.get(&DatumKey::from(&lrow[left_idx])) {
                     for rrow in matches {
-                        let mut combined = lrow.clone();
-                        combined.extend((*rrow).clone());
-                        out.push(combined);
+                        out.push(Cow::Owned(combine(lrow, rrow)));
                     }
                 }
             }
@@ -660,77 +721,105 @@ fn execute_join(
     nested_loop_join(left_rows, right, join, scope)
 }
 
-fn nested_loop_join(
-    left_rows: Vec<Row>,
+fn nested_loop_join<'a>(
+    left_rows: Vec<RowRef<'a>>,
     right: &Table,
     join: &Join,
     scope: &Scope,
-) -> Result<Vec<Row>> {
+) -> Result<Vec<RowRef<'a>>> {
     let mut out = Vec::new();
-    for lrow in left_rows {
+    for lrow in &left_rows {
         for rrow in &right.rows {
-            let mut combined = lrow.clone();
-            combined.extend(rrow.clone());
-            if truthy(&eval(&join.on, &combined, scope)?) {
-                out.push(combined);
+            let combined = combine(lrow, rrow);
+            if truthy(&*eval(&join.on, &combined, scope)?) {
+                out.push(Cow::Owned(combined));
             }
         }
     }
     Ok(out)
 }
 
+/// A join's combined row: the left row's cells, then the right row's.
+fn combine(left: &[Datum], right: &[Datum]) -> Row {
+    let mut combined = Vec::with_capacity(left.len() + right.len());
+    combined.extend_from_slice(left);
+    combined.extend_from_slice(right);
+    combined
+}
+
 /// Sorts raw rows for a non-aggregate query. ORDER BY keys may reference any
 /// in-scope column or a projection alias (resolved by substituting the
 /// aliased expression).
-fn sort_plain(select: &SelectStmt, rows: Vec<Row>, scope: &Scope) -> Result<Vec<Row>> {
+fn sort_plain<'a>(
+    select: &SelectStmt,
+    rows: Vec<RowRef<'a>>,
+    scope: &Scope,
+) -> Result<Vec<RowRef<'a>>> {
     if select.order_by.is_empty() {
         return Ok(rows);
     }
     // Resolve alias references up front.
-    let keys: Vec<(Expr, bool)> = select
+    let keys: Vec<&Expr> = select
         .order_by
         .iter()
-        .map(|ok| {
-            let expr = match &ok.expr {
-                Expr::Column { table: None, name } => {
-                    let aliased = select.items.iter().find_map(|item| match item {
-                        SelectItem::Expr {
-                            expr,
-                            alias: Some(a),
-                        } if a == name => Some(expr.clone()),
-                        _ => None,
-                    });
-                    aliased.unwrap_or_else(|| ok.expr.clone())
-                }
-                other => other.clone(),
-            };
-            (expr, ok.asc)
+        .map(|ok| match &ok.expr {
+            Expr::Column { table: None, name } => select
+                .items
+                .iter()
+                .find_map(|item| match item {
+                    SelectItem::Expr {
+                        expr,
+                        alias: Some(a),
+                    } if a == name => Some(expr),
+                    _ => None,
+                })
+                .unwrap_or(&ok.expr),
+            other => other,
         })
         .collect();
-    let mut decorated: Vec<(Vec<Datum>, Row)> = Vec::with_capacity(rows.len());
-    for row in rows {
-        let kvals: Vec<Datum> = keys
-            .iter()
-            .map(|(e, _)| eval(e, &row, scope))
-            .collect::<Result<_>>()?;
-        decorated.push((kvals, row));
+    let mut values = Vec::with_capacity(rows.len() * keys.len());
+    for row in &rows {
+        for key in &keys {
+            values.push(eval(key, row, scope)?);
+        }
     }
-    decorated.sort_by(|(ka, _), (kb, _)| {
-        for (i, (_, asc)) in keys.iter().enumerate() {
+    let order = sorted_order(&values, select);
+    Ok(permute(rows, &order))
+}
+
+/// Stable sort order of rows by their ORDER BY values, compared with
+/// `Datum::sql_cmp`: row `i`'s values are `values[i * k..(i + 1) * k]` for
+/// `k` order keys.
+fn sorted_order(values: &[Cow<'_, Datum>], select: &SelectStmt) -> Vec<usize> {
+    let k = select.order_by.len();
+    let mut order: Vec<usize> = (0..values.len() / k).collect();
+    order.sort_by(|&a, &b| {
+        let (ka, kb) = (&values[a * k..(a + 1) * k], &values[b * k..(b + 1) * k]);
+        for (i, key) in select.order_by.iter().enumerate() {
             let ord = ka[i].sql_cmp(&kb[i]);
-            let ord = if *asc { ord } else { ord.reverse() };
+            let ord = if key.asc { ord } else { ord.reverse() };
             if ord != std::cmp::Ordering::Equal {
                 return ord;
             }
         }
         std::cmp::Ordering::Equal
     });
-    Ok(decorated.into_iter().map(|(_, r)| r).collect())
+    order
 }
 
+/// Reorders `rows` so that output position `j` holds `rows[order[j]]`.
+fn permute<T>(rows: Vec<T>, order: &[usize]) -> Vec<T> {
+    let mut slots: Vec<Option<T>> = rows.into_iter().map(Some).collect();
+    order
+        .iter()
+        .map(|&i| slots[i].take().expect("a permutation names each row once"))
+        .collect()
+}
+
+/// Projects each row: the only place a plain query copies cells.
 fn plain_path(
     select: &SelectStmt,
-    rows: Vec<Row>,
+    rows: &[RowRef<'_>],
     scope: &Scope,
 ) -> Result<(Vec<String>, Vec<Row>)> {
     let (columns, exprs) = projection(select, scope)?;
@@ -738,7 +827,7 @@ fn plain_path(
     for row in rows {
         let projected: Row = exprs
             .iter()
-            .map(|e| eval(e, &row, scope))
+            .map(|e| eval(e, row, scope).map(Cow::into_owned))
             .collect::<Result<_>>()?;
         out.push(projected);
     }
@@ -747,35 +836,37 @@ fn plain_path(
 
 fn aggregate_path(
     select: &SelectStmt,
-    rows: Vec<Row>,
+    rows: Vec<RowRef<'_>>,
     scope: &Scope,
 ) -> Result<(Vec<String>, Vec<Row>)> {
-    // Group rows.
-    let mut groups: Vec<(Vec<DatumKey>, Vec<Row>)> = Vec::new();
-    let mut index: HashMap<Vec<DatumKey>, usize> = HashMap::new();
-    for row in rows {
-        let key: Vec<DatumKey> = select
-            .group_by
-            .iter()
-            .map(|e| eval(e, &row, scope).map(|d| DatumKey::from(&d)))
-            .collect::<Result<_>>()?;
-        match index.get(&key) {
-            Some(&i) => groups[i].1.push(row),
-            None => {
-                index.insert(key.clone(), groups.len());
-                groups.push((key, vec![row]));
+    // With no GROUP BY, aggregates run over all rows as one group (even if
+    // empty, per SQL semantics for COUNT). Otherwise groups come in order
+    // of each group's first row.
+    let groups: Vec<Vec<RowRef<'_>>> = if select.group_by.is_empty() {
+        vec![rows]
+    } else {
+        let mut groups: Vec<Vec<RowRef<'_>>> = Vec::new();
+        let mut index: HashMap<Vec<DatumKey>, usize> = HashMap::new();
+        for row in rows {
+            let key: Vec<DatumKey> = select
+                .group_by
+                .iter()
+                .map(|e| eval(e, &row, scope).map(|d| DatumKey::from(d.as_ref())))
+                .collect::<Result<_>>()?;
+            match index.entry(key) {
+                Entry::Occupied(e) => groups[*e.get()].push(row),
+                Entry::Vacant(e) => {
+                    e.insert(groups.len());
+                    groups.push(vec![row]);
+                }
             }
         }
-    }
-    // With no GROUP BY, aggregates run over all rows as one group (even if
-    // empty, per SQL semantics for COUNT).
-    if select.group_by.is_empty() && groups.is_empty() {
-        groups.push((Vec::new(), Vec::new()));
-    }
+        groups
+    };
 
     let (columns, exprs) = projection(select, scope)?;
     let mut out = Vec::with_capacity(groups.len());
-    for (_, group_rows) in &groups {
+    for group_rows in &groups {
         if let Some(h) = &select.having {
             if !truthy(&eval_agg(h, group_rows, scope)?) {
                 continue;
@@ -790,66 +881,48 @@ fn aggregate_path(
     Ok((columns, out))
 }
 
-fn sort_result(result: &mut ResultSet, select: &SelectStmt, scope: &Scope) -> Result<()> {
-    // Each order key resolves either to a projected output column (by alias
-    // or name) or — for plain selects — to any expression over the scope.
-    enum Key {
+/// Sorts an aggregate query's projected rows. Each order key names an
+/// output column (by alias or name) or is a literal.
+fn sort_result(result: &mut ResultSet, select: &SelectStmt) -> Result<()> {
+    enum Key<'e> {
         Output(usize),
-        Expr(Expr),
+        Literal(&'e Datum),
     }
-    let mut keys = Vec::new();
+    if result.rows.is_empty() {
+        return Ok(());
+    }
+    let mut keys = Vec::with_capacity(select.order_by.len());
     for ok in &select.order_by {
-        let as_output = match &ok.expr {
+        let output = match &ok.expr {
             Expr::Column { table: None, name } => result.columns.iter().position(|c| c == name),
-            _ => {
-                let n = name_of(&ok.expr);
+            other => {
+                let n = name_of(other);
                 result.columns.iter().position(|c| *c == n)
             }
         };
-        match as_output {
-            Some(i) => keys.push((Key::Output(i), ok.asc)),
-            None => keys.push((Key::Expr(ok.expr.clone()), ok.asc)),
+        keys.push(match (output, &ok.expr) {
+            (Some(i), _) => Key::Output(i),
+            (None, Expr::Literal(d)) => Key::Literal(d),
+            (None, other) => {
+                // The original rows are gone after projection.
+                return Err(DataError::Eval(format!(
+                    "ORDER BY expression must reference an output column: {}",
+                    name_of(other)
+                )));
+            }
+        });
+    }
+    let mut values = Vec::with_capacity(result.rows.len() * keys.len());
+    for row in &result.rows {
+        for key in &keys {
+            values.push(Cow::Borrowed(match key {
+                Key::Output(i) => &row[*i],
+                Key::Literal(d) => *d,
+            }));
         }
     }
-    // Pre-compute sort keys (expressions need the original rows, which we no
-    // longer have post-projection — only allow output-column sorting for
-    // aggregate queries).
-    let mut decorated: Vec<(Vec<Datum>, Row)> = Vec::with_capacity(result.rows.len());
-    for row in result.rows.drain(..) {
-        let mut kvals = Vec::with_capacity(keys.len());
-        for (k, _) in &keys {
-            match k {
-                Key::Output(i) => kvals.push(row[*i].clone()),
-                Key::Expr(e) => {
-                    // Fall back to evaluating over the projected row treated
-                    // as the scope width — works only when the expression is
-                    // a literal; otherwise report a clear error.
-                    match e {
-                        Expr::Literal(d) => kvals.push(d.clone()),
-                        _ => {
-                            return Err(DataError::Eval(format!(
-                                "ORDER BY expression must reference an output column: {}",
-                                name_of(e)
-                            )))
-                        }
-                    }
-                }
-            }
-        }
-        decorated.push((kvals, row));
-    }
-    let _ = scope;
-    decorated.sort_by(|(ka, _), (kb, _)| {
-        for (i, (_, asc)) in keys.iter().enumerate() {
-            let ord = ka[i].sql_cmp(&kb[i]);
-            let ord = if *asc { ord } else { ord.reverse() };
-            if ord != std::cmp::Ordering::Equal {
-                return ord;
-            }
-        }
-        std::cmp::Ordering::Equal
-    });
-    result.rows = decorated.into_iter().map(|(_, r)| r).collect();
+    let order = sorted_order(&values, select);
+    result.rows = permute(std::mem::take(&mut result.rows), &order);
     Ok(())
 }
 
@@ -858,60 +931,43 @@ fn truthy(d: &Datum) -> bool {
     matches!(d, Datum::Bool(true))
 }
 
-/// Evaluates an expression against a combined row.
-fn eval(expr: &Expr, row: &[Datum], scope: &Scope) -> Result<Datum> {
-    match expr {
-        Expr::Literal(d) => Ok(d.clone()),
+/// Evaluates an expression against a combined row, borrowing column values
+/// and literals; only computed values are owned.
+fn eval<'a>(expr: &'a Expr, row: &'a [Datum], scope: &Scope) -> Result<Cow<'a, Datum>> {
+    Ok(match expr {
+        Expr::Literal(d) => Cow::Borrowed(d),
         Expr::Column { table, name } => {
             // `#abs` pseudo-qualifier: absolute index into the combined row
             // (used internally for wildcard projection).
-            if table.as_deref() == Some("#abs") {
-                let i: usize = name
-                    .parse()
-                    .map_err(|_| DataError::Eval("bad absolute column".into()))?;
-                return Ok(row.get(i).cloned().unwrap_or(Datum::Null));
-            }
-            let i = scope.resolve(table.as_deref(), name)?;
-            Ok(row.get(i).cloned().unwrap_or(Datum::Null))
+            let i = if table.as_deref() == Some("#abs") {
+                name.parse()
+                    .map_err(|_| DataError::Eval("bad absolute column".into()))?
+            } else {
+                scope.resolve(table.as_deref(), name)?
+            };
+            row.get(i).map_or(Cow::Owned(Datum::Null), Cow::Borrowed)
         }
-        Expr::Unary { op, expr } => {
-            let v = eval(expr, row, scope)?;
-            match op {
-                UnOp::Not => match v {
-                    Datum::Null => Ok(Datum::Null),
-                    Datum::Bool(b) => Ok(Datum::Bool(!b)),
-                    other => Err(DataError::TypeError(format!("NOT applied to {other}"))),
-                },
-                UnOp::Neg => match v {
-                    Datum::Null => Ok(Datum::Null),
-                    Datum::Int(i) => Ok(Datum::Int(-i)),
-                    Datum::Float(f) => Ok(Datum::Float(-f)),
-                    other => Err(DataError::TypeError(format!("negation applied to {other}"))),
-                },
-            }
-        }
+        Expr::Unary { op, expr } => Cow::Owned(eval_unary(*op, &*eval(expr, row, scope)?)?),
         Expr::Binary { left, op, right } => {
-            // Short-circuiting Kleene logic for AND/OR.
-            if matches!(op, BinOp::And | BinOp::Or) {
-                let l = eval(left, row, scope)?;
-                return eval_logic(*op, l, || eval(right, row, scope));
-            }
             let l = eval(left, row, scope)?;
-            let r = eval(right, row, scope)?;
-            eval_binop(*op, l, r)
+            // Short-circuiting Kleene logic for AND/OR.
+            Cow::Owned(if matches!(op, BinOp::And | BinOp::Or) {
+                eval_logic(*op, &l, || eval(right, row, scope))?
+            } else {
+                eval_binop(*op, &l, &*eval(right, row, scope)?)?
+            })
         }
-        Expr::FnCall { name, args, star } => {
+        Expr::FnCall { name, args, .. } => {
             if AGGREGATES.contains(&name.as_str()) {
                 return Err(DataError::Eval(format!(
                     "aggregate {name} used outside an aggregate query"
                 )));
             }
-            let _ = star;
-            let vals: Vec<Datum> = args
+            let vals: Vec<Cow<Datum>> = args
                 .iter()
                 .map(|a| eval(a, row, scope))
                 .collect::<Result<_>>()?;
-            eval_scalar_fn(name, &vals)
+            Cow::Owned(eval_scalar_fn(name, &vals)?)
         }
         Expr::InList {
             expr,
@@ -919,23 +975,11 @@ fn eval(expr: &Expr, row: &[Datum], scope: &Scope) -> Result<Datum> {
             negated,
         } => {
             let v = eval(expr, row, scope)?;
-            if v.is_null() {
-                return Ok(Datum::Null);
-            }
-            let mut saw_null = false;
-            for item in list {
-                let iv = eval(item, row, scope)?;
-                match v.sql_eq(&iv) {
-                    Some(true) => return Ok(Datum::Bool(!negated)),
-                    Some(false) => {}
-                    None => saw_null = true,
-                }
-            }
-            if saw_null {
-                Ok(Datum::Null)
-            } else {
-                Ok(Datum::Bool(*negated))
-            }
+            Cow::Owned(eval_in_list(
+                &v,
+                list.iter().map(|item| eval(item, row, scope)),
+                *negated,
+            )?)
         }
         Expr::Like {
             expr,
@@ -944,24 +988,68 @@ fn eval(expr: &Expr, row: &[Datum], scope: &Scope) -> Result<Datum> {
         } => {
             let v = eval(expr, row, scope)?;
             let p = eval(pattern, row, scope)?;
-            match (v, p) {
-                (Datum::Null, _) | (_, Datum::Null) => Ok(Datum::Null),
-                (Datum::Text(s), Datum::Text(pat)) => {
-                    let m = like_match(&s.to_lowercase(), &pat.to_lowercase());
-                    Ok(Datum::Bool(m != *negated))
-                }
-                (a, b) => Err(DataError::TypeError(format!("LIKE applied to {a}, {b}"))),
-            }
+            Cow::Owned(eval_like(&v, &p, *negated)?)
         }
         Expr::IsNull { expr, negated } => {
-            let v = eval(expr, row, scope)?;
-            Ok(Datum::Bool(v.is_null() != *negated))
+            Cow::Owned(Datum::Bool(eval(expr, row, scope)?.is_null() != *negated))
         }
+    })
+}
+
+fn eval_unary(op: UnOp, v: &Datum) -> Result<Datum> {
+    match op {
+        UnOp::Not => match v {
+            Datum::Null => Ok(Datum::Null),
+            Datum::Bool(b) => Ok(Datum::Bool(!b)),
+            other => Err(DataError::TypeError(format!("NOT applied to {other}"))),
+        },
+        UnOp::Neg => match v {
+            Datum::Null => Ok(Datum::Null),
+            Datum::Int(i) => Ok(Datum::Int(-i)),
+            Datum::Float(f) => Ok(Datum::Float(-f)),
+            other => Err(DataError::TypeError(format!("negation applied to {other}"))),
+        },
     }
 }
 
-fn eval_logic(op: BinOp, left: Datum, right: impl FnOnce() -> Result<Datum>) -> Result<Datum> {
-    let lb = match &left {
+/// `v [NOT] IN (items)`: items are taken in order until one equals `v`.
+fn eval_in_list<'a>(
+    v: &Datum,
+    items: impl IntoIterator<Item = Result<Cow<'a, Datum>>>,
+    negated: bool,
+) -> Result<Datum> {
+    if v.is_null() {
+        return Ok(Datum::Null);
+    }
+    let mut saw_null = false;
+    for item in items {
+        match v.sql_eq(&*item?) {
+            Some(true) => return Ok(Datum::Bool(!negated)),
+            Some(false) => {}
+            None => saw_null = true,
+        }
+    }
+    Ok(if saw_null {
+        Datum::Null
+    } else {
+        Datum::Bool(negated)
+    })
+}
+
+fn eval_like(v: &Datum, pattern: &Datum, negated: bool) -> Result<Datum> {
+    match (v, pattern) {
+        (Datum::Null, _) | (_, Datum::Null) => Ok(Datum::Null),
+        (Datum::Text(s), Datum::Text(p)) => Ok(Datum::Bool(like_match(s, p) != negated)),
+        (a, b) => Err(DataError::TypeError(format!("LIKE applied to {a}, {b}"))),
+    }
+}
+
+fn eval_logic<'r>(
+    op: BinOp,
+    left: &Datum,
+    right: impl FnOnce() -> Result<Cow<'r, Datum>>,
+) -> Result<Datum> {
+    let lb = match left {
         Datum::Null => None,
         Datum::Bool(b) => Some(*b),
         other => {
@@ -974,8 +1062,7 @@ fn eval_logic(op: BinOp, left: Datum, right: impl FnOnce() -> Result<Datum>) -> 
         (BinOp::And, Some(false)) => Ok(Datum::Bool(false)),
         (BinOp::Or, Some(true)) => Ok(Datum::Bool(true)),
         _ => {
-            let r = right()?;
-            let rb = match &r {
+            let rb = match right()?.as_ref() {
                 Datum::Null => None,
                 Datum::Bool(b) => Some(*b),
                 other => {
@@ -1002,9 +1089,9 @@ fn eval_logic(op: BinOp, left: Datum, right: impl FnOnce() -> Result<Datum>) -> 
     }
 }
 
-fn eval_binop(op: BinOp, l: Datum, r: Datum) -> Result<Datum> {
+fn eval_binop(op: BinOp, l: &Datum, r: &Datum) -> Result<Datum> {
     match op {
-        BinOp::Eq | BinOp::Ne => match l.sql_eq(&r) {
+        BinOp::Eq | BinOp::Ne => match l.sql_eq(r) {
             None => Ok(Datum::Null),
             Some(eq) => Ok(Datum::Bool(if op == BinOp::Eq { eq } else { !eq })),
         },
@@ -1014,7 +1101,7 @@ fn eval_binop(op: BinOp, l: Datum, r: Datum) -> Result<Datum> {
             }
             // Comparable types only.
             let cmp_ok = matches!(
-                (&l, &r),
+                (l, r),
                 (Datum::Text(_), Datum::Text(_))
                     | (
                         Datum::Int(_) | Datum::Float(_),
@@ -1024,7 +1111,7 @@ fn eval_binop(op: BinOp, l: Datum, r: Datum) -> Result<Datum> {
             if !cmp_ok {
                 return Err(DataError::TypeError(format!("cannot compare {l} with {r}")));
             }
-            let ord = l.sql_cmp(&r);
+            let ord = l.sql_cmp(r);
             Ok(Datum::Bool(match op {
                 BinOp::Lt => ord == std::cmp::Ordering::Less,
                 BinOp::Le => ord != std::cmp::Ordering::Greater,
@@ -1037,7 +1124,7 @@ fn eval_binop(op: BinOp, l: Datum, r: Datum) -> Result<Datum> {
             if l.is_null() || r.is_null() {
                 return Ok(Datum::Null);
             }
-            match (&l, &r) {
+            match (l, r) {
                 (Datum::Int(a), Datum::Int(b)) => match op {
                     BinOp::Add => Ok(Datum::Int(a.wrapping_add(*b))),
                     BinOp::Sub => Ok(Datum::Int(a.wrapping_sub(*b))),
@@ -1078,9 +1165,10 @@ fn eval_binop(op: BinOp, l: Datum, r: Datum) -> Result<Datum> {
     }
 }
 
-fn eval_scalar_fn(name: &str, args: &[Datum]) -> Result<Datum> {
+fn eval_scalar_fn(name: &str, args: &[Cow<'_, Datum>]) -> Result<Datum> {
     let arg1 = || -> Result<&Datum> {
         args.first()
+            .map(Cow::as_ref)
             .ok_or_else(|| DataError::Eval(format!("{name} requires an argument")))
     };
     match name {
@@ -1125,41 +1213,32 @@ fn eval_scalar_fn(name: &str, args: &[Datum]) -> Result<Datum> {
 }
 
 /// Evaluates an expression in aggregate context: aggregate calls compute
-/// over the group; other parts evaluate against the group's first row.
-fn eval_agg(expr: &Expr, group: &[Row], scope: &Scope) -> Result<Datum> {
+/// over the group; other parts evaluate against the group's first row. All
+/// operands are evaluated before their operator applies.
+fn eval_agg(expr: &Expr, group: &[RowRef<'_>], scope: &Scope) -> Result<Datum> {
     match expr {
         Expr::FnCall { name, args, star } if AGGREGATES.contains(&name.as_str()) => {
             compute_aggregate(name, args, *star, group, scope)
         }
         Expr::Literal(d) => Ok(d.clone()),
         Expr::Column { .. } => match group.first() {
-            Some(row) => eval(expr, row, scope),
+            Some(row) => Ok(eval(expr, row, scope)?.into_owned()),
             None => Ok(Datum::Null),
         },
-        Expr::Unary { op, expr } => {
-            let inner = eval_agg(expr, group, scope)?;
-            eval(
-                &Expr::Unary {
-                    op: *op,
-                    expr: Box::new(Expr::Literal(inner)),
-                },
-                &[],
-                &Scope::empty(),
-            )
-        }
+        Expr::Unary { op, expr } => eval_unary(*op, &eval_agg(expr, group, scope)?),
         Expr::Binary { left, op, right } => {
             let l = eval_agg(left, group, scope)?;
             let r = eval_agg(right, group, scope)?;
             if matches!(op, BinOp::And | BinOp::Or) {
-                eval_logic(*op, l, || Ok(r))
+                eval_logic(*op, &l, || Ok(Cow::Borrowed(&r)))
             } else {
-                eval_binop(*op, l, r)
+                eval_binop(*op, &l, &r)
             }
         }
         Expr::FnCall { name, args, .. } => {
-            let vals: Vec<Datum> = args
+            let vals: Vec<Cow<Datum>> = args
                 .iter()
-                .map(|a| eval_agg(a, group, scope))
+                .map(|a| eval_agg(a, group, scope).map(Cow::Owned))
                 .collect::<Result<_>>()?;
             eval_scalar_fn(name, &vals)
         }
@@ -1168,20 +1247,12 @@ fn eval_agg(expr: &Expr, group: &[Row], scope: &Scope) -> Result<Datum> {
             list,
             negated,
         } => {
-            let inner = eval_agg(expr, group, scope)?;
-            let lits: Vec<Expr> = list
+            let v = eval_agg(expr, group, scope)?;
+            let items: Vec<Datum> = list
                 .iter()
-                .map(|e| eval_agg(e, group, scope).map(Expr::Literal))
+                .map(|e| eval_agg(e, group, scope))
                 .collect::<Result<_>>()?;
-            eval(
-                &Expr::InList {
-                    expr: Box::new(Expr::Literal(inner)),
-                    list: lits,
-                    negated: *negated,
-                },
-                &[],
-                &Scope::empty(),
-            )
+            eval_in_list(&v, items.iter().map(|d| Ok(Cow::Borrowed(d))), *negated)
         }
         Expr::Like {
             expr,
@@ -1190,15 +1261,7 @@ fn eval_agg(expr: &Expr, group: &[Row], scope: &Scope) -> Result<Datum> {
         } => {
             let v = eval_agg(expr, group, scope)?;
             let p = eval_agg(pattern, group, scope)?;
-            eval(
-                &Expr::Like {
-                    expr: Box::new(Expr::Literal(v)),
-                    pattern: Box::new(Expr::Literal(p)),
-                    negated: *negated,
-                },
-                &[],
-                &Scope::empty(),
-            )
+            eval_like(&v, &p, *negated)
         }
         Expr::IsNull { expr, negated } => {
             let v = eval_agg(expr, group, scope)?;
@@ -1211,7 +1274,7 @@ fn compute_aggregate(
     name: &str,
     args: &[Expr],
     star: bool,
-    group: &[Row],
+    group: &[RowRef<'_>],
     scope: &Scope,
 ) -> Result<Datum> {
     if name == "COUNT" && star {
@@ -1236,7 +1299,7 @@ fn compute_aggregate(
             let mut sum = 0.0;
             let mut all_int = true;
             for v in &values {
-                match v {
+                match v.as_ref() {
                     Datum::Int(i) => sum += *i as f64,
                     Datum::Float(f) => {
                         sum += f;
@@ -1256,43 +1319,72 @@ fn compute_aggregate(
             }
         }
         "MIN" | "MAX" => {
-            if values.is_empty() {
+            let Some((first, rest)) = values.split_first() else {
                 return Ok(Datum::Null);
-            }
-            let mut best = values[0].clone();
-            for v in &values[1..] {
-                let ord = v.sql_cmp(&best);
+            };
+            let mut best: &Datum = first;
+            for v in rest {
+                let ord = v.sql_cmp(best);
                 let better = if name == "MIN" {
                     ord == std::cmp::Ordering::Less
                 } else {
                     ord == std::cmp::Ordering::Greater
                 };
                 if better {
-                    best = v.clone();
+                    best = v;
                 }
             }
-            Ok(best)
+            Ok(best.clone())
         }
         other => Err(DataError::Eval(format!("unknown aggregate: {other}"))),
     }
 }
 
-/// SQL LIKE matcher: `%` matches any run, `_` matches one character.
+/// SQL LIKE matcher, case-insensitive: `%` matches any run, `_` matches one
+/// character. ASCII input is matched byte by byte without allocating; other
+/// input is Unicode-lowercased first and matched by character.
 fn like_match(s: &str, pattern: &str) -> bool {
-    fn inner(s: &[char], p: &[char]) -> bool {
-        match p.first() {
-            None => s.is_empty(),
-            Some('%') => {
-                // Try matching zero or more characters.
-                (0..=s.len()).any(|skip| inner(&s[skip..], &p[1..]))
-            }
-            Some('_') => !s.is_empty() && inner(&s[1..], &p[1..]),
-            Some(&c) => s.first() == Some(&c) && inner(&s[1..], &p[1..]),
+    if s.is_ascii() && pattern.is_ascii() {
+        wildcard_match(s.as_bytes(), pattern.as_bytes(), b'%', b'_', |p, c| {
+            p.eq_ignore_ascii_case(&c)
+        })
+    } else {
+        let s: Vec<char> = s.to_lowercase().chars().collect();
+        let p: Vec<char> = pattern.to_lowercase().chars().collect();
+        wildcard_match(&s, &p, '%', '_', |p, c| p == c)
+    }
+}
+
+/// Iterative wildcard matcher (`any` matches any run, `one` any single
+/// symbol): on a mismatch it resumes after the last `any`, one symbol
+/// further into `s`, so it runs in O(|s| · |p|) time without recursion.
+fn wildcard_match<T: Copy + PartialEq>(
+    s: &[T],
+    p: &[T],
+    any: T,
+    one: T,
+    eq: impl Fn(T, T) -> bool,
+) -> bool {
+    let (mut si, mut pi) = (0, 0);
+    // After the last `any` seen: (pattern index past it, `s` index it
+    // currently stretches to).
+    let mut resume: Option<(usize, usize)> = None;
+    while si < s.len() {
+        if pi < p.len() && p[pi] == any {
+            pi += 1;
+            resume = Some((pi, si));
+        } else if pi < p.len() && (p[pi] == one || eq(p[pi], s[si])) {
+            pi += 1;
+            si += 1;
+        } else if let Some((rp, rs)) = resume {
+            pi = rp;
+            si = rs + 1;
+            resume = Some((rp, si));
+        } else {
+            return false;
         }
     }
-    let s: Vec<char> = s.chars().collect();
-    let p: Vec<char> = pattern.chars().collect();
-    inner(&s, &p)
+    p[pi..].iter().all(|&c| c == any)
 }
 
 #[cfg(test)]
@@ -1628,7 +1720,7 @@ mod tests {
         let r = db()
             .execute("SELECT id, title FROM jobs WHERE id = 1")
             .unwrap();
-        let j = r.to_json();
+        let j = r.into_json();
         assert_eq!(j[0]["id"], serde_json::json!(1));
         assert_eq!(j[0]["title"], serde_json::json!("data scientist"));
     }
@@ -1685,6 +1777,120 @@ mod tests {
         assert!(like_match("abc", "___"));
         assert!(!like_match("abc", "__"));
         assert!(like_match("a%b", "a%b"));
+        assert!(like_match("ABC", "a%C"));
+        assert!(like_match("Ärger", "ä%"));
+        // Many `%` signs do not make the matcher backtrack exponentially.
+        let long = "a".repeat(200);
+        assert!(!like_match(&long, &format!("{}b", "%a".repeat(30))));
+    }
+
+    /// The recursive matcher the engine used before the iterative one, kept
+    /// as the reference: both sides Unicode-lowercased, then matched by
+    /// character.
+    fn like_reference(s: &str, pattern: &str) -> bool {
+        fn inner(s: &[char], p: &[char]) -> bool {
+            match p.first() {
+                None => s.is_empty(),
+                Some('%') => (0..=s.len()).any(|skip| inner(&s[skip..], &p[1..])),
+                Some('_') => !s.is_empty() && inner(&s[1..], &p[1..]),
+                Some(&c) => s.first() == Some(&c) && inner(&s[1..], &p[1..]),
+            }
+        }
+        let s: Vec<char> = s.to_lowercase().chars().collect();
+        let p: Vec<char> = pattern.to_lowercase().chars().collect();
+        inner(&s, &p)
+    }
+
+    proptest::proptest! {
+        /// The iterative matcher agrees with the recursive reference on
+        /// random text and patterns: `%`, `_`, repeated `%`, mixed case and
+        /// non-ASCII letters (some lowercase to more than one character).
+        #[test]
+        fn like_match_agrees_with_reference(
+            s in "[abAB%_\u{c4}\u{e4}\u{130}\u{df}]{0,10}",
+            pattern in "[abAB%_\u{c4}\u{e4}\u{130}\u{df}]{0,8}",
+        ) {
+            proptest::prop_assert_eq!(like_match(&s, &pattern), like_reference(&s, &pattern));
+        }
+
+        /// Same over ASCII only (the allocation-free path), with runs of `%`
+        /// likelier.
+        #[test]
+        fn ascii_like_match_agrees_with_reference(
+            s in "[abcABC]{0,12}",
+            pattern in proptest::prelude::prop::collection::vec(
+                proptest::prelude::prop::sample::select(vec!["%", "%%", "_", "a", "b", "C"]),
+                0..8,
+            ),
+        ) {
+            let pattern = pattern.concat();
+            proptest::prop_assert_eq!(like_match(&s, &pattern), like_reference(&s, &pattern));
+        }
+    }
+
+    /// The base-scan candidates for `where_sql` on the fixture's `jobs`
+    /// table with `city` and `title` indexed, as job ids.
+    fn candidate_ids(where_sql: &str) -> Vec<i64> {
+        let db = db();
+        db.create_index("jobs", "city").unwrap();
+        db.create_index("jobs", "title").unwrap();
+        let Stmt::Select(select) = parse(&format!("SELECT * FROM jobs WHERE {where_sql}")).unwrap()
+        else {
+            unreachable!("a SELECT parses as a SELECT")
+        };
+        let tables = db.tables.read();
+        scan_base(&tables["jobs"], "jobs", select.where_clause.as_ref(), true)
+            .iter()
+            .map(|row| match row[0] {
+                Datum::Int(id) => id,
+                _ => unreachable!("ids are ints"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn in_list_probe_reads_only_candidates_in_scan_order() {
+        // Repeated list items and keys that miss add no candidates.
+        assert_eq!(
+            candidate_ids("city IN ('san francisco', 'oakland', 'san francisco', 'paris')"),
+            [1, 2, 4]
+        );
+        // The conjunct with the fewest candidates wins, either way round.
+        assert_eq!(
+            candidate_ids("city IN ('san francisco', 'oakland') AND title = 'ml engineer'"),
+            [3]
+        );
+        assert_eq!(
+            candidate_ids("'ml engineer' = title AND city IN ('san francisco', 'oakland')"),
+            [3]
+        );
+        assert_eq!(
+            candidate_ids("salary > 1 AND title IN ('recruiter', 'data scientist')"),
+            [1, 2, 5]
+        );
+        // NOT IN, lists with non-literals, OR and unindexed columns scan.
+        for full_scan in [
+            "city NOT IN ('oakland')",
+            "city IN ('oakland', title)",
+            "city = 'oakland' OR title = 'recruiter'",
+            "salary IN (90000.0)",
+        ] {
+            assert_eq!(candidate_ids(full_scan), [1, 2, 3, 4, 5], "{full_scan}");
+        }
+    }
+
+    #[test]
+    fn in_list_probe_skips_errors_outside_its_candidates() {
+        // The documented caveat: `title > 1` is a type error on every row it
+        // is evaluated on, but the probe finds no candidate to evaluate.
+        let sql = "SELECT id FROM jobs WHERE title > 1 AND city IN ('paris', 'rome')";
+        let db = db();
+        assert!(matches!(db.execute(sql), Err(DataError::TypeError(_))));
+        db.create_index("jobs", "city").unwrap();
+        assert!(db.execute(sql).unwrap().is_empty());
+        // NOT IN never probes, so it still reports the error.
+        let negated = "SELECT id FROM jobs WHERE title > 1 AND city NOT IN ('paris')";
+        assert!(matches!(db.execute(negated), Err(DataError::TypeError(_))));
     }
 
     #[test]

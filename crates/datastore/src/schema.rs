@@ -93,10 +93,17 @@ impl Schema {
         Ok(Schema { columns })
     }
 
-    /// Index of a column by (case-insensitive) name.
+    /// Index of a column by (case-insensitive) name: the stored name must
+    /// equal the ASCII-lowercased probe byte for byte. Compared in place,
+    /// without allocating.
     pub fn index_of(&self, name: &str) -> Option<usize> {
-        let lower = name.to_ascii_lowercase();
-        self.columns.iter().position(|c| c.name == lower)
+        self.columns.iter().position(|c| {
+            c.name.len() == name.len()
+                && c.name
+                    .bytes()
+                    .zip(name.bytes())
+                    .all(|(stored, probe)| stored == probe.to_ascii_lowercase())
+        })
     }
 
     /// Column names in order.
@@ -162,6 +169,27 @@ mod tests {
         assert_eq!(s.index_of("missing"), None);
         assert_eq!(s.arity(), 4);
         assert_eq!(s.names()[0], "id");
+    }
+
+    #[test]
+    fn index_of_lowercases_the_probe_only() {
+        let s = jobs_schema();
+        for probe in ["salary", "SALARY", "Salary", "sAlArY"] {
+            assert_eq!(s.index_of(probe), Some(2), "{probe}");
+        }
+        assert_eq!(s.index_of("salar"), None);
+        assert_eq!(s.index_of("salary "), None);
+        assert_eq!(s.index_of("sälary"), None);
+        // A stored name with uppercase letters (built without
+        // `Column::new`) never matches: probes are lowercased, names are not.
+        let raw = Schema::new(vec![Column {
+            name: "Title".into(),
+            ctype: ColumnType::Text,
+        }])
+        .unwrap();
+        for probe in ["Title", "title", "TITLE"] {
+            assert_eq!(raw.index_of(probe), None, "{probe}");
+        }
     }
 
     #[test]

@@ -181,7 +181,7 @@ impl DataSource for RelationalSource {
                 let rs = self.db.execute(sql)?;
                 Ok(SourceResult {
                     rows: rs.len(),
-                    data: rs.to_json(),
+                    data: rs.into_json(),
                 })
             }
             other => Err(DataError::Eval(format!(

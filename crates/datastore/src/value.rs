@@ -92,16 +92,16 @@ impl Datum {
         }
     }
 
-    /// Converts to JSON.
-    pub fn to_json(&self) -> Value {
+    /// Converts to JSON, moving text into the JSON string.
+    pub fn into_json(self) -> Value {
         match self {
             Datum::Null => Value::Null,
-            Datum::Int(i) => Value::from(*i),
-            Datum::Float(f) => serde_json::Number::from_f64(*f)
+            Datum::Int(i) => Value::from(i),
+            Datum::Float(f) => serde_json::Number::from_f64(f)
                 .map(Value::Number)
                 .unwrap_or(Value::Null),
-            Datum::Text(s) => Value::String(s.clone()),
-            Datum::Bool(b) => Value::Bool(*b),
+            Datum::Text(s) => Value::String(s),
+            Datum::Bool(b) => Value::Bool(b),
         }
     }
 
@@ -266,7 +266,7 @@ mod tests {
     fn json_round_trip() {
         for v in [json!(null), json!(true), json!(5), json!(2.5), json!("hi")] {
             let d = Datum::from_json(&v);
-            assert_eq!(d.to_json(), v);
+            assert_eq!(d.into_json(), v);
         }
         // Composite JSON values flatten to their text form.
         let d = Datum::from_json(&json!([1, 2]));

@@ -63,6 +63,203 @@ fn build_db(rows: &[JobRow], index: bool) -> RelationalDb {
     db
 }
 
+// --- Index probes against full scans ---------------------------------------
+
+/// One row of the `staff` table. Every column but `id` may be NULL; `score`
+/// is a FLOAT column holding Int and Float datums alike.
+#[derive(Debug, Clone)]
+struct StaffRow {
+    id: i64,
+    title: Datum,
+    city: Datum,
+    grade: Datum,
+    score: Datum,
+    bonus: Datum,
+}
+
+const TITLES: [&str; 3] = ["analyst", "engineer", "recruiter"];
+const CITIES: [&str; 3] = ["austin", "boston", "chicago"];
+
+fn staff_rows_strategy() -> impl Strategy<Value = Vec<StaffRow>> {
+    prop::collection::vec(
+        (
+            (0i64..50, 0usize..4, 0usize..4),
+            (0i64..5, 0usize..6, 0i64..4),
+        )
+            .prop_map(|((id, title, city), (grade, score, bonus))| StaffRow {
+                id,
+                title: TITLES.get(title).map_or(Datum::Null, |&t| Datum::from(t)),
+                city: CITIES.get(city).map_or(Datum::Null, |&c| Datum::from(c)),
+                // Grade 4 stands for NULL, bonus 3 likewise.
+                grade: if grade == 4 {
+                    Datum::Null
+                } else {
+                    Datum::Int(grade)
+                },
+                score: [
+                    Datum::Int(1),
+                    Datum::Int(2),
+                    Datum::Float(2.0),
+                    Datum::Float(2.5),
+                    Datum::Float(3.0),
+                    Datum::Null,
+                ][score]
+                    .clone(),
+                bonus: if bonus == 3 {
+                    Datum::Null
+                } else {
+                    Datum::Int(bonus * 100)
+                },
+            }),
+        0..60,
+    )
+}
+
+fn build_staff_db(rows: &[StaffRow], index: bool) -> RelationalDb {
+    let db = RelationalDb::new();
+    db.create_table(
+        "staff",
+        Schema::new(vec![
+            Column::new("id", ColumnType::Int),
+            Column::new("title", ColumnType::Text),
+            Column::new("city", ColumnType::Text),
+            Column::new("grade", ColumnType::Int),
+            Column::new("score", ColumnType::Float),
+            Column::new("bonus", ColumnType::Int),
+        ])
+        .unwrap(),
+    )
+    .unwrap();
+    for r in rows {
+        let row = vec![
+            Datum::Int(r.id),
+            r.title.clone(),
+            r.city.clone(),
+            r.grade.clone(),
+            r.score.clone(),
+            r.bonus.clone(),
+        ];
+        db.insert_row("staff", row).unwrap();
+    }
+    if index {
+        for column in ["title", "city", "grade", "score"] {
+            db.create_index("staff", column).unwrap();
+        }
+    }
+    db
+}
+
+/// Each conjunct of a generated WHERE clause is drawn from one seed.
+fn terms_strategy() -> impl Strategy<Value = Vec<u64>> {
+    prop::collection::vec(0u64..u64::MAX, 1..4)
+}
+
+/// Draws from a seed (a linear congruential step per draw).
+struct Draw(u64);
+
+impl Draw {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 = self
+            .0
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        ((self.0 >> 33) % n as u64) as usize
+    }
+
+    fn pick<'a>(&mut self, choices: &[&'a str]) -> &'a str {
+        choices[self.below(choices.len())]
+    }
+
+    /// An indexed column and a literal of its type, NULL included (text
+    /// literals include a key that no row holds).
+    fn indexed_literal(&mut self) -> (&'static str, &'static str) {
+        match self.below(4) {
+            0 => (
+                "title",
+                self.pick(&["'analyst'", "'engineer'", "'recruiter'", "'pilot'", "NULL"]),
+            ),
+            1 => (
+                "city",
+                self.pick(&["'austin'", "'boston'", "'chicago'", "'denver'", "NULL"]),
+            ),
+            2 => (
+                "grade",
+                self.pick(&["0", "1", "2", "3", "1.0", "2.0", "2.5", "NULL"]),
+            ),
+            _ => (
+                "score",
+                self.pick(&["1", "2", "3", "2.0", "2.5", "3.5", "NULL"]),
+            ),
+        }
+    }
+
+    /// `column` and 1–4 literals of its type, repeats allowed.
+    fn indexed_list(&mut self) -> (&'static str, String) {
+        let (column, first) = self.indexed_literal();
+        let mut items = vec![first];
+        for _ in 0..self.below(4) {
+            loop {
+                let (c, literal) = self.indexed_literal();
+                if c == column {
+                    items.push(literal);
+                    break;
+                }
+            }
+        }
+        (column, items.join(", "))
+    }
+
+    fn equality(&mut self) -> String {
+        let (column, literal) = self.indexed_literal();
+        if self.below(2) == 0 {
+            format!("{column} = {literal}")
+        } else {
+            format!("{literal} = {column}")
+        }
+    }
+}
+
+/// Renders one conjunct from its seed.
+fn render_term(seed: u64) -> String {
+    let mut d = Draw(seed);
+    match d.below(8) {
+        0 | 1 => d.equality(),
+        2 | 3 => {
+            let (column, list) = d.indexed_list();
+            format!("{column} IN ({list})")
+        }
+        4 => {
+            let (column, list) = d.indexed_list();
+            format!("{column} NOT IN ({list})")
+        }
+        5 => format!("({} OR {})", d.equality(), d.equality()),
+        6 => d
+            .pick(&[
+                "id > 20",
+                "id <= 35",
+                "bonus IN (100, 200, NULL)",
+                "bonus IS NULL",
+                "score > 1.5",
+                "grade IN (1, bonus)",
+                "title IN ('analyst', city)",
+            ])
+            .to_string(),
+        _ => {
+            // An IN probe on a second indexed column.
+            let (column, list) = d.indexed_list();
+            format!("{column} IN ({list}) AND {}", d.equality())
+        }
+    }
+}
+
+fn render_where(terms: &[u64]) -> String {
+    terms
+        .iter()
+        .map(|&t| render_term(t))
+        .collect::<Vec<_>>()
+        .join(" AND ")
+}
+
 proptest! {
     /// COUNT(*) with a comparison predicate matches the oracle.
     #[test]
@@ -76,12 +273,15 @@ proptest! {
         prop_assert_eq!(&got.rows[0][0], &Datum::Int(expected));
     }
 
-    /// Equality filtering is identical with and without a hash index.
+    /// Filtering is identical with and without hash indices, row order
+    /// included: random well-typed WHERE clauses mix `=` and `IN` probes on
+    /// one or two indexed columns (repeated list items, NULL in lists and
+    /// data, Int/Float mixes) with unindexed conjuncts, `OR` and `NOT IN`.
     #[test]
-    fn index_agrees_with_scan(rows in rows_strategy(), probe in title_strategy()) {
-        let plain = build_db(&rows, false);
-        let indexed = build_db(&rows, true);
-        let sql = format!("SELECT id FROM jobs WHERE title = '{probe}' ORDER BY id");
+    fn index_agrees_with_scan(rows in staff_rows_strategy(), terms in terms_strategy()) {
+        let plain = build_staff_db(&rows, false);
+        let indexed = build_staff_db(&rows, true);
+        let sql = format!("SELECT * FROM staff WHERE {}", render_where(&terms));
         let a = plain.execute(&sql).unwrap();
         let b = indexed.execute(&sql).unwrap();
         prop_assert_eq!(a, b);

@@ -343,7 +343,7 @@ pub fn register_hr_agents(
                     .db
                     .execute(sql)
                     .map_err(|e| AgentError::ProcessorFailed(e.to_string()))?;
-                Ok(Outputs::new().with("rows", rs.to_json()))
+                Ok(Outputs::new().with("rows", rs.into_json()))
             },
         ));
         add(spec, proc)?;
@@ -418,7 +418,7 @@ pub fn register_hr_agents(
                      JOIN applicants a ON ap.applicant_id = a.id WHERE ap.job_id = {job_id}"
                     ))
                     .map_err(|e| AgentError::ProcessorFailed(e.to_string()))?;
-                let (summary, usage) = llm2.summarize_rows(&rs.to_json());
+                let (summary, usage) = llm2.summarize_rows(&rs.into_json());
                 charge(ctx, usage);
                 Ok(Outputs::new().with("summary", json!(format!("Job {job_id}: {summary}"))))
             },
