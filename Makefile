@@ -1,4 +1,4 @@
-.PHONY: all build test fmt lint bench bench-json bench-check chaos serving serving-bench scheduler datastore ir docs figures-check perfbench-smoke
+.PHONY: all build test fmt lint bench bench-json bench-check chaos serving serving-bench scheduler datastore observability ir docs figures-check perfbench-smoke
 
 all: build lint test
 
@@ -66,6 +66,17 @@ scheduler:
 datastore:
 	PROPTEST_CASES=1024 cargo test -p blueprint-datastore --test sql_properties
 	cargo test -p blueprint-datastore --test alloc_counts
+
+# Telemetry gate: the end-to-end observability tests (byte-stable traces,
+# hand-counted metrics, StoreStats equal to the blueprint.streams.*
+# readings, nothing recorded by an untraced runtime), the delivery pins, the
+# allocation pin of a disarmed publish, and the observability crate's unit
+# tests.
+observability:
+	cargo test -p integration-tests --test observability
+	cargo test -p integration-tests --test deliveries
+	cargo test -p blueprint-streams --test alloc_counts
+	cargo test -p blueprint-observability
 
 # Throughput sweep: the deterministic load generator replays the mixed
 # workload across 1/8/64 sessions and writes BENCH_serving.json at the repo

@@ -13,7 +13,6 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use blueprint_observability::Observability;
 use blueprint_resilience::{BreakerRegistry, FaultInjector, InjectedFault};
 use blueprint_streams::StreamStore;
 
@@ -109,7 +108,6 @@ pub struct AgentFactory {
     restarts: AtomicU64,
     faults: Mutex<Option<Arc<FaultInjector>>>,
     breakers: Mutex<Option<Arc<BreakerRegistry>>>,
-    observability: Mutex<Option<Observability>>,
 }
 
 impl AgentFactory {
@@ -123,15 +121,7 @@ impl AgentFactory {
             restarts: AtomicU64::new(0),
             faults: Mutex::new(None),
             breakers: Mutex::new(None),
-            observability: Mutex::new(None),
         }
-    }
-
-    /// Attaches observability: instances spawned (or restarted) *after* this
-    /// call record invoke spans and report into the `blueprint.agents.*`
-    /// instruments.
-    pub fn set_observability(&self, obs: Observability) {
-        *self.observability.lock() = Some(obs);
     }
 
     /// Attaches a fault injector: processors of instances spawned *after*
@@ -192,9 +182,6 @@ impl AgentFactory {
             None => processor,
         };
         let host = AgentHost::start(spec, processor, self.store.clone(), scope)?;
-        if let Some(obs) = self.observability.lock().as_ref() {
-            host.set_observability(obs);
-        }
         let id = self.next_instance.fetch_add(1, Ordering::Relaxed);
         self.instances.lock().insert(
             id,

@@ -15,7 +15,7 @@ use std::thread::JoinHandle;
 use crossbeam::channel::{bounded, Select, Sender};
 use serde_json::Value;
 
-use blueprint_observability::{Counter, Observability, SpanId, Tracer};
+use blueprint_observability::{Counter, SpanId, Tracer};
 use blueprint_streams::{Message, MessageId, StreamStore, Subscription, Tag};
 
 use crate::context::AgentContext;
@@ -73,15 +73,6 @@ pub struct HostStats {
     pub failures: u64,
 }
 
-/// Tracer plus instruments the host reports into, resolved once at wiring
-/// time (see [`AgentHost::set_observability`]). Defaults to disarmed no-ops.
-#[derive(Clone, Default)]
-struct HostObservability {
-    tracer: Tracer,
-    invocations: Counter,
-    obs_failures: Counter,
-}
-
 struct Shared {
     spec: AgentSpec,
     processor: Arc<dyn Processor>,
@@ -90,7 +81,11 @@ struct Shared {
     instructed: AtomicU64,
     autonomous: AtomicU64,
     failures: AtomicU64,
-    obs: parking_lot::RwLock<HostObservability>,
+    /// The store's tracer and the `blueprint.agents.*` instruments,
+    /// resolved once when the host starts.
+    tracer: Tracer,
+    invocations: Counter,
+    obs_failures: Counter,
 }
 
 impl Shared {
@@ -112,14 +107,13 @@ impl Shared {
         node_id: &str,
         span_parent: Option<u64>,
     ) {
-        let o = self.obs.read().clone();
-        o.invocations.inc();
+        self.invocations.inc();
         let mut span = match span_parent {
             Some(pid) => {
-                o.tracer
+                self.tracer
                     .child_span("agents", format!("invoke:{}", self.spec.name), SpanId(pid))
             }
-            None => o
+            None => self
                 .tracer
                 .span("agents", format!("invoke:{}", self.spec.name)),
         };
@@ -155,7 +149,7 @@ impl Shared {
             }
             Err(_) => {
                 self.failures.fetch_add(1, Ordering::Relaxed);
-                o.obs_failures.inc();
+                self.obs_failures.inc();
             }
         }
 
@@ -220,7 +214,10 @@ pub struct AgentHost {
 
 impl AgentHost {
     /// Creates and starts a host for `spec` + `processor`, scoped under
-    /// `scope` (e.g. `session:1`). The spec is validated first.
+    /// `scope` (e.g. `session:1`). The spec is validated first. Processor
+    /// runs record an `invoke:<agent>` span into the store's tracer and
+    /// report into its `blueprint.agents.*` instruments; consumed messages
+    /// are flow edges of the tracer.
     pub fn start(
         spec: AgentSpec,
         processor: Arc<dyn Processor>,
@@ -230,7 +227,11 @@ impl AgentHost {
         spec.validate()?;
         let scope = scope.into();
         let pool = Arc::new(WorkerPool::new(&spec.name, spec.deployment.workers));
+        let obs = store.observability();
         let shared = Arc::new(Shared {
+            tracer: obs.tracer.clone(),
+            invocations: obs.metrics.counter("blueprint.agents.invocations"),
+            obs_failures: obs.metrics.counter("blueprint.agents.failures"),
             spec,
             processor,
             store,
@@ -238,7 +239,6 @@ impl AgentHost {
             instructed: AtomicU64::new(0),
             autonomous: AtomicU64::new(0),
             failures: AtomicU64::new(0),
-            obs: parking_lot::RwLock::new(HostObservability::default()),
         });
 
         // Build subscriptions before spawning the listener so no message
@@ -253,7 +253,9 @@ impl AgentHost {
                 blueprint_streams::TagFilter::any_of([format!("agent:{}", shared.spec.name)]),
             )?);
         }
-        let mut binding_subs: Vec<(String, Subscription)> = Vec::new();
+        // Each binding's parameter and the stream name its consumes are
+        // recorded under.
+        let mut binding_subs: Vec<(String, String, Subscription)> = Vec::new();
         if shared.spec.activation.monitors_tags() {
             for b in &shared.spec.bindings {
                 // Autonomous agents monitor streams *within the session*
@@ -263,7 +265,7 @@ impl AgentHost {
                 // never re-fire tag-triggered agents.
                 let selector = b.selector.clone().narrowed_to(&shared.scope);
                 let sub = shared.store.subscribe(selector, b.filter.clone())?;
-                binding_subs.push((b.param.clone(), sub));
+                binding_subs.push((b.param.clone(), format!("binding:{}", b.param), sub));
             }
         }
 
@@ -278,7 +280,7 @@ impl AgentHost {
                 .name(format!("agent-{}-listener", shared.spec.name))
                 .spawn(move || {
                     let mut net = TriggerNet::new(
-                        binding_subs.iter().map(|(p, _)| p.clone()),
+                        binding_subs.iter().map(|(p, _, _)| p.clone()),
                         shared.spec.pairing,
                     );
                     let mut accepted = RecentInstructions::new();
@@ -288,7 +290,7 @@ impl AgentHost {
                         let instr_idx = instruction_sub.as_ref().map(|s| select.recv(s.receiver()));
                         let binding_base: Vec<usize> = binding_subs
                             .iter()
-                            .map(|(_, s)| select.recv(s.receiver()))
+                            .map(|(_, _, s)| select.recv(s.receiver()))
                             .collect();
 
                         let op = select.select();
@@ -302,11 +304,9 @@ impl AgentHost {
                             let Ok(msg) = op.recv(sub.receiver()) else {
                                 break;
                             };
-                            shared.store.monitor().record_consume(
-                                &shared.spec.name,
-                                &blueprint_streams::StreamId::new("instructions"),
-                                &msg,
-                            );
+                            shared
+                                .store
+                                .record_consume(&shared.spec.name, "instructions", &msg);
                             if let Some(exec) = ExecuteAgent::from_message(&msg) {
                                 if exec.agent == shared.spec.name && accepted.accept(msg.id) {
                                     shared.instructed.fetch_add(1, Ordering::Relaxed);
@@ -328,18 +328,14 @@ impl AgentHost {
                         }
                         // A binding message.
                         if let Some(pos) = binding_base.iter().position(|&b| b == idx) {
-                            let (param, sub) = &binding_subs[pos];
+                            let (param, stream, sub) = &binding_subs[pos];
                             let Ok(msg) = op.recv(sub.receiver()) else {
                                 break;
                             };
                             if msg.is_eos() {
                                 continue;
                             }
-                            shared.store.monitor().record_consume(
-                                &shared.spec.name,
-                                &blueprint_streams::StreamId::new(format!("binding:{param}")),
-                                &msg,
-                            );
+                            shared.store.record_consume(&shared.spec.name, stream, &msg);
                             if let Some(inputs) = net.offer(param, msg.payload.clone()) {
                                 shared.autonomous.fetch_add(1, Ordering::Relaxed);
                                 let shared2 = Arc::clone(&shared);
@@ -370,19 +366,6 @@ impl AgentHost {
             stop_tx: Some(stop_tx),
             running,
         })
-    }
-
-    /// Attaches observability: subsequent processor runs record an
-    /// `invoke:<agent>` span and report into the `blueprint.agents.*`
-    /// instruments. Late-bound (like the factory's fault injector) so hosts
-    /// started before the runtime assembles its observability still pick it
-    /// up.
-    pub fn set_observability(&self, obs: &Observability) {
-        *self.shared.obs.write() = HostObservability {
-            tracer: obs.tracer.clone(),
-            invocations: obs.metrics.counter("blueprint.agents.invocations"),
-            obs_failures: obs.metrics.counter("blueprint.agents.failures"),
-        };
     }
 
     /// The agent's spec.

@@ -49,7 +49,6 @@ fn bench_control_styles(c: &mut Criterion) {
     // Decentralized: stage-a (tag in:a, out:b) → stage-b (tag in:b, out:done).
     group.bench_function("decentralized_tags", |b| {
         let store = StreamStore::new();
-        store.monitor().set_enabled(false);
         let factory = AgentFactory::new(store.clone());
         for (spec, proc) in [
             passthrough("stage-a", Some("stage-b"), "a"),
@@ -77,7 +76,6 @@ fn bench_control_styles(c: &mut Criterion) {
     // Centralized: the coordinator drives the same two agents.
     group.bench_function("centralized_coordinator", |b| {
         let store = StreamStore::new();
-        store.monitor().set_enabled(false);
         let factory = AgentFactory::new(store.clone());
         let registry = Arc::new(AgentRegistry::new());
         for (spec, proc) in [

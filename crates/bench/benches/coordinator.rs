@@ -20,7 +20,6 @@ use blueprint_core::streams::StreamStore;
 
 fn setup(chain_len: usize) -> (Arc<AgentFactory>, TaskCoordinator) {
     let store = StreamStore::new();
-    store.monitor().set_enabled(false);
     let factory = Arc::new(AgentFactory::new(store.clone()));
     let registry = Arc::new(AgentRegistry::new());
     for i in 0..chain_len {
@@ -95,7 +94,6 @@ fn fanout_setup(
     mode: SchedulerMode,
 ) -> (Arc<AgentFactory>, TaskCoordinator) {
     let store = StreamStore::new();
-    store.monitor().set_enabled(false);
     let factory = Arc::new(AgentFactory::new(store.clone()));
     let registry = Arc::new(AgentRegistry::new());
     for i in 0..branches {

@@ -20,7 +20,7 @@ use blueprint_core::agents::{
     ParamSpec, Processor,
 };
 use blueprint_core::coordinator::TaskCoordinator;
-use blueprint_core::observability::Observability;
+use blueprint_core::observability::{Observability, SimClock};
 use blueprint_core::optimizer::QosConstraints;
 use blueprint_core::planner::{InputBinding, PlanNode, TaskPlan};
 use blueprint_core::registry::AgentRegistry;
@@ -29,19 +29,17 @@ use blueprint_core::streams::StreamStore;
 const CHAIN: usize = 3;
 
 fn setup(armed: bool) -> (Arc<AgentFactory>, TaskCoordinator, Observability) {
-    let store = StreamStore::new();
-    store.monitor().set_enabled(false);
-    let factory = Arc::new(AgentFactory::new(store.clone()));
-    let registry = Arc::new(AgentRegistry::new());
+    let clock = SimClock::new();
     let obs = if armed {
-        Observability::armed(store.clock().clone())
+        Observability::armed(clock.clone())
     } else {
         Observability::disarmed()
     };
-    if armed {
-        store.set_metrics(&obs.metrics);
-        factory.set_observability(obs.clone());
-    }
+    // The store carries the bundle; the factory's hosts and the coordinator
+    // resolve their instruments from it.
+    let store = StreamStore::observed(clock, obs.clone());
+    let factory = Arc::new(AgentFactory::new(store.clone()));
+    let registry = Arc::new(AgentRegistry::new());
     for i in 0..CHAIN {
         let spec = AgentSpec::new(format!("step-{i}"), "pass the text along")
             .with_input(ParamSpec::required("text", "t", DataType::Text))
@@ -55,11 +53,8 @@ fn setup(armed: bool) -> (Arc<AgentFactory>, TaskCoordinator, Observability) {
         registry.register(spec).unwrap();
         factory.spawn(&format!("step-{i}"), "session:1").unwrap();
     }
-    let mut coordinator = TaskCoordinator::new(store, "session:1", registry)
+    let coordinator = TaskCoordinator::new(store, "session:1", registry)
         .with_report_timeout(Duration::from_secs(10));
-    if armed {
-        coordinator = coordinator.with_observability(obs.clone());
-    }
     (factory, coordinator, obs)
 }
 
@@ -113,8 +108,8 @@ fn bench_disarmed_vs_armed(c: &mut Criterion) {
             let plan = chain_plan(&format!("t{task}"));
             let report = coordinator.execute(&plan, QosConstraints::none()).unwrap();
             assert!(report.outcome.succeeded());
-            // Drain the span buffer so the armed run measures recording, not
-            // an ever-growing backlog.
+            // Drain the span and flow buffers so the armed run measures
+            // recording, not an ever-growing backlog.
             obs.tracer.clear();
         });
     });

@@ -28,7 +28,6 @@ const CHAIN_LEN: usize = 3;
 
 fn setup(resilient: bool) -> (Arc<AgentFactory>, TaskCoordinator) {
     let store = StreamStore::new();
-    store.monitor().set_enabled(false);
     let factory = Arc::new(AgentFactory::new(store.clone()));
     let registry = Arc::new(AgentRegistry::new());
     if resilient {

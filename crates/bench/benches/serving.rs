@@ -28,7 +28,6 @@ fn serving_blueprint(max_in_flight: usize) -> Blueprint {
         .with_serving(SESSIONS, max_in_flight)
         .build()
         .unwrap();
-    bp.store().monitor().set_enabled(false);
     for name in STAGES {
         let spec = AgentSpec::new(name, "sleep then answer")
             .with_input(ParamSpec::required("text", "t", DataType::Text))

@@ -12,7 +12,6 @@ fn bench_publish(c: &mut Criterion) {
 
     group.bench_function("no_subscribers", |b| {
         let store = StreamStore::new();
-        store.monitor().set_enabled(false);
         let id = store.create_stream("s", Vec::<Tag>::new()).unwrap();
         b.iter(|| {
             store
@@ -24,7 +23,6 @@ fn bench_publish(c: &mut Criterion) {
     for subs in [1usize, 8, 64] {
         group.bench_with_input(BenchmarkId::new("fanout", subs), &subs, |b, &subs| {
             let store = StreamStore::new();
-            store.monitor().set_enabled(false);
             let id = store.create_stream("s", Vec::<Tag>::new()).unwrap();
             let subscriptions: Vec<_> = (0..subs)
                 .map(|_| {
@@ -52,7 +50,6 @@ fn bench_tag_filtering(c: &mut Criterion) {
     // 64 subscribers, each on a distinct tag; only one matches per publish.
     group.bench_function("selective_64_subscribers", |b| {
         let store = StreamStore::new();
-        store.monitor().set_enabled(false);
         let id = store.create_stream("s", Vec::<Tag>::new()).unwrap();
         let subscriptions: Vec<_> = (0..64)
             .map(|i| {
@@ -85,7 +82,6 @@ fn bench_replay(c: &mut Criterion) {
     for n in [100u64, 10_000] {
         group.bench_with_input(BenchmarkId::new("read_full", n), &n, |b, &n| {
             let store = StreamStore::new();
-            store.monitor().set_enabled(false);
             let id = store.create_stream("s", Vec::<Tag>::new()).unwrap();
             for i in 0..n {
                 store.publish(&id, Message::data(format!("m{i}"))).unwrap();

@@ -37,7 +37,6 @@ fn median_micros(mut sample: impl FnMut() -> Duration) -> u64 {
 
 fn fanout_coordinator(mode: SchedulerMode, memo: bool) -> (Arc<AgentFactory>, TaskCoordinator) {
     let store = StreamStore::new();
-    store.monitor().set_enabled(false);
     let factory = Arc::new(AgentFactory::new(store.clone()));
     let registry = Arc::new(AgentRegistry::new());
     for i in 0..FANOUT {

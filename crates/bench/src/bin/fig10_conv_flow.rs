@@ -13,15 +13,21 @@
 
 use std::time::Duration;
 
-use blueprint_bench::{bench_blueprint, figure, write_artifact};
+use blueprint_bench::{bench_hr, figure, write_artifact};
 use blueprint_core::streams::{Selector, TagFilter};
+use blueprint_core::Blueprint;
 use serde_json::json;
 
 fn main() {
     figure("Fig 10", "Flow initiated from conversation");
-    let bp = bench_blueprint();
+    // Tracing records the flow edges of the sequence diagram.
+    let bp = Blueprint::builder()
+        .with_hr_domain(bench_hr())
+        .with_tracing()
+        .build()
+        .expect("blueprint assembles");
     let session = bp.start_session().expect("session");
-    bp.store().monitor().clear();
+    bp.observability().tracer.clear(); // trace only this flow
 
     let summaries = bp
         .store()
@@ -40,9 +46,10 @@ fn main() {
         summary.payload.as_str().unwrap_or("?")
     );
 
-    println!("sequence (from the flow monitor):");
-    let trace = bp.store().monitor().render_sequence();
-    for line in trace.lines() {
+    println!("sequence (from the trace's flow edges):");
+    let trace = bp.trace();
+    let sequence = trace.render_sequence();
+    for line in sequence.lines() {
         if [
             "user",
             "intent-classifier",
@@ -59,7 +66,7 @@ fn main() {
     }
 
     // Assert the paper's ordering: U → IC → AE → NL2Q → QE → QS.
-    let participants = bp.store().monitor().participants();
+    let participants = trace.participants();
     let pos = |name: &str| participants.iter().position(|p| p == name);
     let order = [
         pos("user").expect("user"),
@@ -84,7 +91,7 @@ fn main() {
             "summary": summary.payload.as_str().unwrap_or("?"),
             "participants": participants,
             "ordering": "user → intent-classifier → agentic-employer → nl2q → sql-executor → query-summarizer",
-            "sequence": bp.store().monitor().render_sequence(),
+            "sequence": sequence,
         }),
     );
 }

@@ -11,6 +11,7 @@ use blueprint_core::agents::{
     AgentContext, AgentHost, AgentSpec, DataType, FnProcessor, Inputs, Outputs, ParamSpec,
     Processor, StreamBinding,
 };
+use blueprint_core::observability::{Observability, SimClock, Tracer};
 use blueprint_core::streams::{Message, Selector, StreamStore, TagFilter};
 use serde_json::json;
 
@@ -19,7 +20,13 @@ fn main() {
         "Fig 3",
         "Agents: incoming streams → processor() → output streams",
     );
-    let store = StreamStore::new();
+    // A store whose tracer records the flow edges drawn below.
+    let clock = SimClock::new();
+    let obs = Observability {
+        tracer: Tracer::new(clock.clone()),
+        ..Observability::disarmed()
+    };
+    let store = StreamStore::observed(clock, obs);
 
     // An agent with one bound input parameter and one output parameter.
     let spec = AgentSpec::new("skill-extractor", "extract skills from resume text")
@@ -85,8 +92,9 @@ fn main() {
         .recv_timeout(Duration::from_secs(5))
         .expect("agent report");
 
+    let flow = store.observability().tracer.snapshot().render_sequence();
     println!("\nrecorded flow:");
-    print!("{}", store.monitor().render_sequence());
+    print!("{flow}");
 
     write_artifact(
         "fig3_agent_anatomy",
@@ -95,7 +103,7 @@ fn main() {
             "agent": "skill-extractor",
             "trigger": "messages tagged [resume] on any stream",
             "skills": out.payload,
-            "flow": store.monitor().render_sequence(),
+            "flow": flow,
         }),
     );
 }

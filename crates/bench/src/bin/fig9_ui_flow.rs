@@ -11,16 +11,22 @@
 
 use std::time::Duration;
 
-use blueprint_bench::{bench_blueprint, figure, write_artifact};
+use blueprint_bench::{bench_hr, figure, write_artifact};
 use blueprint_core::agents::UiForm;
 use blueprint_core::streams::{Selector, TagFilter};
+use blueprint_core::Blueprint;
 use serde_json::json;
 
 fn main() {
     figure("Fig 9", "Flow initiated from UI");
-    let bp = bench_blueprint();
+    // Tracing records the flow edges of the sequence diagram.
+    let bp = Blueprint::builder()
+        .with_hr_domain(bench_hr())
+        .with_tracing()
+        .build()
+        .expect("blueprint assembles");
     let session = bp.start_session().expect("session");
-    bp.store().monitor().clear(); // trace only this flow
+    bp.observability().tracer.clear(); // trace only this flow
 
     let summaries = bp
         .store()
@@ -55,10 +61,11 @@ fn main() {
         }
     }
 
-    println!("sequence (from the flow monitor):");
-    let trace = bp.store().monitor().render_sequence();
+    println!("sequence (from the trace's flow edges):");
+    let trace = bp.trace();
+    let sequence = trace.render_sequence();
     // Keep the lines involving the Fig 9 participants.
-    for line in trace.lines() {
+    for line in sequence.lines() {
         if ["user", "agentic-employer", "task-coordinator", "summarizer"]
             .iter()
             .any(|p| line.contains(p))
@@ -68,7 +75,7 @@ fn main() {
     }
 
     // Assert the paper's ordering: U → AE → TC → S.
-    let participants = bp.store().monitor().participants();
+    let participants = trace.participants();
     let pos = |name: &str| participants.iter().position(|p| p == name);
     let (u, ae, tc, s) = (
         pos("user").expect("user in trace"),
@@ -86,7 +93,7 @@ fn main() {
             "summary": summary.payload.as_str().unwrap_or("?"),
             "participants": participants,
             "ordering": "user → agentic-employer → task-coordinator → summarizer",
-            "sequence": bp.store().monitor().render_sequence(),
+            "sequence": sequence,
         }),
     );
 }

@@ -112,7 +112,6 @@ fn loadgen_blueprint(max_sessions: usize, max_in_flight: usize, workers: usize) 
         .with_metrics()
         .build()
         .expect("blueprint assembles");
-    bp.store().monitor().set_enabled(false);
     for flow in ALL_AGENTS {
         for stage in flow.stages() {
             if bp.agent_registry().contains(stage.agent) {

@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 use serde_json::{json, Value};
 
 use blueprint_agents::{AgentReport, DataType, ExecuteAgent, Inputs};
-use blueprint_observability::{Counter, Gauge, MetricsSnapshot, Observability, SpanHandle, SpanId};
+use blueprint_observability::{Counter, Gauge, Observability, SpanHandle, SpanId};
 use blueprint_optimizer::{Budget, BudgetStatus, QosConstraints, SharedBudget};
 use blueprint_planner::{DataPlanner, IrBinding, IrNode, PlanIr, Schedule, TaskPlan, TaskPlanner};
 use blueprint_registry::AgentRegistry;
@@ -177,10 +177,6 @@ pub struct ExecutionReport {
     pub cache: CacheSavings,
     /// Mid-flight tier switches applied by adaptive re-optimization.
     pub reoptimizations: Vec<ReoptimizationNote>,
-    /// Readout of every `blueprint.*` instrument, attached to the top-level
-    /// report when metrics are armed (None otherwise, and on the nested
-    /// reports of replanned executions).
-    pub metrics: Option<MetricsSnapshot>,
 }
 
 /// Executes task plans over the streams fabric.
@@ -205,10 +201,9 @@ pub struct TaskCoordinator {
     instruments: CoordInstruments,
 }
 
-/// Named instruments the coordinator reports into, resolved once in
-/// [`TaskCoordinator::with_observability`] so the scheduler's hot loop pays
-/// one atomic op per event. Defaults to disarmed no-ops.
-#[derive(Clone, Default)]
+/// Named instruments the coordinator reports into, resolved once from the
+/// store's registry in [`TaskCoordinator::new`] so the scheduler's hot loop
+/// pays one atomic op per event.
 struct CoordInstruments {
     dispatches: Counter,
     memo_hits: Counter,
@@ -324,8 +319,20 @@ impl TaskCoordinator {
         &self.scope
     }
 
-    /// Creates a coordinator for a session scope.
+    /// Creates a coordinator for a session scope. Its telemetry is the
+    /// store's: executions record a `task:<task_id>` root span with one
+    /// child span per plan node (parented along plan-DAG edges) into the
+    /// store's tracer, and report into the `blueprint.coordinator.*` and
+    /// `blueprint.resilience.retries` instruments of its registry.
     pub fn new(store: StreamStore, scope: impl Into<String>, registry: Arc<AgentRegistry>) -> Self {
+        let obs = store.observability().clone();
+        let instruments = CoordInstruments {
+            dispatches: obs.metrics.counter("blueprint.coordinator.dispatches"),
+            memo_hits: obs.metrics.counter("blueprint.coordinator.memo_hits"),
+            retries: obs.metrics.counter("blueprint.resilience.retries"),
+            queue_depth: obs.metrics.gauge("blueprint.coordinator.queue_depth"),
+            in_flight: obs.metrics.gauge("blueprint.coordinator.in_flight"),
+        };
         TaskCoordinator {
             store,
             scope: scope.into(),
@@ -342,8 +349,8 @@ impl TaskCoordinator {
             memo: None,
             adaptive: None,
             epoch: std::time::Instant::now(),
-            obs: Observability::disarmed(),
-            instruments: CoordInstruments::default(),
+            obs,
+            instruments,
         }
     }
 
@@ -360,23 +367,6 @@ impl TaskCoordinator {
     /// The scope agents listen on for instructions and publish reports to.
     pub fn instruction_scope(&self) -> &str {
         self.instr_scope.as_deref().unwrap_or(&self.scope)
-    }
-
-    /// Attaches observability: executions record a `task:<task_id>` root
-    /// span with one child span per plan node (parented along plan-DAG
-    /// edges), report into the `blueprint.coordinator.*` and
-    /// `blueprint.resilience.retries` instruments, and attach a
-    /// [`MetricsSnapshot`] to the top-level [`ExecutionReport`].
-    pub fn with_observability(mut self, obs: Observability) -> Self {
-        self.instruments = CoordInstruments {
-            dispatches: obs.metrics.counter("blueprint.coordinator.dispatches"),
-            memo_hits: obs.metrics.counter("blueprint.coordinator.memo_hits"),
-            retries: obs.metrics.counter("blueprint.resilience.retries"),
-            queue_depth: obs.metrics.gauge("blueprint.coordinator.queue_depth"),
-            in_flight: obs.metrics.gauge("blueprint.coordinator.in_flight"),
-        };
-        self.obs = obs;
-        self
     }
 
     /// Attaches the data planner (enables `FromData` bindings and input
@@ -497,12 +487,7 @@ impl TaskCoordinator {
         };
         let result = self.execute_inner(ir, budget, 0, &task);
         task_span.end();
-        result.map(|mut report| {
-            if self.obs.metrics.is_armed() {
-                report.metrics = Some(self.obs.metrics.snapshot());
-            }
-            report
-        })
+        result
     }
 
     /// The one lowering: a data binding the data planner cannot plan (or
@@ -565,6 +550,7 @@ impl TaskCoordinator {
                         "coordinator",
                         format!("reopt:{}:{}->{}", s.node, s.from, s.to),
                         task.span,
+                        &[],
                     );
                     sched.note_reoptimization(ReoptimizationNote {
                         node: s.node,
@@ -728,9 +714,12 @@ impl TaskCoordinator {
                         "node-skipped",
                         json!({"node": node_id, "agent": agent}),
                     );
-                    self.obs
-                        .tracer
-                        .instant("coordinator", format!("skip:{node_id}"), task.span);
+                    self.obs.tracer.instant(
+                        "coordinator",
+                        format!("skip:{node_id}"),
+                        task.span,
+                        &[],
+                    );
                     let skipped = Completion::Skipped {
                         result: NodeResult {
                             node: node_id.to_string(),
@@ -1030,6 +1019,7 @@ impl TaskCoordinator {
                     "coordinator",
                     format!("retry:{}#{}", f.agent, f.attempts),
                     f.span.id(),
+                    &[],
                 );
                 // The failed attempt's cost and the backoff are real spend
                 // the caller experienced (accuracy-neutral: the retry
@@ -1071,6 +1061,7 @@ impl TaskCoordinator {
                         "coordinator",
                         format!("fallback:{}->{fallback}", f.planned()),
                         f.span.id(),
+                        &[],
                     );
                     f.primary = Some(run);
                     return match self.begin_run(ir, task, f, fallback.to_string())? {

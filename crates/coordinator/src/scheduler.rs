@@ -97,7 +97,6 @@ impl Progress {
             degradations: self.notes.into_iter().flatten().collect(),
             cache: self.cache,
             reoptimizations: self.reoptimizations,
-            metrics: None,
         }
     }
 }

@@ -15,7 +15,9 @@ use blueprint_datastore::{
 };
 use blueprint_hrdomain::{register_guardrails, register_hr_agents, HrConfig, HrDataset};
 use blueprint_llmsim::{ModelProfile, ParametricSource, SimLlm};
-use blueprint_observability::{MetricsRegistry, MetricsSnapshot, Observability, Trace, Tracer};
+use blueprint_observability::{
+    MetricsRegistry, MetricsSnapshot, Observability, SimClock, Trace, Tracer,
+};
 use blueprint_optimizer::{Objective, QosConstraints};
 use blueprint_planner::{DataPlanner, PlanError, TaskPlan, TaskPlanner};
 use blueprint_registry::{AgentRegistry, DataRegistry};
@@ -230,7 +232,9 @@ impl BlueprintBuilder {
     }
 
     /// Arms span tracing: every task execution records a trace tree stamped
-    /// from the shared simulated clock (deterministic, byte-stable).
+    /// from the shared simulated clock (deterministic, byte-stable), and
+    /// every stream publish and agent consume is recorded as a flow edge
+    /// (see [`Trace::render_sequence`]).
     pub fn with_tracing(mut self) -> Self {
         self.tracing = true;
         self
@@ -255,17 +259,14 @@ impl BlueprintBuilder {
 
     /// Assembles the runtime.
     pub fn build(self) -> Result<Blueprint, CoreError> {
-        let store = StreamStore::new();
-        let factory = Arc::new(AgentFactory::new(store.clone()));
-        let agent_registry = Arc::new(AgentRegistry::new());
-        let data_registry = Arc::new(DataRegistry::new());
-
         // Tracing and metrics arm independently; spans are stamped from the
         // same simulated clock the streams database uses, so trace times line
-        // up with message sequence times.
+        // up with message sequence times. The store carries the bundle, and
+        // every component built on the store reports into it.
+        let clock = SimClock::new();
         let observability = Observability {
             tracer: if self.tracing {
-                Tracer::new(store.clock().clone())
+                Tracer::new(clock.clone())
             } else {
                 Tracer::disarmed()
             },
@@ -275,10 +276,10 @@ impl BlueprintBuilder {
                 MetricsRegistry::disarmed()
             },
         };
-        if observability.is_armed() {
-            store.set_metrics(&observability.metrics);
-            factory.set_observability(observability.clone());
-        }
+        let store = StreamStore::observed(clock, observability.clone());
+        let factory = Arc::new(AgentFactory::new(store.clone()));
+        let agent_registry = Arc::new(AgentRegistry::new());
+        let data_registry = Arc::new(DataRegistry::new());
 
         let injector = self.fault_plan.map(|p| Arc::new(FaultInjector::new(p)));
         if let Some(inj) = &injector {
@@ -394,7 +395,6 @@ impl BlueprintBuilder {
             scheduler: self.scheduler,
             memo: self.memo_capacity.map(|cap| Arc::new(MemoCache::new(cap))),
             adaptive: self.adaptive,
-            observability,
             serving: self.serving,
         })
     }
@@ -421,7 +421,6 @@ pub struct Blueprint {
     scheduler: SchedulerMode,
     memo: Option<Arc<MemoCache>>,
     adaptive: Option<f64>,
-    pub(crate) observability: Observability,
     pub(crate) serving: Option<(usize, usize)>,
 }
 
@@ -486,21 +485,22 @@ impl Blueprint {
         self.memo.as_ref()
     }
 
-    /// The runtime's observability handles (disarmed no-ops unless
-    /// [`BlueprintBuilder::with_tracing`] / [`BlueprintBuilder::with_metrics`]
-    /// were requested).
+    /// The runtime's observability handles, carried by the store (disarmed
+    /// no-ops unless [`BlueprintBuilder::with_tracing`] /
+    /// [`BlueprintBuilder::with_metrics`] were requested).
     pub fn observability(&self) -> &Observability {
-        &self.observability
+        self.store.observability()
     }
 
-    /// Snapshot of the recorded trace so far (empty when tracing is off).
+    /// Snapshot of the recorded trace so far: spans and flow edges (empty
+    /// when tracing is off).
     pub fn trace(&self) -> Trace {
-        self.observability.tracer.snapshot()
+        self.observability().tracer.snapshot()
     }
 
     /// Snapshot of every instrument (empty when metrics are off).
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.observability.metrics.snapshot()
+        self.observability().metrics.snapshot()
     }
 
     /// Builds a task coordinator for `scope` with every configured knob
@@ -523,9 +523,6 @@ impl Blueprint {
         }
         if let Some(threshold) = self.adaptive {
             coordinator = coordinator.with_adaptive(threshold);
-        }
-        if self.observability.is_armed() {
-            coordinator = coordinator.with_observability(self.observability.clone());
         }
         coordinator
     }
@@ -872,12 +869,6 @@ mod tests {
         assert!(snap.counter("blueprint.llmsim.calls") > 0);
         assert!(snap.counter("blueprint.datastore.queries") > 0);
         assert!(snap.counter("blueprint.optimizer.budget_debits") > 0);
-        // The report carries the same snapshot for offline inspection.
-        let attached = report.metrics.expect("armed run attaches metrics");
-        assert_eq!(
-            attached.counter("blueprint.coordinator.dispatches"),
-            snap.counter("blueprint.coordinator.dispatches")
-        );
 
         // The trace is one tree: a task root whose node spans follow the
         // 3-node plan, each with a child invoke span.
@@ -898,8 +889,8 @@ mod tests {
             .handle("I am looking for a data scientist position in SF bay area.")
             .unwrap();
         assert!(report.outcome.succeeded());
-        assert!(report.metrics.is_none());
         assert!(bp.trace().spans.is_empty());
+        assert!(bp.trace().flows.is_empty());
         assert!(bp.metrics().counters.is_empty());
     }
 

@@ -75,7 +75,7 @@ impl Blueprint {
             max_in_flight,
             session_constraints: self.constraints,
         };
-        let router = SessionRouter::new(cfg, &self.observability.metrics);
+        let router = SessionRouter::new(cfg, self.observability());
         Ok(ServingRuntime {
             blueprint: self,
             router,

@@ -24,6 +24,48 @@ pub enum Datum {
 /// One table row.
 pub type Row = Vec<Datum>;
 
+/// 2^63 as a float: the first whole float above `i64::MAX`.
+const TWO_POW_63: f64 = 9_223_372_036_854_775_808.0;
+
+/// `f` as an integer when it is a whole number within `i64`'s range. This
+/// decides when an Int and a Float hold the same number, for comparisons
+/// ([`num_cmp`]) and hash keys ([`DatumKey`]) alike.
+fn whole_float(f: f64) -> Option<i64> {
+    (f.fract() == 0.0 && (-TWO_POW_63..TWO_POW_63).contains(&f)).then_some(f as i64)
+}
+
+/// Exact comparison of two numeric datums: an Int is never rounded to a
+/// float, so `9007199254740993` and `9007199254740992.0` differ. `None`
+/// when either side is not numeric, or a NaN is involved. The one numeric
+/// comparison behind [`Datum::sql_eq`], [`Datum::sql_cmp`] and `==`.
+fn num_cmp(a: &Datum, b: &Datum) -> Option<Ordering> {
+    match (a, b) {
+        (Datum::Int(x), Datum::Int(y)) => Some(x.cmp(y)),
+        (Datum::Float(x), Datum::Float(y)) => x.partial_cmp(y),
+        (Datum::Int(i), Datum::Float(f)) => int_float_cmp(*i, *f),
+        (Datum::Float(f), Datum::Int(i)) => int_float_cmp(*i, *f).map(Ordering::reverse),
+        _ => None,
+    }
+}
+
+fn int_float_cmp(i: i64, f: f64) -> Option<Ordering> {
+    if let Some(w) = whole_float(f) {
+        return Some(i.cmp(&w));
+    }
+    if f.is_nan() {
+        None
+    } else if f >= TWO_POW_63 {
+        Some(Ordering::Less)
+    } else if f < -TWO_POW_63 {
+        Some(Ordering::Greater)
+    } else if i <= f.floor() as i64 {
+        // `f` has a fraction, so it lies strictly above its floor.
+        Some(Ordering::Less)
+    } else {
+        Some(Ordering::Greater)
+    }
+}
+
 impl Datum {
     /// True if NULL.
     pub fn is_null(&self) -> bool {
@@ -56,6 +98,7 @@ impl Datum {
     }
 
     /// SQL three-valued-logic equality: NULL never equals anything.
+    /// Numbers compare exactly: an Int is never rounded to a float.
     pub fn sql_eq(&self, other: &Datum) -> Option<bool> {
         if self.is_null() || other.is_null() {
             return None;
@@ -63,15 +106,13 @@ impl Datum {
         Some(match (self, other) {
             (Datum::Text(a), Datum::Text(b)) => a == b,
             (Datum::Bool(a), Datum::Bool(b)) => a == b,
-            _ => match (self.as_f64(), other.as_f64()) {
-                (Some(a), Some(b)) => a == b,
-                _ => false,
-            },
+            _ => num_cmp(self, other) == Some(Ordering::Equal),
         })
     }
 
     /// SQL comparison for ORDER BY and range predicates; NULL compares less
-    /// than everything (SQLite convention), mixed types compare by type rank.
+    /// than everything (SQLite convention), mixed types compare by type rank,
+    /// numbers compare exactly (a NaN compares equal to every number).
     pub fn sql_cmp(&self, other: &Datum) -> Ordering {
         fn rank(d: &Datum) -> u8 {
             match d {
@@ -85,10 +126,10 @@ impl Datum {
             (Datum::Null, Datum::Null) => Ordering::Equal,
             (Datum::Text(a), Datum::Text(b)) => a.cmp(b),
             (Datum::Bool(a), Datum::Bool(b)) => a.cmp(b),
-            _ => match (self.as_f64(), other.as_f64()) {
-                (Some(a), Some(b)) => a.partial_cmp(&b).unwrap_or(Ordering::Equal),
-                _ => rank(self).cmp(&rank(other)),
-            },
+            _ if rank(self) == 1 && rank(other) == 1 => {
+                num_cmp(self, other).unwrap_or(Ordering::Equal)
+            }
+            _ => rank(self).cmp(&rank(other)),
         }
     }
 
@@ -129,10 +170,7 @@ impl PartialEq for Datum {
             (Datum::Null, Datum::Null) => true,
             (Datum::Text(a), Datum::Text(b)) => a == b,
             (Datum::Bool(a), Datum::Bool(b)) => a == b,
-            (Datum::Int(a), Datum::Int(b)) => a == b,
-            (Datum::Float(a), Datum::Float(b)) => a == b,
-            (Datum::Int(a), Datum::Float(b)) | (Datum::Float(b), Datum::Int(a)) => *a as f64 == *b,
-            _ => false,
+            _ => num_cmp(self, other) == Some(Ordering::Equal),
         }
     }
 }
@@ -179,8 +217,9 @@ impl From<bool> for Datum {
     }
 }
 
-/// Hashable key form of a datum, used for GROUP BY keys and hash indices
-/// (floats are keyed by bit pattern).
+/// Hashable key form of a datum, used for GROUP BY keys and hash indices:
+/// two numeric datums share a key exactly when they compare equal (a whole
+/// float keys as its integer; other floats by bit pattern).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum DatumKey {
     /// NULL key.
@@ -200,17 +239,7 @@ impl From<&Datum> for DatumKey {
         match d {
             Datum::Null => DatumKey::Null,
             Datum::Int(i) => DatumKey::Int(*i),
-            Datum::Float(f) => {
-                if f.fract() == 0.0
-                    && f.is_finite()
-                    && *f >= i64::MIN as f64
-                    && *f <= i64::MAX as f64
-                {
-                    DatumKey::Int(*f as i64)
-                } else {
-                    DatumKey::Float(f.to_bits())
-                }
-            }
+            Datum::Float(f) => whole_float(*f).map_or(DatumKey::Float(f.to_bits()), DatumKey::Int),
             Datum::Text(s) => DatumKey::Text(s.clone()),
             Datum::Bool(b) => DatumKey::Bool(*b),
         }
@@ -227,6 +256,41 @@ mod tests {
         assert_eq!(Datum::Null.sql_eq(&Datum::Int(1)), None);
         assert_eq!(Datum::Int(1).sql_eq(&Datum::Null), None);
         assert_eq!(Datum::Int(1).sql_eq(&Datum::Int(1)), Some(true));
+    }
+
+    #[test]
+    fn numbers_compare_exactly_around_two_pow_53() {
+        let big = 9_007_199_254_740_992i64; // 2^53
+        let (int, above) = (Datum::Int(big), Datum::Int(big + 1));
+        let float = Datum::Float(big as f64);
+        // `big + 1` rounds to `big` as an f64, but the values differ.
+        assert_eq!(above.sql_eq(&int), Some(false));
+        assert_eq!(above.sql_eq(&float), Some(false));
+        assert_ne!(above, float);
+        assert_eq!(above.sql_cmp(&float), Ordering::Greater);
+        assert_eq!(float.sql_cmp(&above), Ordering::Less);
+        assert_eq!(int.sql_eq(&float), Some(true));
+        assert_eq!(DatumKey::from(&int), DatumKey::from(&float));
+        assert_ne!(DatumKey::from(&above), DatumKey::from(&float));
+        // Fractions and out-of-range floats order against every Int.
+        assert_eq!(Datum::Int(-3).sql_cmp(&Datum::Float(-2.5)), Ordering::Less);
+        assert_eq!(
+            Datum::Int(-2).sql_cmp(&Datum::Float(-2.5)),
+            Ordering::Greater
+        );
+        assert_eq!(
+            Datum::Int(i64::MAX).sql_cmp(&Datum::Float(2f64.powi(63))),
+            Ordering::Less
+        );
+        assert_eq!(
+            Datum::Int(i64::MIN).sql_cmp(&Datum::Float(-2f64.powi(63))),
+            Ordering::Equal
+        );
+        assert_ne!(
+            DatumKey::from(&Datum::Float(2f64.powi(63))),
+            DatumKey::Int(i64::MAX)
+        );
+        assert_eq!(Datum::Int(1).sql_eq(&Datum::Float(f64::NAN)), Some(false));
     }
 
     #[test]

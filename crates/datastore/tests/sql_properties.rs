@@ -66,7 +66,8 @@ fn build_db(rows: &[JobRow], index: bool) -> RelationalDb {
 // --- Index probes against full scans ---------------------------------------
 
 /// One row of the `staff` table. Every column but `id` may be NULL; `score`
-/// is a FLOAT column holding Int and Float datums alike.
+/// is a FLOAT column holding Int and Float datums alike. `grade` and `score`
+/// include values around ±2^53, where an Int and the nearest float differ.
 #[derive(Debug, Clone)]
 struct StaffRow {
     id: i64,
@@ -77,6 +78,9 @@ struct StaffRow {
     bonus: Datum,
 }
 
+/// 2^53: the first integer whose successor has no exact f64.
+const BIG: i64 = 9_007_199_254_740_992;
+
 const TITLES: [&str; 3] = ["analyst", "engineer", "recruiter"];
 const CITIES: [&str; 3] = ["austin", "boston", "chicago"];
 
@@ -84,18 +88,24 @@ fn staff_rows_strategy() -> impl Strategy<Value = Vec<StaffRow>> {
     prop::collection::vec(
         (
             (0i64..50, 0usize..4, 0usize..4),
-            (0i64..5, 0usize..6, 0i64..4),
+            (0usize..9, 0usize..9, 0i64..4),
         )
             .prop_map(|((id, title, city), (grade, score, bonus))| StaffRow {
                 id,
                 title: TITLES.get(title).map_or(Datum::Null, |&t| Datum::from(t)),
                 city: CITIES.get(city).map_or(Datum::Null, |&c| Datum::from(c)),
-                // Grade 4 stands for NULL, bonus 3 likewise.
-                grade: if grade == 4 {
-                    Datum::Null
-                } else {
-                    Datum::Int(grade)
-                },
+                grade: [
+                    Datum::Int(0),
+                    Datum::Int(1),
+                    Datum::Int(2),
+                    Datum::Int(3),
+                    Datum::Null,
+                    Datum::Int(BIG),
+                    Datum::Int(BIG + 1),
+                    Datum::Int(-BIG),
+                    Datum::Int(-BIG - 1),
+                ][grade]
+                    .clone(),
                 score: [
                     Datum::Int(1),
                     Datum::Int(2),
@@ -103,8 +113,12 @@ fn staff_rows_strategy() -> impl Strategy<Value = Vec<StaffRow>> {
                     Datum::Float(2.5),
                     Datum::Float(3.0),
                     Datum::Null,
+                    Datum::Int(BIG + 1),
+                    Datum::Float(BIG as f64),
+                    Datum::Int(-BIG - 1),
                 ][score]
                     .clone(),
+                // Bonus 3 stands for NULL.
                 bonus: if bonus == 3 {
                     Datum::Null
                 } else {
@@ -171,7 +185,8 @@ impl Draw {
     }
 
     /// An indexed column and a literal of its type, NULL included (text
-    /// literals include a key that no row holds).
+    /// literals include a key that no row holds; numeric ones include
+    /// values around ±2^53 and whole floats on the INT column).
     fn indexed_literal(&mut self) -> (&'static str, &'static str) {
         match self.below(4) {
             0 => (
@@ -184,11 +199,37 @@ impl Draw {
             ),
             2 => (
                 "grade",
-                self.pick(&["0", "1", "2", "3", "1.0", "2.0", "2.5", "NULL"]),
+                self.pick(&[
+                    "0",
+                    "1",
+                    "2",
+                    "3",
+                    "1.0",
+                    "2.0",
+                    "2.5",
+                    "NULL",
+                    "9007199254740992",
+                    "9007199254740993",
+                    "9007199254740992.0",
+                    "-9007199254740993",
+                    "-9007199254740992.0",
+                ]),
             ),
             _ => (
                 "score",
-                self.pick(&["1", "2", "3", "2.0", "2.5", "3.5", "NULL"]),
+                self.pick(&[
+                    "1",
+                    "2",
+                    "3",
+                    "2.0",
+                    "2.5",
+                    "3.5",
+                    "NULL",
+                    "9007199254740992",
+                    "9007199254740993",
+                    "9007199254740992.0",
+                    "-9007199254740993",
+                ]),
             ),
         }
     }

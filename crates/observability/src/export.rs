@@ -6,6 +6,8 @@
 //! (`ph: "i"`) events, loadable in `chrome://tracing` or Perfetto. Because
 //! Chrome renders one horizontal lane per `tid`, overlapping spans are
 //! greedily packed into lanes so concurrent plan nodes show up side by side.
+//! [`Trace::render_sequence`] draws the recorded flow edges as the numbered
+//! sequence diagram of the paper's Figs 9 and 10.
 
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -14,16 +16,51 @@ use std::path::Path;
 use serde::{Deserialize, Serialize};
 use serde_json::{json, Value};
 
-use crate::span::{SpanId, SpanKind, SpanRecord};
+use crate::span::{FlowDirection, FlowRecord, SpanId, SpanKind, SpanRecord};
 
-/// An immutable, `(start, id)`-ordered snapshot of recorded spans.
+/// An immutable snapshot of recorded spans and flow edges.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct Trace {
     /// Every completed record, sorted by `(start_micros, id)`.
     pub spans: Vec<SpanRecord>,
+    /// Every flow edge, in the order it was recorded.
+    pub flows: Vec<FlowRecord>,
 }
 
 impl Trace {
+    /// Renders the flow edges as a numbered sequence diagram, the format of
+    /// the paper's Figs 9 and 10. Example line:
+    /// `  3. task-coordinator --[control:execute-agent]--> session:1:instructions`.
+    pub fn render_sequence(&self) -> String {
+        let mut out = String::new();
+        for (i, f) in self.flows.iter().enumerate() {
+            let (left, right) = match f.direction {
+                FlowDirection::Publish => ("--[", "]-->"),
+                FlowDirection::Consume => ("<--[", "]--"),
+            };
+            out.push_str(&format!(
+                "{:>3}. {} {left}{}{right} {}\n",
+                i + 1,
+                f.component,
+                f.payload,
+                f.stream
+            ));
+        }
+        out
+    }
+
+    /// The distinct components of the flow edges in first-seen order: the
+    /// lifelines of the sequence diagram.
+    pub fn participants(&self) -> Vec<String> {
+        let mut seen: Vec<String> = Vec::new();
+        for f in &self.flows {
+            if !seen.contains(&f.component) {
+                seen.push(f.component.clone());
+            }
+        }
+        seen
+    }
+
     /// Records with no parent, in trace order.
     pub fn roots(&self) -> Vec<&SpanRecord> {
         self.spans.iter().filter(|s| s.parent.is_none()).collect()
@@ -162,7 +199,7 @@ impl Trace {
 mod tests {
     use super::*;
     use crate::clock::SimClock;
-    use crate::span::Tracer;
+    use crate::span::{FlowDirection, Tracer};
 
     fn sample_trace() -> Trace {
         let clock = SimClock::new();
@@ -173,7 +210,7 @@ mod tests {
         a.attr("agent", "extractor");
         let b = t.child_span("coordinator", "node:b", root_id);
         clock.advance_micros(10);
-        t.instant("coordinator", "retry", Some(root_id));
+        t.instant("coordinator", "retry", Some(root_id), &[]);
         drop(a);
         clock.advance_micros(5);
         drop(b);
@@ -258,6 +295,25 @@ mod tests {
         assert!(lines[1].contains("  node:a"));
         assert!(lines[1].contains("agent=extractor"));
         assert_eq!(lines.len(), 4);
+    }
+
+    #[test]
+    fn sequence_numbers_edges_and_lists_participants_once() {
+        let t = Tracer::new(SimClock::new());
+        let hi = || "data:hi".to_string();
+        t.flow(FlowDirection::Publish, "user", "session:1:user", hi);
+        t.flow(FlowDirection::Consume, "ae", "session:1:user", hi);
+        t.flow(FlowDirection::Publish, "user", "session:1:user", || {
+            "eos".into()
+        });
+        let trace = t.snapshot();
+        assert_eq!(
+            trace.render_sequence(),
+            "  1. user --[data:hi]--> session:1:user\n  \
+             2. ae <--[data:hi]-- session:1:user\n  \
+             3. user --[eos]--> session:1:user\n"
+        );
+        assert_eq!(trace.participants(), ["user", "ae"]);
     }
 
     #[test]

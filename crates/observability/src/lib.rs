@@ -4,11 +4,11 @@
 //! Everything here is deterministic by construction: spans are stamped from
 //! the shared [`SimClock`] (the same virtual clock every component charges
 //! latency to), so a deterministic execution produces a byte-stable trace
-//! that tests can compare exactly. Wall-clock capture is available behind
-//! the `wallclock` feature for profiling real runs.
+//! that tests can compare exactly.
 //!
-//! The two entry points are [`Tracer`] (span trees, exported via [`Trace`]
-//! as Chrome `trace_event` JSON or a text timeline) and [`MetricsRegistry`]
+//! The two entry points are [`Tracer`] (span trees and stream flow edges,
+//! exported via [`Trace`] as Chrome `trace_event` JSON, a text timeline or
+//! a sequence diagram) and [`MetricsRegistry`]
 //! (named atomic counters/gauges/histograms, read out as a
 //! [`MetricsSnapshot`]). Both are cheap cloneable handles that default to a
 //! *disarmed* state where every operation is a no-op, so instrumentation can
@@ -37,11 +37,13 @@ pub mod span;
 pub use clock::SimClock;
 pub use export::Trace;
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
-pub use span::{SpanHandle, SpanId, SpanKind, SpanRecord, Tracer};
+pub use span::{FlowDirection, FlowRecord, SpanHandle, SpanId, SpanKind, SpanRecord, Tracer};
 
-/// A tracer and a metrics registry travelling together — the bundle the
-/// runtime threads through every layer. Both halves are independently
-/// armable, so metrics can be on while tracing is off and vice versa.
+/// A tracer and a metrics registry travelling together: the runtime's one
+/// telemetry pipeline. The stream store carries it, and every component
+/// that holds the store resolves its instruments from it once. Both halves
+/// are independently armable, so metrics can be on while tracing is off and
+/// vice versa.
 #[derive(Clone, Default)]
 pub struct Observability {
     /// Span recorder (disarmed by default).

@@ -5,7 +5,7 @@
 //! instruments **once** at wiring time — [`Counter`], [`Gauge`], and
 //! [`Histogram`] are cheap cloneable handles directly onto the cells — so
 //! the hot path is a single relaxed `fetch_add` with no map lookup and no
-//! lock, matching the `StatCells` idiom the stream store already uses.
+//! lock. The stream store's own counters are such instruments.
 //!
 //! A *disarmed* registry (the default) hands out inert instruments whose
 //! operations are a no-op behind an `Option` check, so instrumented code

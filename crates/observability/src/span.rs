@@ -4,9 +4,12 @@
 //! [`SimClock`]: because every component charges simulated
 //! time instead of reading the wall clock, a deterministic execution yields a
 //! byte-stable trace — identical span names, parentage, and timestamps on
-//! every run — which tests can assert exactly. Wall-clock capture exists for
-//! profiling real runs but is gated behind the `wallclock` feature so the
-//! default build keeps the determinism guarantee.
+//! every run — which tests can assert exactly.
+//!
+//! The tracer also records *flow edges* ([`FlowRecord`]): a component
+//! publishing a message onto a stream or consuming one from it. The stream
+//! store and the agent hosts report them, and [`Trace::render_sequence`]
+//! draws the paper's sequence diagrams (Figs 9, 10) from them.
 //!
 //! The tracer is a handle: cloning is cheap, and a *disarmed* tracer (the
 //! default) turns every operation into a no-op on an `Option` check, so
@@ -61,12 +64,6 @@ pub struct SpanRecord {
     pub end_micros: u64,
     /// Sorted key/value annotations (sorted so traces are byte-stable).
     pub attrs: BTreeMap<String, String>,
-    /// Wall-clock start in nanoseconds since the tracer was armed. Only
-    /// captured under the `wallclock` feature; always serialized so the
-    /// trace schema is feature-independent.
-    pub wall_start_nanos: u64,
-    /// Wall-clock end in nanoseconds since the tracer was armed.
-    pub wall_end_nanos: u64,
 }
 
 impl SpanRecord {
@@ -76,25 +73,34 @@ impl SpanRecord {
     }
 }
 
+/// Whether a component wrote a message to a stream or read one from it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum FlowDirection {
+    /// The component published the message onto the stream.
+    Publish,
+    /// The component consumed the message from the stream.
+    Consume,
+}
+
+/// One edge of the data/control flow graph: a message crossing a stream
+/// boundary.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct FlowRecord {
+    /// Publish or consume.
+    pub direction: FlowDirection,
+    /// Component name ("user", an agent, "task-coordinator", ...).
+    pub component: String,
+    /// The stream (or the agent's view of it, e.g. `binding:<param>`).
+    pub stream: String,
+    /// Short payload label: `data:<text>`, `control:<op>` or `eos`.
+    pub payload: String,
+}
+
 struct TracerInner {
     clock: SimClock,
     next_id: AtomicU64,
     spans: Mutex<Vec<SpanRecord>>,
-    #[cfg(feature = "wallclock")]
-    wall_epoch: std::time::Instant,
-}
-
-impl TracerInner {
-    fn wall_nanos(&self) -> u64 {
-        #[cfg(feature = "wallclock")]
-        {
-            self.wall_epoch.elapsed().as_nanos() as u64
-        }
-        #[cfg(not(feature = "wallclock"))]
-        {
-            0
-        }
-    }
+    flows: Mutex<Vec<FlowRecord>>,
 }
 
 /// Records spans stamped from the simulated clock.
@@ -114,8 +120,7 @@ impl Tracer {
                 clock,
                 next_id: AtomicU64::new(1),
                 spans: Mutex::new(Vec::new()),
-                #[cfg(feature = "wallclock")]
-                wall_epoch: std::time::Instant::now(),
+                flows: Mutex::new(Vec::new()),
             })),
         }
     }
@@ -146,24 +151,60 @@ impl Tracer {
         self.open(category, name, Some(parent))
     }
 
-    /// Records a zero-duration instant event.
-    pub fn instant(&self, category: &str, name: impl Into<String>, parent: Option<SpanId>) {
+    /// Records a zero-duration instant event annotated with `attrs`. The
+    /// stamp and the id are taken under the record lock, so instants
+    /// snapshot in the order they were recorded.
+    pub fn instant(
+        &self,
+        category: &str,
+        name: impl Into<String>,
+        parent: Option<SpanId>,
+        attrs: &[(&str, &str)],
+    ) {
         let Some(inner) = &self.inner else { return };
+        let name = name.into();
+        let attrs = attrs
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect();
+        let mut spans = inner.spans.lock();
         let now = inner.clock.now_micros();
-        let wall = inner.wall_nanos();
-        let record = SpanRecord {
+        spans.push(SpanRecord {
             id: SpanId(inner.next_id.fetch_add(1, Ordering::Relaxed)),
             parent,
-            name: name.into(),
+            name,
             category: category.to_string(),
             kind: SpanKind::Instant,
             start_micros: now,
             end_micros: now,
-            attrs: BTreeMap::new(),
-            wall_start_nanos: wall,
-            wall_end_nanos: wall,
+            attrs,
+        });
+    }
+
+    /// Records a flow edge: `component` published `payload` onto, or
+    /// consumed it from, `stream`. An empty component is recorded as
+    /// `unknown`. The payload label is built only when the tracer is armed;
+    /// a disarmed tracer takes no lock and allocates nothing.
+    pub fn flow(
+        &self,
+        direction: FlowDirection,
+        component: &str,
+        stream: &str,
+        payload: impl FnOnce() -> String,
+    ) {
+        let Some(inner) = &self.inner else { return };
+        let component = if component.is_empty() {
+            "unknown"
+        } else {
+            component
         };
-        inner.spans.lock().push(record);
+        let record = FlowRecord {
+            direction,
+            component: component.to_string(),
+            stream: stream.to_string(),
+            payload: payload(),
+        };
+        inner.flows.lock().push(record);
     }
 
     fn open(&self, category: &str, name: impl Into<String>, parent: Option<SpanId>) -> SpanHandle {
@@ -182,8 +223,6 @@ impl Tracer {
             start_micros: inner.clock.now_micros(),
             end_micros: 0,
             attrs: BTreeMap::new(),
-            wall_start_nanos: inner.wall_nanos(),
-            wall_end_nanos: 0,
         };
         SpanHandle {
             inner: Some(Arc::clone(inner)),
@@ -191,32 +230,38 @@ impl Tracer {
         }
     }
 
-    /// Number of records so far.
+    /// Number of span and instant records so far (flow edges not counted).
     pub fn len(&self) -> usize {
         self.inner.as_ref().map_or(0, |i| i.spans.lock().len())
     }
 
-    /// True when nothing has been recorded (or the tracer is disarmed).
+    /// True when no span or instant has been recorded (or the tracer is
+    /// disarmed).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Snapshot of every completed record, sorted by `(start, id)` so the
-    /// order is stable regardless of which thread finished a span first.
+    /// Snapshot of every completed record, spans sorted by `(start, id)` so
+    /// the order is stable regardless of which thread finished a span
+    /// first, flow edges in the order they were recorded.
     pub fn snapshot(&self) -> Trace {
-        let mut spans = self
-            .inner
-            .as_ref()
-            .map_or_else(Vec::new, |i| i.spans.lock().clone());
+        let Some(inner) = &self.inner else {
+            return Trace::default();
+        };
+        let mut spans = inner.spans.lock().clone();
         spans.sort_by_key(|s| (s.start_micros, s.id));
-        Trace { spans }
+        Trace {
+            spans,
+            flows: inner.flows.lock().clone(),
+        }
     }
 
-    /// Discards every recorded span (the tracer stays armed; ids keep
-    /// counting so later snapshots never reuse an id).
+    /// Discards every recorded span and flow edge (the tracer stays armed;
+    /// ids keep counting so later snapshots never reuse an id).
     pub fn clear(&self) {
         if let Some(inner) = &self.inner {
             inner.spans.lock().clear();
+            inner.flows.lock().clear();
         }
     }
 }
@@ -252,7 +297,6 @@ impl Drop for SpanHandle {
             return;
         };
         record.end_micros = inner.clock.now_micros();
-        record.wall_end_nanos = inner.wall_nanos();
         inner.spans.lock().push(record);
     }
 }
@@ -269,7 +313,8 @@ mod tests {
         span.attr("k", "v");
         assert_eq!(span.id(), None);
         drop(span);
-        t.instant("test", "evt", None);
+        t.instant("test", "evt", None, &[]);
+        t.flow(FlowDirection::Publish, "u", "s", || unreachable!());
         assert!(t.is_empty());
         assert!(t.snapshot().spans.is_empty());
     }
@@ -299,7 +344,7 @@ mod tests {
         let mut child = t.child_span("test", "child", root_id);
         child.attr("node", "n1");
         drop(child);
-        t.instant("test", "tick", Some(root_id));
+        t.instant("test", "tick", Some(root_id), &[("why", "test")]);
         drop(root);
         let trace = t.snapshot();
         assert_eq!(trace.spans.len(), 3);
@@ -309,6 +354,7 @@ mod tests {
         let tick = trace.spans.iter().find(|s| s.name == "tick").unwrap();
         assert_eq!(tick.kind, SpanKind::Instant);
         assert_eq!(tick.parent, Some(root_id));
+        assert_eq!(tick.attrs["why"], "test");
     }
 
     #[test]
@@ -338,25 +384,33 @@ mod tests {
                 drop(s);
             }
             drop(root);
-            let mut spans = t.snapshot().spans;
-            // Byte-stability is only promised for sim-clock stamps; zero the
-            // wall fields so this test also passes under `--features wallclock`.
-            for s in &mut spans {
-                s.wall_start_nanos = 0;
-                s.wall_end_nanos = 0;
-            }
-            spans
+            t.snapshot().spans
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn flows_keep_record_order_and_name_unknown_components() {
+        let t = Tracer::new(SimClock::new());
+        t.flow(FlowDirection::Publish, "user", "s", || "data:hi".into());
+        t.flow(FlowDirection::Consume, "", "s", || "data:hi".into());
+        let flows = t.snapshot().flows;
+        assert_eq!(flows.len(), 2);
+        assert_eq!(flows[0].direction, FlowDirection::Publish);
+        assert_eq!(flows[1].component, "unknown");
+        // Flow edges are not span records.
+        assert!(t.is_empty());
     }
 
     #[test]
     fn clear_keeps_ids_monotonic() {
         let t = Tracer::new(SimClock::new());
         t.span("test", "one").end();
+        t.flow(FlowDirection::Publish, "u", "s", || "eos".into());
         let first_id = t.snapshot().spans[0].id;
         t.clear();
         assert!(t.is_empty());
+        assert!(t.snapshot().flows.is_empty());
         t.span("test", "two").end();
         assert!(t.snapshot().spans[0].id > first_id);
     }

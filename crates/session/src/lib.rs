@@ -21,8 +21,8 @@ use blueprint_streams::{
 pub mod router;
 
 pub use router::{
-    DispatchRecord, Disposition, JobOutcome, RouterError, ServingConfig, SessionJob, SessionReport,
-    SessionRouter, TaskCompletion,
+    Disposition, JobOutcome, RouterError, ServingConfig, SessionJob, SessionReport, SessionRouter,
+    TaskCompletion,
 };
 
 /// Result alias for session operations.

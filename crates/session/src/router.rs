@@ -26,6 +26,14 @@
 //! - **Fairness**: a session re-enters the ready queue at the tail after
 //!   each completed task, giving strict round-robin among sessions with
 //!   pending work.
+//!
+//! # Telemetry
+//!
+//! The router reports into the runtime's [`Observability`] bundle: the
+//! `blueprint.session.*` instruments, and, only when tracing is armed, one
+//! `dispatch` instant per dispatched task (attributes `session` and
+//! `label`), in global dispatch order. Nothing is kept when tracing is off,
+//! so a long-lived router holds no per-dispatch memory.
 
 // The router blocks dispatch workers on a Condvar, which the project's
 // parking_lot build does not provide — std's Condvar only pairs with std's
@@ -39,7 +47,7 @@ use std::thread::JoinHandle;
 
 use serde_json::Value;
 
-use blueprint_observability::{Counter, Gauge, Histogram, MetricsRegistry};
+use blueprint_observability::{Counter, Gauge, Histogram, MetricsRegistry, Observability, Tracer};
 use blueprint_optimizer::{Budget, BudgetStatus, QosConstraints, SharedBudget};
 
 /// Serving-layer knobs.
@@ -125,16 +133,6 @@ pub struct SessionReport {
     pub rejected: u64,
 }
 
-/// One entry of the dispatch log: which session's task a worker picked up,
-/// in global dispatch order. Tests assert round-robin fairness bounds on it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DispatchRecord {
-    /// Session whose task was dispatched.
-    pub session: u64,
-    /// The task's label.
-    pub label: String,
-}
-
 /// Errors surfaced by the router.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RouterError {
@@ -192,12 +190,12 @@ struct Inner {
     idle_cv: Condvar,
     shutdown: AtomicBool,
     metrics: MetricsRegistry,
+    tracer: Tracer,
     active: Gauge,
     queue_depth: Gauge,
     dispatches: Counter,
     rejections: Counter,
     task_latency: Histogram,
-    dispatch_log: Mutex<Vec<DispatchRecord>>,
 }
 
 /// Admits, queues, and fairly dispatches tasks from many concurrent
@@ -218,20 +216,22 @@ impl Inner {
 
 impl SessionRouter {
     /// Builds a router and spawns its `max_in_flight` worker threads.
-    /// Instruments land in `metrics` under `blueprint.session.*`.
-    pub fn new(cfg: ServingConfig, metrics: &MetricsRegistry) -> Self {
+    /// Instruments land in `obs.metrics` under `blueprint.session.*`;
+    /// dispatches are `obs.tracer` instants when tracing is armed.
+    pub fn new(cfg: ServingConfig, obs: &Observability) -> Self {
+        let metrics = &obs.metrics;
         let inner = Arc::new(Inner {
             state: Mutex::new(State::default()),
             work_cv: Condvar::new(),
             idle_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
             metrics: metrics.clone(),
+            tracer: obs.tracer.clone(),
             active: metrics.gauge("blueprint.session.active"),
             queue_depth: metrics.gauge("blueprint.session.queue_depth"),
             dispatches: metrics.counter("blueprint.session.dispatches"),
             rejections: metrics.counter("blueprint.session.rejections"),
             task_latency: metrics.histogram("blueprint.session.task_latency_micros"),
-            dispatch_log: Mutex::new(Vec::new()),
             cfg,
         });
         let workers = (0..cfg.max_in_flight.max(1))
@@ -373,15 +373,6 @@ impl SessionRouter {
         })
     }
 
-    /// Global dispatch order so far (for fairness assertions).
-    pub fn dispatch_log(&self) -> Vec<DispatchRecord> {
-        self.inner
-            .dispatch_log
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
-    }
-
     /// Open lanes right now.
     pub fn active_sessions(&self) -> usize {
         self.inner.state().lanes.len()
@@ -446,14 +437,14 @@ fn worker_loop(inner: Arc<Inner>) {
             }
         } else {
             inner.dispatches.inc();
-            inner
-                .dispatch_log
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .push(DispatchRecord {
-                    session,
-                    label: label.clone(),
-                });
+            if inner.tracer.is_armed() {
+                inner.tracer.instant(
+                    "session",
+                    "dispatch",
+                    None,
+                    &[("session", &session.to_string()), ("label", &label)],
+                );
+            }
             // Panic containment: a job that panics (e.g. under fault
             // injection) is recorded as failed; the worker, the lane, and
             // sibling sessions keep going.
@@ -524,14 +515,32 @@ mod tests {
     }
 
     fn router(max_sessions: usize, max_in_flight: usize) -> SessionRouter {
-        SessionRouter::new(
+        traced_router(max_sessions, max_in_flight).0
+    }
+
+    /// A router with tracing armed, and its tracer.
+    fn traced_router(max_sessions: usize, max_in_flight: usize) -> (SessionRouter, Tracer) {
+        let obs = Observability::armed(blueprint_observability::SimClock::new());
+        let r = SessionRouter::new(
             ServingConfig {
                 max_sessions,
                 max_in_flight,
                 session_constraints: QosConstraints::none(),
             },
-            &MetricsRegistry::new(),
-        )
+            &obs,
+        );
+        (r, obs.tracer)
+    }
+
+    /// The sessions of the recorded `dispatch` instants, in dispatch order.
+    fn dispatched_sessions(tracer: &Tracer) -> Vec<u64> {
+        tracer
+            .snapshot()
+            .spans
+            .iter()
+            .filter(|s| s.name == "dispatch")
+            .map(|s| s.attrs["session"].parse().unwrap())
+            .collect()
     }
 
     #[test]
@@ -575,7 +584,7 @@ mod tests {
                 max_in_flight: 1,
                 session_constraints: QosConstraints::none().with_max_cost(5.0),
             },
-            &MetricsRegistry::new(),
+            &Observability::disarmed(),
         );
         r.open_session(1).unwrap();
         r.open_session(2).unwrap();
@@ -606,7 +615,7 @@ mod tests {
     fn round_robin_dispatch_is_fair() {
         // One worker, three sessions, three tasks each, all queued before
         // the worker can drain: dispatches must cycle 1,2,3,1,2,3,...
-        let r = router(8, 1);
+        let (r, tracer) = traced_router(8, 1);
         // Stall the worker with a task that waits for the gate, so the
         // queues fill before round-robin starts.
         let gate = Arc::new(AtomicBool::new(false));
@@ -639,8 +648,7 @@ mod tests {
         }
         gate.store(true, Ordering::Relaxed);
         r.wait_idle();
-        let log = r.dispatch_log();
-        let order: Vec<u64> = log.iter().skip(1).map(|d| d.session).collect();
+        let order: Vec<u64> = dispatched_sessions(&tracer).into_iter().skip(1).collect();
         assert_eq!(order.len(), 9);
         // Strict round robin: every window of three dispatches covers every
         // session exactly once (the cycle's phase depends on when session 1
@@ -654,14 +662,18 @@ mod tests {
 
     #[test]
     fn metrics_count_dispatches_and_depth_returns_to_zero() {
-        let metrics = MetricsRegistry::new();
+        let obs = Observability {
+            metrics: MetricsRegistry::new(),
+            ..Observability::disarmed()
+        };
+        let metrics = obs.metrics.clone();
         let r = SessionRouter::new(
             ServingConfig {
                 max_sessions: 4,
                 max_in_flight: 2,
                 session_constraints: QosConstraints::none(),
             },
-            &metrics,
+            &obs,
         );
         r.open_session(1).unwrap();
         r.open_session(2).unwrap();
@@ -683,6 +695,20 @@ mod tests {
         r.close_session(1).unwrap();
         r.close_session(2).unwrap();
         assert_eq!(metrics.snapshot().gauge("blueprint.session.active"), 0);
+    }
+
+    #[test]
+    fn untraced_router_records_no_dispatch() {
+        let obs = Observability::disarmed();
+        let r = SessionRouter::new(ServingConfig::default(), &obs);
+        r.open_session(1).unwrap();
+        for i in 0..100 {
+            r.submit(1, format!("t{i}"), job(true, 0.0, 0, Value::Null))
+                .unwrap();
+        }
+        r.wait_idle();
+        assert_eq!(r.close_session(1).unwrap().completions.len(), 100);
+        assert!(obs.tracer.snapshot().spans.is_empty());
     }
 
     #[test]

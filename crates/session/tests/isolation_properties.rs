@@ -18,7 +18,7 @@
 use proptest::prelude::*;
 use serde_json::json;
 
-use blueprint_observability::MetricsRegistry;
+use blueprint_observability::{Observability, SimClock, Tracer};
 use blueprint_optimizer::QosConstraints;
 use blueprint_session::{
     Disposition, JobOutcome, ServingConfig, SessionJob, SessionReport, SessionRouter,
@@ -133,6 +133,17 @@ fn view(store: &StreamStore, report: &SessionReport) -> SessionView {
 }
 
 fn router(store_sessions: usize, max_in_flight: usize) -> (StreamStore, SessionRouter) {
+    let (store, router, _) = router_with(store_sessions, max_in_flight, Observability::disarmed());
+    (store, router)
+}
+
+/// A fresh store plus a router reporting into `obs`; returns the router's
+/// tracer too.
+fn router_with(
+    store_sessions: usize,
+    max_in_flight: usize,
+    obs: Observability,
+) -> (StreamStore, SessionRouter, Tracer) {
     let store = StreamStore::new();
     let router = SessionRouter::new(
         ServingConfig {
@@ -140,9 +151,9 @@ fn router(store_sessions: usize, max_in_flight: usize) -> (StreamStore, SessionR
             max_in_flight,
             session_constraints: QosConstraints::none(),
         },
-        &MetricsRegistry::disarmed(),
+        &obs,
     );
-    (store, router)
+    (store, router, obs.tracer)
 }
 
 /// Runs one session alone on a fresh store + router.
@@ -275,13 +286,18 @@ proptest! {
     }
 
     /// The dispatch order respects per-session FIFO under any interleaving:
-    /// the router's global dispatch log, filtered to one session, is exactly
-    /// that session's submission order (rejected tasks never dispatch).
+    /// the router's `dispatch` trace events, filtered to one session, are
+    /// exactly that session's submission order (rejected tasks never
+    /// dispatch).
     #[test]
     fn dispatch_log_preserves_each_sessions_submission_order(
         (scripts, interleave, max_in_flight) in battery_strategy()
     ) {
-        let (store, router) = router(scripts.len(), max_in_flight);
+        let (store, router, tracer) = router_with(
+            scripts.len(),
+            max_in_flight,
+            Observability::armed(SimClock::new()),
+        );
         for (sid, script) in scripts.iter().enumerate() {
             router.open_session_with(sid as u64, session_constraints(script)).unwrap();
         }
@@ -301,12 +317,14 @@ proptest! {
             }
         }
         router.wait_idle();
+        let trace = tracer.snapshot();
         for sid in 0..scripts.len() {
-            let dispatched: Vec<String> = router
-                .dispatch_log()
-                .into_iter()
-                .filter(|r| r.session == sid as u64)
-                .map(|r| r.label)
+            let session = sid.to_string();
+            let dispatched: Vec<String> = trace
+                .spans
+                .iter()
+                .filter(|s| s.name == "dispatch" && s.attrs["session"] == session)
+                .map(|s| s.attrs["label"].clone())
                 .collect();
             let report = router.close_session(sid as u64).unwrap();
             let expected: Vec<String> = report

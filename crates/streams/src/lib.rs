@@ -10,9 +10,9 @@
 //! streams — selecting by stream identity, stream tags, message tags, or
 //! session scope — and receive notifications for every matching message.
 //! Because every data and control exchange is an explicit, persisted message,
-//! the whole system is observable and replayable: the [`monitor`] module
-//! records flow edges from which the paper's sequence diagrams (Figs 9, 10)
-//! are regenerated verbatim.
+//! the whole system is observable and replayable: when tracing is armed, the
+//! store records every publish as a flow edge of the runtime's tracer, from
+//! which the paper's sequence diagrams (Figs 9, 10) are regenerated verbatim.
 //!
 //! ## Quick tour
 //!
@@ -35,7 +35,7 @@
 pub mod dead_letter;
 pub mod error;
 pub mod message;
-pub mod monitor;
+mod monitor;
 pub mod store;
 pub mod stream;
 pub mod subscription;
@@ -43,7 +43,6 @@ pub mod subscription;
 pub use dead_letter::{DeadLetterEntry, DeadLetterQueue, DEAD_LETTER_OP, DEAD_LETTER_SEGMENT};
 pub use error::StreamError;
 pub use message::{Message, MessageId, MessageKind};
-pub use monitor::{FlowEdge, FlowMonitor};
 pub use store::{StoreStats, StreamStore, SHARD_COUNT};
 pub use stream::{Stream, StreamId, StreamState};
 pub use subscription::{Selector, Subscription, TagFilter, TASK_SEGMENT};

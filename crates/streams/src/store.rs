@@ -2,9 +2,18 @@
 //!
 //! A [`StreamStore`] owns every stream in the system, assigns globally unique
 //! message ids, fans published messages out to matching subscriptions, and
-//! exposes observability counters. It is the single shared data resource
-//! through which *all* data and control flows — which is precisely what makes
-//! the architecture observable and controllable (§V-A).
+//! carries the runtime's [`Observability`] bundle. It is the single shared
+//! data resource through which *all* data and control flows — which is
+//! precisely what makes the architecture observable and controllable (§V-A).
+//!
+//! # Telemetry
+//!
+//! The store's counters ([`StoreStats`]) are `blueprint.streams.*`
+//! instruments, each event counted once. When tracing is armed, every
+//! publish (and every consume an agent host reports through
+//! [`StreamStore::record_consume`]) is also a flow edge of the tracer, from
+//! which the paper's sequence diagrams are drawn. Disarmed, the publish
+//! path takes no telemetry lock and makes no telemetry allocation.
 //!
 //! # Sharding
 //!
@@ -28,14 +37,16 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
-use blueprint_observability::{Counter, MetricsRegistry, SimClock};
+use blueprint_observability::{
+    Counter, FlowDirection, Gauge, MetricsRegistry, Observability, SimClock,
+};
 use blueprint_resilience::{FaultInjector, InjectedFault};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::RwLock;
 
 use crate::error::StreamError;
 use crate::message::{Message, MessageId};
-use crate::monitor::FlowMonitor;
+use crate::monitor;
 use crate::stream::{Stream, StreamId, StreamState};
 use crate::subscription::{Selector, Subscription, TagFilter};
 use crate::tag::Tag;
@@ -70,45 +81,56 @@ pub struct StoreStats {
     pub faults_delayed: u64,
 }
 
-/// Live counters behind [`StoreStats`]. Plain atomics keep the publish fast
-/// path lock-free on the stats side: counters are monotonic sums (relaxed
-/// `fetch_add` suffices) except `active_subscriptions`, a gauge adjusted with
-/// relaxed add/sub as subscriptions register and unregister.
-#[derive(Default)]
-struct StatCells {
-    streams_created: AtomicU64,
-    messages_published: AtomicU64,
-    deliveries: AtomicU64,
-    bytes_published: AtomicU64,
-    active_subscriptions: AtomicU64,
-    faults_dropped: AtomicU64,
-    faults_duplicated: AtomicU64,
-    faults_delayed: AtomicU64,
-}
-
-impl StatCells {
-    fn snapshot(&self) -> StoreStats {
-        StoreStats {
-            streams_created: self.streams_created.load(Ordering::Relaxed),
-            messages_published: self.messages_published.load(Ordering::Relaxed),
-            deliveries: self.deliveries.load(Ordering::Relaxed),
-            bytes_published: self.bytes_published.load(Ordering::Relaxed),
-            active_subscriptions: self.active_subscriptions.load(Ordering::Relaxed),
-            faults_dropped: self.faults_dropped.load(Ordering::Relaxed),
-            faults_duplicated: self.faults_duplicated.load(Ordering::Relaxed),
-            faults_delayed: self.faults_delayed.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Named instruments the store reports into, resolved once at wiring time
-/// (see [`StreamStore::set_metrics`]) so the publish path pays one atomic
-/// add per counter and no registry lookup. Defaults to disarmed no-ops.
-#[derive(Clone, Default)]
-struct StreamInstruments {
+/// The instruments behind [`StoreStats`], resolved once when the store is
+/// built: from the armed registry, or from a store-private one when metrics
+/// are off, so [`StreamStore::stats`] always counts. Each is one relaxed
+/// atomic per event; `active_subscriptions` is a gauge adjusted as
+/// subscriptions register and unregister.
+struct StoreCounters {
+    streams_created: Counter,
     publishes: Counter,
     deliveries: Counter,
     bytes_published: Counter,
+    active_subscriptions: Gauge,
+    faults_dropped: Counter,
+    faults_duplicated: Counter,
+    faults_delayed: Counter,
+}
+
+impl StoreCounters {
+    fn resolve(metrics: &MetricsRegistry) -> Self {
+        let private;
+        let metrics = if metrics.is_armed() {
+            metrics
+        } else {
+            private = MetricsRegistry::new();
+            &private
+        };
+        let counter = |name: &str| metrics.counter(&format!("blueprint.streams.{name}"));
+        StoreCounters {
+            streams_created: counter("streams_created"),
+            publishes: counter("publishes"),
+            deliveries: counter("deliveries"),
+            bytes_published: counter("bytes_published"),
+            active_subscriptions: metrics.gauge("blueprint.streams.active_subscriptions"),
+            faults_dropped: counter("faults_dropped"),
+            faults_duplicated: counter("faults_duplicated"),
+            faults_delayed: counter("faults_delayed"),
+        }
+    }
+
+    fn snapshot(&self) -> StoreStats {
+        StoreStats {
+            streams_created: self.streams_created.get(),
+            messages_published: self.publishes.get(),
+            deliveries: self.deliveries.get(),
+            bytes_published: self.bytes_published.get(),
+            active_subscriptions: self.active_subscriptions.get().max(0) as u64,
+            faults_dropped: self.faults_dropped.get(),
+            faults_duplicated: self.faults_duplicated.get(),
+            faults_delayed: self.faults_delayed.get(),
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -195,7 +217,7 @@ pub(crate) struct Registration {
     home: SubHome,
     shards: Weak<Vec<RwLock<Shard>>>,
     global_subs: Weak<RwLock<Vec<SubEntry>>>,
-    stats: Weak<StatCells>,
+    active: Gauge,
 }
 
 impl Registration {
@@ -218,11 +240,7 @@ impl Registration {
                 .upgrade()
                 .map_or(0, |globals| remove(&mut globals.write())),
         };
-        if let Some(stats) = self.stats.upgrade() {
-            stats
-                .active_subscriptions
-                .fetch_sub(removed as u64, Ordering::Relaxed);
-        }
+        self.active.add(-(removed as i64));
     }
 }
 
@@ -242,50 +260,61 @@ pub struct StreamStore {
     global_subs: Arc<RwLock<Vec<SubEntry>>>,
     next_msg_id: Arc<AtomicU64>,
     next_sub_id: Arc<AtomicU64>,
-    stats: Arc<StatCells>,
+    counters: Arc<StoreCounters>,
     clock: SimClock,
-    monitor: FlowMonitor,
+    obs: Observability,
     faults: Arc<RwLock<Option<Arc<FaultInjector>>>>,
-    instruments: Arc<RwLock<StreamInstruments>>,
 }
 
 impl Default for StreamStore {
     fn default() -> Self {
-        Self::with_clock(SimClock::new())
+        Self::observed(SimClock::new(), Observability::disarmed())
     }
 }
 
 impl StreamStore {
-    /// Creates an empty store with its own simulated clock.
+    /// Creates an empty store with its own simulated clock and telemetry
+    /// disarmed.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Creates an empty store sharing the given clock.
-    pub fn with_clock(clock: SimClock) -> Self {
+    /// Creates an empty store sharing `clock` and carrying `obs`, the
+    /// runtime's one telemetry pipeline (its tracer should stamp from
+    /// `clock`). The store's counters are `blueprint.streams.*` instruments
+    /// of `obs.metrics` when that registry is armed; publishes and reported
+    /// consumes are flow edges of `obs.tracer` when it is armed. Components
+    /// that hold the store resolve their own instruments from
+    /// [`StreamStore::observability`].
+    pub fn observed(clock: SimClock, obs: Observability) -> Self {
         StreamStore {
             shards: Arc::new((0..SHARD_COUNT).map(|_| RwLock::default()).collect()),
             global_subs: Arc::new(RwLock::new(Vec::new())),
             next_msg_id: Arc::new(AtomicU64::new(1)),
             next_sub_id: Arc::new(AtomicU64::new(1)),
-            stats: Arc::new(StatCells::default()),
+            counters: Arc::new(StoreCounters::resolve(&obs.metrics)),
             clock,
-            monitor: FlowMonitor::new(),
+            obs,
             faults: Arc::new(RwLock::new(None)),
-            instruments: Arc::new(RwLock::new(StreamInstruments::default())),
         }
     }
 
-    /// Attaches a metrics registry: subsequent publishes report into the
-    /// `blueprint.streams.*` instruments (in addition to the always-on
-    /// [`StoreStats`] counters). Mirrors [`StreamStore::set_fault_injector`]
-    /// for late binding after construction.
-    pub fn set_metrics(&self, metrics: &MetricsRegistry) {
-        *self.instruments.write() = StreamInstruments {
-            publishes: metrics.counter("blueprint.streams.publishes"),
-            deliveries: metrics.counter("blueprint.streams.deliveries"),
-            bytes_published: metrics.counter("blueprint.streams.bytes_published"),
-        };
+    /// The tracer and metrics registry this store was built with.
+    pub fn observability(&self) -> &Observability {
+        &self.obs
+    }
+
+    /// Records, when tracing is armed, that `component` consumed `msg` from
+    /// `stream` (a stream id, or the consumer's view of it such as
+    /// `binding:<param>`). Publishes are recorded by the store itself.
+    pub fn record_consume(&self, component: &str, stream: &str, msg: &Message) {
+        monitor::record(
+            &self.obs.tracer,
+            FlowDirection::Consume,
+            component,
+            stream,
+            msg,
+        );
     }
 
     /// Attaches a fault injector: subsequent publishes consult it for
@@ -304,11 +333,6 @@ impl StreamStore {
     /// The simulated clock shared with the rest of the runtime.
     pub fn clock(&self) -> &SimClock {
         &self.clock
-    }
-
-    /// The flow monitor recording producer→stream→consumer edges.
-    pub fn monitor(&self) -> &FlowMonitor {
-        &self.monitor
     }
 
     fn shard_for(&self, id: &StreamId) -> &RwLock<Shard> {
@@ -331,7 +355,7 @@ impl StreamStore {
         }
         let stream = Stream::new(id.clone(), tags, self.clock.now_micros());
         shard.streams.insert(id.clone(), stream);
-        self.stats.streams_created.fetch_add(1, Ordering::Relaxed);
+        self.counters.streams_created.inc();
         Ok(id)
     }
 
@@ -398,58 +422,48 @@ impl StreamStore {
         // publishes proceed in parallel. Lock order everywhere: shard(s)
         // ascending, then the global list.
         let mut delayed_txs: Vec<Sender<Arc<Message>>> = Vec::new();
-        let instruments = self.instruments.read().clone();
+        let counters = &*self.counters;
         let arc = {
             let mut guard = self.shard_for(id).write();
-            let shard: &mut Shard = &mut guard;
-            let stream = shard
-                .streams
+            let Shard { streams, subs } = &mut *guard;
+            let stream = streams
                 .get_mut(id)
                 .ok_or_else(|| StreamError::NotFound(id.clone()))?;
-            let stream_tags = stream.tags().clone();
             let arc = stream.append(msg)?;
-            // Record the publish (monitor AND counters) before any
+            // Record the publish (flow edge and counters) before any
             // subscriber can observe the message: a fast consumer thread
             // must never act on a message whose publish is not yet counted —
             // a metrics snapshot taken by whoever it unblocks would
             // under-report an already-observable publish.
-            self.monitor.record_publish(&arc.producer, id, &arc);
-            self.stats
-                .messages_published
-                .fetch_add(1, Ordering::Relaxed);
-            self.stats
-                .bytes_published
-                .fetch_add(size, Ordering::Relaxed);
-            instruments.publishes.inc();
-            instruments.bytes_published.add(size);
+            monitor::record(
+                &self.obs.tracer,
+                FlowDirection::Publish,
+                &arc.producer,
+                id.as_str(),
+                &arc,
+            );
+            counters.publishes.inc();
+            counters.bytes_published.add(size);
             let globals = self.global_subs.read();
-            for subs in [&shard.subs, &*globals] {
+            for subs in [&*subs, &*globals] {
                 Self::fan_out(
                     subs,
                     id,
-                    &stream_tags,
+                    stream.tags(),
                     &arc,
                     &fault,
                     copies,
-                    &self.stats,
-                    &instruments,
+                    &counters.deliveries,
                     &mut delayed_txs,
                 );
             }
             arc
         };
 
-        let stats = &self.stats;
         match &fault {
-            Some(InjectedFault::DropMessage) => {
-                stats.faults_dropped.fetch_add(1, Ordering::Relaxed);
-            }
-            Some(InjectedFault::DuplicateMessage) => {
-                stats.faults_duplicated.fetch_add(1, Ordering::Relaxed);
-            }
-            Some(InjectedFault::DelayMessage { .. }) => {
-                stats.faults_delayed.fetch_add(1, Ordering::Relaxed);
-            }
+            Some(InjectedFault::DropMessage) => counters.faults_dropped.inc(),
+            Some(InjectedFault::DuplicateMessage) => counters.faults_duplicated.inc(),
+            Some(InjectedFault::DelayMessage { .. }) => counters.faults_delayed.inc(),
             _ => {}
         }
 
@@ -460,13 +474,12 @@ impl StreamStore {
             if !delayed_txs.is_empty() {
                 let wait = std::time::Duration::from_micros((*micros).min(100_000));
                 let late = Arc::clone(&arc);
-                let stats = Arc::clone(&self.stats);
+                let deliveries = counters.deliveries.clone();
                 std::thread::spawn(move || {
                     std::thread::sleep(wait);
                     for tx in delayed_txs {
                         // Count before the send, like the immediate path.
-                        stats.deliveries.fetch_add(1, Ordering::Relaxed);
-                        instruments.deliveries.inc();
+                        deliveries.inc();
                         let _ = tx.send(Arc::clone(&late));
                     }
                 });
@@ -489,8 +502,7 @@ impl StreamStore {
         arc: &Arc<Message>,
         fault: &Option<InjectedFault>,
         copies: usize,
-        stats: &StatCells,
-        instruments: &StreamInstruments,
+        deliveries: &Counter,
         delayed_txs: &mut Vec<Sender<Arc<Message>>>,
     ) {
         for s in subs {
@@ -500,8 +512,7 @@ impl StreamStore {
                     continue;
                 }
                 for _ in 0..copies {
-                    stats.deliveries.fetch_add(1, Ordering::Relaxed);
-                    instruments.deliveries.inc();
+                    deliveries.inc();
                     let _ = s.tx.send(Arc::clone(arc));
                 }
             }
@@ -600,16 +611,14 @@ impl StreamStore {
         selector: Selector,
         filter: TagFilter,
     ) -> Subscription {
-        self.stats
-            .active_subscriptions
-            .fetch_add(1, Ordering::Relaxed);
+        self.counters.active_subscriptions.add(1);
         Subscription {
             registration: Registration {
                 id,
                 home,
                 shards: Arc::downgrade(&self.shards),
                 global_subs: Arc::downgrade(&self.global_subs),
-                stats: Arc::downgrade(&self.stats),
+                active: self.counters.active_subscriptions.clone(),
             },
             id,
             rx,
@@ -717,9 +726,10 @@ impl StreamStore {
         removed
     }
 
-    /// Snapshot of the observability counters.
+    /// Snapshot of the store's counters (counting whether or not metrics
+    /// are armed).
     pub fn stats(&self) -> StoreStats {
-        self.stats.snapshot()
+        self.counters.snapshot()
     }
 }
 
@@ -1018,18 +1028,31 @@ mod tests {
 
     #[test]
     fn metrics_instruments_mirror_stats() {
-        let store = StreamStore::new();
         let metrics = MetricsRegistry::new();
-        store.set_metrics(&metrics);
+        let obs = Observability {
+            metrics: metrics.clone(),
+            ..Observability::disarmed()
+        };
+        let store = StreamStore::observed(SimClock::new(), obs);
         let id = store.create_stream("s", Vec::<Tag>::new()).unwrap();
-        let _sub = store
+        let sub = store
             .subscribe(Selector::Stream(id.clone()), TagFilter::all())
             .unwrap();
         store.publish(&id, Message::data("abcd")).unwrap();
         let snap = metrics.snapshot();
+        assert_eq!(snap.counter("blueprint.streams.streams_created"), 1);
         assert_eq!(snap.counter("blueprint.streams.publishes"), 1);
         assert_eq!(snap.counter("blueprint.streams.deliveries"), 1);
         assert_eq!(snap.counter("blueprint.streams.bytes_published"), 4);
+        assert_eq!(snap.gauge("blueprint.streams.active_subscriptions"), 1);
+        drop(sub);
+        assert_eq!(
+            metrics
+                .snapshot()
+                .gauge("blueprint.streams.active_subscriptions"),
+            0
+        );
+        assert_eq!(store.stats().messages_published, 1);
     }
 
     #[test]

@@ -22,8 +22,10 @@ use blueprint_examples::banner;
 use serde_json::json;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    // Tracing records the message flow printed at the end.
     let blueprint = Blueprint::builder()
         .with_hr_domain(Default::default())
+        .with_tracing()
         .build()?;
     let session = blueprint.start_session()?;
 
@@ -56,11 +58,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     banner("The recorded message-flow trace (sequence diagram)");
-    let trace = blueprint.store().monitor().render_sequence();
-    for line in trace.lines().take(30) {
+    let trace = blueprint.trace();
+    for line in trace.render_sequence().lines().take(30) {
         println!("{line}");
     }
-    let participants = blueprint.store().monitor().participants();
+    let participants = trace.participants();
     println!("\nparticipants: {}", participants.join(" · "));
     Ok(())
 }

@@ -25,9 +25,11 @@ use blueprint_core::streams::{Selector, TagFilter};
 use blueprint_core::Blueprint;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    // Tracing records the message flow that `/trace` prints.
     let blueprint = Blueprint::builder()
         .with_hr_domain(Default::default())
         .with_guardrails()
+        .with_tracing()
         .build()?;
     let session = blueprint.start_session()?;
     let summaries = blueprint.store().subscribe(
@@ -90,7 +92,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 }
             }
             "/trace" => {
-                let trace = blueprint.store().monitor().render_sequence();
+                let trace = blueprint.trace().render_sequence();
                 for l in trace
                     .lines()
                     .rev()

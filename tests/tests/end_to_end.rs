@@ -50,7 +50,11 @@ fn agentic_employer_ui_flow_fig9() {
 
 #[test]
 fn agentic_employer_conversation_flow_fig10() {
-    let bp = hr_blueprint();
+    let bp = Blueprint::builder()
+        .with_hr_domain(small_hr())
+        .with_tracing()
+        .build()
+        .unwrap();
     let session = bp.start_session().unwrap();
     let summary_sub = bp
         .store()
@@ -61,7 +65,7 @@ fn agentic_employer_conversation_flow_fig10() {
     let text = summary.payload.as_str().unwrap();
     assert!(text.contains("row"));
     // The flow passed through the expected participants.
-    let participants = bp.store().monitor().participants();
+    let participants = bp.trace().participants();
     for expected in [
         "user",
         "intent-classifier",
@@ -80,7 +84,7 @@ fn agentic_employer_conversation_flow_fig10() {
 #[test]
 fn flow_trace_is_replayable_from_streams() {
     // Every exchange is persisted: replaying the store's streams
-    // reconstructs the workflow without the monitor.
+    // reconstructs the workflow without tracing.
     let bp = hr_blueprint();
     let session = bp.start_session().unwrap();
     session.handle(RUNNING_EXAMPLE).unwrap();

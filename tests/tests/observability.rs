@@ -117,3 +117,100 @@ fn metrics_match_hand_counts_for_three_node_plan() {
     let (_, again) = traced_run();
     assert_eq!(snap.counters, again.counters);
 }
+
+#[test]
+fn untraced_runtime_records_no_flow_edge_or_dispatch_over_1000_turns() {
+    let bp = Blueprint::builder()
+        .with_hr_domain(integration_tests::small_hr())
+        .with_serving(4, 2)
+        .with_metrics()
+        .build()
+        .unwrap();
+    let serving = bp.serving().unwrap();
+    let sessions: Vec<u64> = (0..4).map(|_| serving.open_session().unwrap()).collect();
+    for turn in 0..1_000 {
+        serving
+            .submit(sessions[turn % sessions.len()], "hello there!")
+            .unwrap();
+    }
+    serving.await_idle();
+    for id in sessions {
+        let report = serving.finish(id).unwrap();
+        assert_eq!(report.completions.len(), 250);
+    }
+    // Every turn was dispatched and published, and none of it was kept.
+    let snap = bp.metrics();
+    assert_eq!(snap.counter("blueprint.session.dispatches"), 1_000);
+    assert!(snap.counter("blueprint.streams.publishes") >= 1_000);
+    let trace = bp.trace();
+    assert!(trace.flows.is_empty(), "{} flow edges", trace.flows.len());
+    assert!(
+        trace.spans.is_empty(),
+        "{} trace records",
+        trace.spans.len()
+    );
+}
+
+#[test]
+fn store_stats_are_the_streams_instruments_after_an_nl2sql_turn() {
+    let bp = Blueprint::builder()
+        .with_hr_domain(integration_tests::small_hr())
+        .with_metrics()
+        .build()
+        .unwrap();
+    let session = bp.start_session().unwrap();
+    let report = session.handle("How many applicants per city?").unwrap();
+    assert!(report.outcome.succeeded(), "outcome: {:?}", report.outcome);
+    // Let any tag-triggered follow-up settle before reading both views.
+    let mut stats = bp.store().stats();
+    loop {
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        let again = bp.store().stats();
+        if again == stats {
+            break;
+        }
+        stats = again;
+    }
+    let snap = bp.metrics();
+    let counter = |name: &str| snap.counter(&format!("blueprint.streams.{name}"));
+    assert!(stats.messages_published > 0 && stats.deliveries > 0);
+    assert_eq!(stats.streams_created, counter("streams_created"));
+    assert_eq!(stats.messages_published, counter("publishes"));
+    assert_eq!(stats.deliveries, counter("deliveries"));
+    assert_eq!(stats.bytes_published, counter("bytes_published"));
+    assert_eq!(
+        stats.active_subscriptions as i64,
+        snap.gauge("blueprint.streams.active_subscriptions")
+    );
+    assert_eq!(stats.faults_dropped, counter("faults_dropped"));
+    assert_eq!(stats.faults_duplicated, counter("faults_duplicated"));
+    assert_eq!(stats.faults_delayed, counter("faults_delayed"));
+}
+
+#[test]
+fn traced_runtime_records_the_turn_as_flow_edges() {
+    let bp = Blueprint::builder()
+        .with_hr_domain(integration_tests::small_hr())
+        .with_tracing()
+        .build()
+        .unwrap();
+    let session = bp.start_session().unwrap();
+    let report = session.handle(RUNNING_EXAMPLE).unwrap();
+    assert!(report.outcome.succeeded(), "outcome: {:?}", report.outcome);
+    let trace = bp.trace();
+    let sequence = trace.render_sequence();
+    // The coordinator instructs each of the three agents, and each host
+    // records consuming its instruction.
+    for agent in ["profiler", "job-matcher", "presenter"] {
+        assert!(
+            sequence.contains(&format!(
+                "{agent} <--[control:execute-agent]-- instructions"
+            )),
+            "no consume edge for {agent}:\n{sequence}"
+        );
+    }
+    assert!(
+        trace.participants().iter().any(|p| p == "task-coordinator"),
+        "{sequence}"
+    );
+}

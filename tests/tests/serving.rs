@@ -66,6 +66,7 @@ fn pinned_seed_16_session_mixed_workload_is_deterministic_and_fair() {
         .with_hr_domain(small_hr())
         .with_serving(SESSIONS, MAX_IN_FLIGHT)
         .with_metrics()
+        .with_tracing()
         .build()
         .unwrap();
     let serving = bp.serving().unwrap();
@@ -84,17 +85,24 @@ fn pinned_seed_16_session_mixed_workload_is_deterministic_and_fair() {
     }
     serving.await_idle();
 
-    // --- Fair dispatch: at every prefix of the global dispatch log, no
-    // session is more than `1 + MAX_IN_FLIGHT` tasks ahead of another
-    // (round-robin lanes; a laggard can only be absent from the ready queue
-    // while one of its tasks occupies a worker).
-    let log = serving.router().dispatch_log();
+    // --- Fair dispatch: at every prefix of the global dispatch order (the
+    // router's `dispatch` trace events), no session is more than
+    // `1 + MAX_IN_FLIGHT` tasks ahead of another (round-robin lanes; a
+    // laggard can only be absent from the ready queue while one of its tasks
+    // occupies a worker).
+    let log: Vec<u64> = bp
+        .trace()
+        .spans
+        .iter()
+        .filter(|s| s.name == "dispatch")
+        .map(|s| s.attrs["session"].parse().unwrap())
+        .collect();
     assert_eq!(log.len(), SESSIONS * TASKS_PER_SESSION);
     let mut counts = vec![0usize; SESSIONS];
     let index_of: std::collections::HashMap<u64, usize> =
         ids.iter().enumerate().map(|(i, &id)| (id, i)).collect();
-    for record in &log {
-        counts[index_of[&record.session]] += 1;
+    for session in &log {
+        counts[index_of[session]] += 1;
         let max = *counts.iter().max().unwrap();
         let min = *counts.iter().min().unwrap();
         assert!(
