@@ -1,4 +1,4 @@
-.PHONY: all build test fmt lint bench bench-json bench-check chaos serving serving-bench scheduler datastore observability ir docs figures-check perfbench-smoke
+.PHONY: all build test fmt lint bench bench-json bench-check chaos serving serving-bench scheduler datastore observability hotpath ir docs figures-check perfbench-smoke
 
 all: build lint test
 
@@ -77,6 +77,17 @@ observability:
 	cargo test -p integration-tests --test deliveries
 	cargo test -p blueprint-streams --test alloc_counts
 	cargo test -p blueprint-observability
+
+# Hot-path gate: the equivalence batteries of the turn's per-row kernels at
+# 1,024 cases (the job matcher against its sort-everything oracle, the
+# registry search and embedding against their re-tokenizing oracles, the
+# payload byte count against the rendered JSON) and the allocation pin of a
+# disarmed span.
+hotpath:
+	PROPTEST_CASES=1024 cargo test -p blueprint-hrdomain --lib matcher::
+	PROPTEST_CASES=1024 cargo test -p blueprint-registry --test search_equivalence
+	PROPTEST_CASES=1024 cargo test -p blueprint-streams --lib payload_size_counts_the_rendered_json
+	cargo test -p blueprint-observability --test alloc_counts
 
 # Throughput sweep: the deterministic load generator replays the mixed
 # workload across 1/8/64 sessions and writes BENCH_serving.json at the repo

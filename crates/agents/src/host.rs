@@ -109,13 +109,14 @@ impl Shared {
     ) {
         self.invocations.inc();
         let mut span = match span_parent {
-            Some(pid) => {
-                self.tracer
-                    .child_span("agents", format!("invoke:{}", self.spec.name), SpanId(pid))
-            }
+            Some(pid) => self.tracer.child_span(
+                "agents",
+                format_args!("invoke:{}", self.spec.name),
+                SpanId(pid),
+            ),
             None => self
                 .tracer
-                .span("agents", format!("invoke:{}", self.spec.name)),
+                .span("agents", format_args!("invoke:{}", self.spec.name)),
         };
         let ctx = AgentContext::new(
             self.store.clone(),

@@ -468,8 +468,8 @@ impl TaskCoordinator {
         let mut task_span = self
             .obs
             .tracer
-            .span("coordinator", format!("task:{}", ir.task_id));
-        task_span.attr("utterance", ir.goal.clone());
+            .span("coordinator", format_args!("task:{}", ir.task_id));
+        task_span.attr("utterance", &ir.goal);
         // Subscribe before any instruction is issued so no report can be
         // missed. Agents report to `<their scope>:reports`, so watching that
         // one stream keeps the subscription on its own shard.
@@ -548,7 +548,7 @@ impl TaskCoordinator {
                     );
                     self.obs.tracer.instant(
                         "coordinator",
-                        format!("reopt:{}:{}->{}", s.node, s.from, s.to),
+                        format_args!("reopt:{}:{}->{}", s.node, s.from, s.to),
                         task.span,
                         &[],
                     );
@@ -716,7 +716,7 @@ impl TaskCoordinator {
                     );
                     self.obs.tracer.instant(
                         "coordinator",
-                        format!("skip:{node_id}"),
+                        format_args!("skip:{node_id}"),
                         task.span,
                         &[],
                     );
@@ -752,17 +752,17 @@ impl TaskCoordinator {
                     .and_then(|&p| span_ids[p])
                     .or(task.span);
                 let mut span = match parent {
-                    Some(pid) => {
-                        self.obs
-                            .tracer
-                            .child_span("coordinator", format!("node:{node_id}"), pid)
-                    }
+                    Some(pid) => self.obs.tracer.child_span(
+                        "coordinator",
+                        format_args!("node:{node_id}"),
+                        pid,
+                    ),
                     None => self
                         .obs
                         .tracer
-                        .span("coordinator", format!("node:{node_id}")),
+                        .span("coordinator", format_args!("node:{node_id}")),
                 };
-                span.attr("agent", agent.to_string());
+                span.attr("agent", agent);
                 span_ids[pos] = span.id();
                 self.instruments.dispatches.inc();
 
@@ -807,7 +807,7 @@ impl TaskCoordinator {
                         span.attr("cached", "true");
                     }
                     if result.attempts > 1 {
-                        span.attr("attempts", result.attempts.to_string());
+                        span.attr("attempts", &result.attempts.to_string());
                     }
                 }
                 span.end();
@@ -1017,7 +1017,7 @@ impl TaskCoordinator {
                 self.instruments.retries.inc();
                 self.obs.tracer.instant(
                     "coordinator",
-                    format!("retry:{}#{}", f.agent, f.attempts),
+                    format_args!("retry:{}#{}", f.agent, f.attempts),
                     f.span.id(),
                     &[],
                 );
@@ -1059,7 +1059,7 @@ impl TaskCoordinator {
                 if self.registry.contains(fallback) {
                     self.obs.tracer.instant(
                         "coordinator",
-                        format!("fallback:{}->{fallback}", f.planned()),
+                        format_args!("fallback:{}->{fallback}", f.planned()),
                         f.span.id(),
                         &[],
                     );

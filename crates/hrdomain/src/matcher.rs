@@ -92,36 +92,125 @@ pub fn match_score(profile: &Value, job: &Value, related_titles: &[String]) -> (
     (score.min(1.0), parts.join(", "))
 }
 
-/// Ranks jobs for a profile, best first; ties break by job id for
-/// determinism. `limit` caps the result. Sorts borrowed rows and copies
-/// only the `limit` winners.
+/// Ranks jobs for a profile, best first; ties break by job id, then by
+/// input position, for determinism. `limit` caps the result.
+///
+/// Scores are exactly `match_score`'s: the profile-derived values are
+/// computed once per call, job fields are compared without copying them,
+/// and each row's credits are added in `match_score`'s order. Only the
+/// `limit` winners are cloned and given an explanation.
 pub fn rank_jobs(
     profile: &Value,
     jobs: &[Value],
     related_titles: &[String],
     limit: usize,
 ) -> Vec<JobMatch> {
-    let mut scored: Vec<(&Value, f64, String)> = jobs
+    let terms = ProfileTerms::new(profile, related_titles);
+    let mut scored: Vec<(f64, i64, usize)> = jobs
         .iter()
-        .map(|job| {
-            let (score, explanation) = match_score(profile, job, related_titles);
-            (job, score, explanation)
-        })
+        .enumerate()
+        .map(|(pos, job)| (terms.score(job), id_of(job), pos))
         .collect();
-    scored.sort_by(|(a, sa, _), (b, sb, _)| {
-        sb.partial_cmp(sa)
+    // Best first: score descending, then id, then input position: the
+    // order a stable sort by (score, id) leaves the rows in.
+    let order = |a: &(f64, i64, usize), b: &(f64, i64, usize)| {
+        b.0.partial_cmp(&a.0)
             .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| id_of(a).cmp(&id_of(b)))
-    });
+            .then(a.1.cmp(&b.1))
+            .then(a.2.cmp(&b.2))
+    };
+    if limit < scored.len() {
+        if limit == 0 {
+            return Vec::new();
+        }
+        scored.select_nth_unstable_by(limit - 1, order);
+        scored.truncate(limit);
+    }
+    scored.sort_unstable_by(order);
     scored
         .into_iter()
-        .take(limit)
-        .map(|(job, score, explanation)| JobMatch {
-            job: job.clone(),
-            score,
-            explanation,
+        .map(|(score, _, pos)| {
+            let job = &jobs[pos];
+            let (full, explanation) = match_score(profile, job, related_titles);
+            debug_assert_eq!(full.to_bits(), score.to_bits());
+            JobMatch {
+                job: job.clone(),
+                score,
+                explanation,
+            }
         })
         .collect()
+}
+
+/// The profile's side of `match_score`, computed once per ranking.
+struct ProfileTerms {
+    /// Lowercased wanted title and city (empty when absent).
+    title: String,
+    city: String,
+    /// Lowercased related titles.
+    related: Vec<String>,
+    /// Skills credit, when the profile lists any skills.
+    skills: Option<f64>,
+    /// Seniority credit, when positive.
+    seniority: Option<f64>,
+}
+
+impl ProfileTerms {
+    fn new(profile: &Value, related_titles: &[String]) -> Self {
+        let lower = |key| text_of(profile, key).unwrap_or_default().to_lowercase();
+        let skills = list_of(profile, "skills").len();
+        let years = profile
+            .get("experience_years")
+            .and_then(Value::as_i64)
+            .unwrap_or(0);
+        let seniority = 0.1 * (years.min(5) as f64 / 5.0);
+        ProfileTerms {
+            title: lower("title"),
+            city: lower("city"),
+            related: related_titles.iter().map(|t| t.to_lowercase()).collect(),
+            skills: (skills > 0).then(|| 0.2 * (skills.min(5) as f64 / 5.0)),
+            seniority: (seniority > 0.0).then_some(seniority),
+        }
+    }
+
+    /// `match_score(profile, job, related).0`, adding the same credits in
+    /// the same order.
+    fn score(&self, job: &Value) -> f64 {
+        let mut score = 0.0;
+        let title = text_of(job, "title").unwrap_or_default();
+        if !self.title.is_empty() && equals_lowercased(&self.title, title) {
+            score += 0.4;
+        } else if self.related.iter().any(|t| equals_lowercased(t, title)) {
+            score += 0.25;
+        }
+        let city = text_of(job, "city").unwrap_or_default();
+        if !self.city.is_empty() && equals_lowercased(&self.city, city) {
+            score += 0.3;
+        } else if job.get("remote").and_then(Value::as_bool) == Some(true) {
+            score += 0.2;
+        }
+        if let Some(credit) = self.skills {
+            score += credit;
+        }
+        if let Some(credit) = self.seniority {
+            score += credit;
+        }
+        score.min(1.0)
+    }
+}
+
+/// `lower == text.to_lowercase()`. ASCII text is compared byte by byte in
+/// place; other text is lowercased, so Unicode case rules apply unchanged.
+fn equals_lowercased(lower: &str, text: &str) -> bool {
+    if text.is_ascii() {
+        lower.len() == text.len()
+            && lower
+                .bytes()
+                .zip(text.bytes())
+                .all(|(l, t)| l == t.to_ascii_lowercase())
+    } else {
+        lower == text.to_lowercase()
+    }
 }
 
 fn id_of(job: &Value) -> i64 {
@@ -132,6 +221,7 @@ fn id_of(job: &Value) -> i64 {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
     use serde_json::json;
 
     fn profile() -> Value {
@@ -278,6 +368,186 @@ mod tests {
                 rank_jobs(&profile(), &jobs, &related, limit),
                 rank_all_cloned(&profile(), &jobs, &related, limit)
             );
+        }
+    }
+
+    /// The ranking as it was before `rank_jobs` scored rows in place:
+    /// `match_score` on every row, a stable sort of all rows, the first
+    /// `limit` cloned.
+    fn rank_jobs_oracle(
+        profile: &Value,
+        jobs: &[Value],
+        related_titles: &[String],
+        limit: usize,
+    ) -> Vec<JobMatch> {
+        let mut scored: Vec<(&Value, f64, String)> = jobs
+            .iter()
+            .map(|job| {
+                let (score, explanation) = match_score(profile, job, related_titles);
+                (job, score, explanation)
+            })
+            .collect();
+        scored.sort_by(|(a, sa, _), (b, sb, _)| {
+            sb.partial_cmp(sa)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then_with(|| id_of(a).cmp(&id_of(b)))
+        });
+        scored
+            .into_iter()
+            .take(limit)
+            .map(|(job, score, explanation)| JobMatch {
+                job: job.clone(),
+                score,
+                explanation,
+            })
+            .collect()
+    }
+
+    /// Titles and cities in mixed case, with non-ASCII letters whose
+    /// lowercase differs in length or depends on context (`İ`, final `Σ`).
+    const TEXTS: &[&str] = &[
+        "data scientist",
+        "Data Scientist",
+        "DATA SCIENTIST",
+        "ml engineer",
+        "ML Engineer",
+        "Nurse",
+        "san francisco",
+        "San Francisco",
+        "SAN FRANCISCO",
+        "ΟΔΟΣ",
+        "οδος",
+        "οδοσ",
+        "İzmir",
+        "i̇zmir",
+        "izmir",
+        "École",
+        "école",
+        "ÉCOLE",
+        "",
+    ];
+
+    fn arb_text(rng: &mut TestRng) -> Value {
+        json!(TEXTS[rng.below(TEXTS.len() as u64) as usize])
+    }
+
+    /// A field that is absent, not a string, or one of `TEXTS`.
+    fn set_text(rng: &mut TestRng, obj: &mut Value, key: &str) {
+        match rng.below(6) {
+            0 => {}
+            1 => obj[key] = json!(7),
+            _ => obj[key] = arb_text(rng),
+        }
+    }
+
+    fn arb_profile(rng: &mut TestRng) -> Value {
+        let mut profile = json!({});
+        set_text(rng, &mut profile, "title");
+        set_text(rng, &mut profile, "city");
+        let skills = ["python", "SQL", "Statistics", "É", " ", ""];
+        match rng.below(4) {
+            0 => {}
+            1 => {
+                let list: Vec<Value> = (0..rng.below(8))
+                    .map(|i| match i % 4 {
+                        3 => json!(3),
+                        _ => json!(skills[rng.below(skills.len() as u64) as usize]),
+                    })
+                    .collect();
+                profile["skills"] = Value::Array(list);
+            }
+            2 => {
+                let list: Vec<&str> = (0..rng.below(8))
+                    .map(|_| skills[rng.below(skills.len() as u64) as usize])
+                    .collect();
+                profile["skills"] = json!(list.join(","));
+            }
+            _ => profile["skills"] = json!(true),
+        }
+        match rng.below(4) {
+            0 => {}
+            1 => profile["experience_years"] = json!(2.5),
+            _ => profile["experience_years"] = json!(rng.below(12) as i64 - 3),
+        }
+        profile
+    }
+
+    /// Rows with missing or non-string fields, few ids (duplicates, some
+    /// absent or not integers) and `seq` to tell equal rows apart.
+    fn arb_jobs(rng: &mut TestRng) -> Vec<Value> {
+        (0..rng.below(30))
+            .map(|seq| {
+                let mut job = json!({"seq": seq});
+                match rng.below(5) {
+                    0 => {}
+                    1 => job["id"] = json!("x"),
+                    _ => job["id"] = json!(rng.below(6) as i64 - 1),
+                }
+                set_text(rng, &mut job, "title");
+                set_text(rng, &mut job, "city");
+                match rng.below(4) {
+                    0 => {}
+                    1 => job["remote"] = json!("yes"),
+                    _ => job["remote"] = json!(rng.chance(0.5)),
+                }
+                job
+            })
+            .collect()
+    }
+
+    /// A profile, related titles, job rows and a limit: 0, 1, 10, more
+    /// than the rows, or anything in between.
+    struct ArbRanking;
+
+    impl Strategy for ArbRanking {
+        type Value = (Value, Vec<String>, Vec<Value>, usize);
+        fn new_value(&self, rng: &mut TestRng) -> Self::Value {
+            let profile = arb_profile(rng);
+            let related = (0..rng.below(4))
+                .map(|_| TEXTS[rng.below(TEXTS.len() as u64) as usize].to_string())
+                .collect();
+            let jobs = arb_jobs(rng);
+            let limit = match rng.below(5) {
+                0 => 0,
+                1 => 1,
+                2 => 10,
+                3 => jobs.len() + 1 + rng.below(3) as usize,
+                _ => rng.below(jobs.len() as u64 + 1) as usize,
+            };
+            (profile, related, jobs, limit)
+        }
+    }
+
+    /// A ranking with each score as its bits, so `-0.0` and `0.0` differ.
+    fn bitwise(ranked: Vec<JobMatch>) -> Vec<(Value, u64, String)> {
+        ranked
+            .into_iter()
+            .map(|m| (m.job, m.score.to_bits(), m.explanation))
+            .collect()
+    }
+
+    proptest! {
+        #[test]
+        fn rank_jobs_equals_the_sort_all_oracle(
+            (profile, related, jobs, limit) in ArbRanking,
+        ) {
+            prop_assert_eq!(
+                bitwise(rank_jobs(&profile, &jobs, &related, limit)),
+                bitwise(rank_jobs_oracle(&profile, &jobs, &related, limit))
+            );
+        }
+    }
+
+    #[test]
+    fn equals_lowercased_follows_to_lowercase() {
+        for lower in TEXTS {
+            for text in TEXTS {
+                assert_eq!(
+                    equals_lowercased(lower, text),
+                    *lower == text.to_lowercase(),
+                    "{lower:?} vs {text:?}"
+                );
+            }
         }
     }
 

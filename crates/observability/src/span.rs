@@ -13,9 +13,13 @@
 //!
 //! The tracer is a handle: cloning is cheap, and a *disarmed* tracer (the
 //! default) turns every operation into a no-op on an `Option` check, so
-//! instrumented hot paths cost nothing when tracing is off.
+//! instrumented hot paths cost nothing when tracing is off. Span names are
+//! taken as [`fmt::Display`] (pass `format_args!(..)`) and attribute values
+//! as `&str`, and both are copied only by an armed tracer: a disarmed span
+//! allocates nothing.
 
 use std::collections::BTreeMap;
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -136,16 +140,16 @@ impl Tracer {
     }
 
     /// Opens a root span. The span records itself when dropped (or via
-    /// [`SpanHandle::end`]).
-    pub fn span(&self, category: &str, name: impl Into<String>) -> SpanHandle {
+    /// [`SpanHandle::end`]). The name is rendered only when armed.
+    pub fn span(&self, category: &str, name: impl fmt::Display) -> SpanHandle {
         self.open(category, name, None)
     }
 
-    /// Opens a span under `parent`.
+    /// Opens a span under `parent`. The name is rendered only when armed.
     pub fn child_span(
         &self,
         category: &str,
-        name: impl Into<String>,
+        name: impl fmt::Display,
         parent: SpanId,
     ) -> SpanHandle {
         self.open(category, name, Some(parent))
@@ -157,12 +161,12 @@ impl Tracer {
     pub fn instant(
         &self,
         category: &str,
-        name: impl Into<String>,
+        name: impl fmt::Display,
         parent: Option<SpanId>,
         attrs: &[(&str, &str)],
     ) {
         let Some(inner) = &self.inner else { return };
-        let name = name.into();
+        let name = name.to_string();
         let attrs = attrs
             .iter()
             .map(|(k, v)| (k.to_string(), v.to_string()))
@@ -207,7 +211,7 @@ impl Tracer {
         inner.flows.lock().push(record);
     }
 
-    fn open(&self, category: &str, name: impl Into<String>, parent: Option<SpanId>) -> SpanHandle {
+    fn open(&self, category: &str, name: impl fmt::Display, parent: Option<SpanId>) -> SpanHandle {
         let Some(inner) = &self.inner else {
             return SpanHandle {
                 inner: None,
@@ -217,7 +221,7 @@ impl Tracer {
         let record = SpanRecord {
             id: SpanId(inner.next_id.fetch_add(1, Ordering::Relaxed)),
             parent,
-            name: name.into(),
+            name: name.to_string(),
             category: category.to_string(),
             kind: SpanKind::Span,
             start_micros: inner.clock.now_micros(),
@@ -280,10 +284,10 @@ impl SpanHandle {
         self.record.as_ref().map(|r| r.id)
     }
 
-    /// Attaches a key/value annotation.
-    pub fn attr(&mut self, key: &str, value: impl Into<String>) {
+    /// Attaches a key/value annotation (copied only when armed).
+    pub fn attr(&mut self, key: &str, value: &str) {
         if let Some(r) = &mut self.record {
-            r.attrs.insert(key.to_string(), value.into());
+            r.attrs.insert(key.to_string(), value.to_string());
         }
     }
 
@@ -378,8 +382,8 @@ mod tests {
             let root = t.span("test", "task");
             for i in 0..3 {
                 clock.advance_micros(7);
-                let mut s = t.child_span("test", format!("node:n{i}"), root.id().unwrap());
-                s.attr("agent", format!("agent-{i}"));
+                let mut s = t.child_span("test", format_args!("node:n{i}"), root.id().unwrap());
+                s.attr("agent", &format!("agent-{i}"));
                 clock.advance_micros(11);
                 drop(s);
             }

@@ -15,7 +15,7 @@ use blueprint_resilience::{BreakerRegistry, BreakerState};
 
 use crate::embedding::{embed_text, Embedding};
 use crate::error::RegistryError;
-use crate::search::{rank_entries, SearchHit};
+use crate::search::{rank_entries, EntryTokens, SearchHit};
 use crate::Result;
 
 /// A registered agent: its spec plus registry-side metadata.
@@ -31,11 +31,13 @@ pub struct AgentEntry {
     pub usage_queries: VecDeque<String>,
 }
 
-/// An entry plus the embeddings its blend is made of, each computed once:
-/// the spec's own text when registered or updated, and each usage query
-/// when recorded.
+/// An entry plus what search reads of it, each computed once: the spec's
+/// tokens and embedding when registered or updated, and each usage query's
+/// embedding when recorded.
 struct Slot {
     entry: AgentEntry,
+    /// Tokens of the spec's name and description.
+    tokens: EntryTokens,
     /// Embedding of `name description`.
     base: Embedding,
     /// Embeddings of `entry.usage_queries`, in the same order.
@@ -46,6 +48,7 @@ impl Slot {
     fn new(spec: AgentSpec) -> Self {
         let base = base_embedding(&spec);
         Slot {
+            tokens: EntryTokens::new(&spec.name, &spec.description),
             entry: AgentEntry {
                 spec,
                 embedding: base.clone(),
@@ -125,6 +128,7 @@ impl AgentRegistry {
         let slot = entries
             .get_mut(&spec.name)
             .ok_or_else(|| RegistryError::NotFound(spec.name.clone()))?;
+        slot.tokens = EntryTokens::new(&spec.name, &spec.description);
         slot.base = base_embedding(&spec);
         slot.entry.spec = spec;
         slot.refresh_embedding();
@@ -216,14 +220,17 @@ impl AgentRegistry {
             query,
             entries
                 .values()
-                .map(|slot| &slot.entry)
-                .filter(|e| breakers.as_ref().is_none_or(|b| !b.is_open(&e.spec.name)))
-                .map(|e| {
+                .filter(|slot| {
+                    breakers
+                        .as_ref()
+                        .is_none_or(|b| !b.is_open(&slot.entry.spec.name))
+                })
+                .map(|slot| {
                     (
-                        e.spec.name.as_str(),
-                        e.spec.description.as_str(),
-                        &e.embedding,
-                        e.usage_count as f32 / max_usage,
+                        slot.entry.spec.name.as_str(),
+                        &slot.tokens,
+                        &slot.entry.embedding,
+                        slot.entry.usage_count as f32 / max_usage,
                     )
                 }),
             limit,

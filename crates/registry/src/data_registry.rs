@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::embedding::{embed_text, Embedding};
 use crate::error::RegistryError;
-use crate::search::{rank_entries, SearchHit};
+use crate::search::{rank_entries, EntryTokens, SearchHit};
 use crate::Result;
 
 /// Granularity level of a data asset (Fig 5's hierarchy).
@@ -200,6 +200,8 @@ impl DataAsset {
 #[derive(Debug, Clone)]
 struct AssetEntry {
     asset: DataAsset,
+    /// Tokens of the asset's name and description, for keyword search.
+    tokens: EntryTokens,
     /// Embedding of the asset's own text, computed once at registration.
     base: Embedding,
     /// `base` blended with `usage`: what discovery ranks by.
@@ -244,6 +246,7 @@ impl DataRegistry {
         entries.insert(
             asset.name.clone(),
             AssetEntry {
+                tokens: EntryTokens::new(&asset.name, &asset.description),
                 asset,
                 embedding: base.clone(),
                 base,
@@ -376,7 +379,7 @@ impl DataRegistry {
                 .map(|e| {
                     (
                         e.asset.name.as_str(),
-                        e.asset.description.as_str(),
+                        &e.tokens,
                         &e.embedding,
                         e.usage_count as f32 / max_usage,
                     )

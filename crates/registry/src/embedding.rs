@@ -74,9 +74,12 @@ impl Embedding {
     }
 }
 
-/// FNV-1a 64-bit hash: stable across platforms and runs.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a 64-bit offset basis: the hash of no bytes.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Extends an FNV-1a 64-bit hash with `bytes`: stable across platforms and
+/// runs. Hashing `a` then `b` equals hashing their concatenation.
+fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= b as u64;
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
@@ -86,31 +89,36 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// Splits text into lowercase alphanumeric tokens.
 pub fn tokenize(text: &str) -> Vec<String> {
-    text.to_lowercase()
-        .split(|c: char| !c.is_alphanumeric())
-        .filter(|t| !t.is_empty())
-        .map(str::to_string)
-        .collect()
+    tokens(&text.to_lowercase()).map(str::to_string).collect()
 }
 
-/// Embeds a text via signed feature hashing of its unigrams and bigrams.
+/// The tokens of already lowercased text.
+fn tokens(lower: &str) -> impl Iterator<Item = &str> {
+    lower
+        .split(|c: char| !c.is_alphanumeric())
+        .filter(|t| !t.is_empty())
+}
+
+/// Embeds a text via signed feature hashing of its unigrams and bigrams
+/// (a bigram is hashed as `first_second`). All unigrams are added before
+/// the bigrams, so every dimension sums its terms in one fixed order.
 pub fn embed_text(text: &str) -> Embedding {
-    let tokens = tokenize(text);
-    if tokens.is_empty() {
+    let lower = text.to_lowercase();
+    if tokens(&lower).next().is_none() {
         return Embedding::zero();
     }
     let mut v = vec![0.0f32; EMBED_DIM];
-    let mut add = |feature: &str, weight: f32| {
-        let h = fnv1a(feature.as_bytes());
+    let mut add = |h: u64, weight: f32| {
         let dim = (h % EMBED_DIM as u64) as usize;
         let sign = if (h >> 32) & 1 == 0 { 1.0 } else { -1.0 };
         v[dim] += sign * weight;
     };
-    for t in &tokens {
-        add(t, 1.0);
+    for t in tokens(&lower) {
+        add(fnv1a(FNV_OFFSET, t.as_bytes()), 1.0);
     }
-    for pair in tokens.windows(2) {
-        add(&format!("{}_{}", pair[0], pair[1]), 0.5);
+    for (first, second) in tokens(&lower).zip(tokens(&lower).skip(1)) {
+        let h = fnv1a(fnv1a(FNV_OFFSET, first.as_bytes()), b"_");
+        add(fnv1a(h, second.as_bytes()), 0.5);
     }
     Embedding(v).normalize()
 }

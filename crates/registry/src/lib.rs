@@ -20,7 +20,7 @@ pub use agent_registry::{AgentEntry, AgentRegistry};
 pub use data_registry::{DataAsset, DataLevel, DataModality, DataRegistry, DataStats, FieldMeta};
 pub use embedding::{embed_text, Embedding, EMBED_DIM};
 pub use error::RegistryError;
-pub use search::{keyword_score, rank_entries, SearchHit};
+pub use search::{keyword_score, SearchHit};
 
 /// Result alias for registry operations.
 pub type Result<T> = std::result::Result<T, RegistryError>;

@@ -381,7 +381,15 @@ impl SessionRouter {
     /// Stops the workers after in-flight tasks finish; queued tasks are
     /// dropped. Called automatically on drop.
     pub fn shutdown(&mut self) {
-        self.inner.shutdown.store(true, Ordering::Relaxed);
+        // Set under the state lock: a worker reads the flag under that lock
+        // just before it waits, so it either sees the flag or is already
+        // waiting when the notification comes. Set outside it, the flag and
+        // the notification could both land between the read and the wait,
+        // and the worker would sleep through its own shutdown.
+        {
+            let _state = self.inner.state();
+            self.inner.shutdown.store(true, Ordering::Relaxed);
+        }
         self.inner.work_cv.notify_all();
         for w in self.workers.drain(..) {
             let _ = w.join();
@@ -735,6 +743,43 @@ mod tests {
         assert_eq!(
             r.submit(1, "x", job(true, 0.0, 0, Value::Null)),
             Err(RouterError::ShutDown)
+        );
+    }
+
+    /// Shutting down while the worker is between reading the flag and
+    /// waiting must still stop it. Routers are built and dropped one at a
+    /// time, each after a pseudo-random spin, so some drops land in that
+    /// window; a lost wake-up leaves `drop` joining a worker that sleeps
+    /// forever, which the watchdog reports.
+    #[test]
+    fn shutdown_wakes_a_worker_about_to_wait() {
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
+            for _ in 0..20_000 {
+                let r = SessionRouter::new(
+                    ServingConfig {
+                        max_sessions: 1,
+                        max_in_flight: 1,
+                        session_constraints: QosConstraints::none(),
+                    },
+                    &Observability::disarmed(),
+                );
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                for _ in 0..x % 3_000 {
+                    std::hint::spin_loop();
+                }
+                drop(r);
+            }
+            let _ = done.send(());
+        });
+        assert!(
+            finished
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .is_ok(),
+            "a router's drop hung joining its worker"
         );
     }
 }

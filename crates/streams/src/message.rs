@@ -11,7 +11,7 @@ use std::collections::BTreeSet;
 use std::fmt::{self, Write as _};
 
 use serde::{Deserialize, Serialize};
-use serde_json::Value;
+use serde_json::{Number, Value};
 
 use crate::tag::Tag;
 
@@ -188,11 +188,7 @@ fn json_len(v: &Value) -> usize {
                 5
             }
         }
-        Value::Number(n) => {
-            let mut counter = ByteCounter(0);
-            let _ = write!(counter, "{n}");
-            counter.0
-        }
+        Value::Number(n) => number_len(n),
         Value::String(s) => escaped_len(s),
         Value::Array(items) => {
             2 + items.len().saturating_sub(1) + items.iter().map(json_len).sum::<usize>()
@@ -220,6 +216,31 @@ fn escaped_len(s: &str) -> usize {
             _ => 1,
         })
         .sum::<usize>()
+}
+
+/// Length of a number as the printer renders it. Integers are their digits
+/// and sign. A whole float below 1e15 in magnitude prints as its integer
+/// part, then `.0` (`-0.0` keeps its sign); any other float goes through
+/// the printer's own formatting into a byte counter.
+fn number_len(n: &Number) -> usize {
+    if let Some(u) = n.as_u64() {
+        return digits(u);
+    }
+    if let Some(i) = n.as_i64() {
+        return usize::from(i < 0) + digits(i.unsigned_abs());
+    }
+    let f = n.as_f64().unwrap_or_default();
+    if f.fract() == 0.0 && f.abs() < 1e15 {
+        return usize::from(f.is_sign_negative()) + digits(f.abs() as u64) + 2;
+    }
+    let mut counter = ByteCounter(0);
+    let _ = write!(counter, "{n}");
+    counter.0
+}
+
+/// Number of decimal digits of `u` (1 for 0).
+fn digits(u: u64) -> usize {
+    u.checked_ilog10().map_or(1, |d| d as usize + 1)
 }
 
 /// A `fmt::Write` sink that only counts the bytes written to it.
@@ -317,21 +338,32 @@ mod tests {
     }
 
     fn arb_float(rng: &mut TestRng) -> f64 {
-        let f = match rng.below(4) {
+        let f = match rng.below(5) {
             0 => f64::from_bits(rng.next_u64()),
             1 => rng.below(2_000) as f64 - 1_000.0,
             2 => (rng.unit_f64() - 0.5) * 10f64.powi(rng.below(40) as i32 - 20),
+            // Whole floats of every magnitude, either side of 1e15.
+            3 => {
+                let whole = (rng.next_u64() >> rng.below(64)) as f64;
+                if rng.chance(0.5) {
+                    -whole
+                } else {
+                    whole
+                }
+            }
             _ => [
                 0.0,
                 -0.0,
                 1e15,
                 -1e15,
+                999_999_999_999_999.0,
+                -999_999_999_999_999.0,
                 1e16,
                 0.1,
                 1e-7,
                 f64::MAX,
                 f64::MIN_POSITIVE,
-            ][rng.below(9) as usize],
+            ][rng.below(11) as usize],
         };
         if f.is_finite() {
             f
