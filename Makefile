@@ -95,10 +95,12 @@ hotpath:
 serving-bench:
 	cargo run --release -p blueprint-bench --bin loadgen -- --sessions 1,8,64
 
-# Unified-IR gate: the IR unit tests, the spliced-path property battery
-# (data-level reference against the data planner, sequential ≡ parallel,
-# and the pinned adaptive re-optimization runs through
-# BlueprintSession::handle), and the joint optimizer search.
+# Unified-IR gate: the IR unit tests (data plans held in place by their
+# bindings, choice points and picks by position), the spliced-path property
+# battery (each binding's data plan against the data planner's own answer,
+# sequential ≡ parallel, the running example's pinned choice points, and the
+# pinned adaptive re-optimization runs through BlueprintSession::handle),
+# and the joint optimizer search.
 ir:
 	cargo test -p blueprint-planner --lib ir::
 	cargo test -p blueprint-planner --test ir_properties

@@ -63,7 +63,8 @@ fn main() {
             "edges": plan.edges().iter().map(|e| json!([e.from, e.to])).collect::<Vec<_>>(),
             "topo_order": plan.topo_order().expect("acyclic"),
             "ir": ir.render_text(),
-            "ir_nodes": ir.nodes.len(),
+            // Every agent node and spliced operator is one choice point.
+            "ir_nodes": ir.choice_points().len(),
         }),
     );
 }

@@ -53,12 +53,11 @@ fn main() {
         decomposed_rows - direct_rows
     );
 
-    // The standalone data plan lowered into the unified IR: the same node
-    // set the optimizer and coordinator consume once it is spliced into a
-    // task plan.
-    let ir = PlanIr::from_data_plan(&plan);
+    // The standalone data plan in the unified IR's text form: the same
+    // operator lines the IR draws once the plan is spliced into a task plan.
+    let ir = PlanIr::render_data_plan(&plan);
     println!("\nlowered unified IR (standalone data plan):");
-    print!("{}", ir.render_text());
+    print!("{ir}");
 
     write_artifact(
         "fig7_data_plan",
@@ -79,7 +78,7 @@ fn main() {
                 "rows": direct_rows,
             },
             "recovered_rows": decomposed_rows - direct_rows,
-            "ir": ir.render_text(),
+            "ir": ir,
         }),
     );
 }

@@ -298,7 +298,7 @@ struct Flight<'ir> {
 impl Flight<'_> {
     /// The agent the plan assigned to the node.
     fn planned(&self) -> &str {
-        self.node.agent().expect("dispatched nodes are agents").0
+        &self.node.agent
     }
 }
 
@@ -504,7 +504,6 @@ impl TaskCoordinator {
         depth: u8,
         task: &TaskContext,
     ) -> Result<ExecutionReport, ExecutionError> {
-        ir.validate().map_err(|e| ExecutionError(e.to_string()))?;
         let Schedule { order, edges } = ir.schedule().map_err(|e| ExecutionError(e.to_string()))?;
         let cap = match self.scheduler {
             SchedulerMode::Sequential => 1,
@@ -569,10 +568,7 @@ impl TaskCoordinator {
             // cheaper plan exists, resume under protest, exactly like the
             // sequential reference.
             if matches!(sched.halt(), Some(Halt::ReplanOverrun)) {
-                let subtasks: Vec<String> = ir
-                    .agent_nodes()
-                    .map(|n| n.agent().expect("agent node").1.to_string())
-                    .collect();
+                let subtasks: Vec<String> = ir.nodes.iter().map(|n| n.task.clone()).collect();
                 let replacement = self.task_planner.as_ref().and_then(|tp| {
                     tp.plan_subtasks(&ir.goal, &subtasks, &[most_expensive(&ir)])
                         .ok()
@@ -624,13 +620,9 @@ impl TaskCoordinator {
                 if let (false, 0, Some(tp)) = (resolution, depth, &self.task_planner) {
                     let failed_agent = ir
                         .node(node_id)
-                        .and_then(|n| n.agent())
-                        .map(|(a, _)| a.to_string())
+                        .map(|n| n.agent.clone())
                         .expect("failure references an agent node");
-                    let subtasks: Vec<String> = ir
-                        .agent_nodes()
-                        .map(|n| n.agent().expect("agent node").1.to_string())
-                        .collect();
+                    let subtasks: Vec<String> = ir.nodes.iter().map(|n| n.task.clone()).collect();
                     let mut excluded = vec![failed_agent.clone()];
                     if let Some(b) = &self.breakers {
                         for open in b.open_circuits() {
@@ -702,13 +694,13 @@ impl TaskCoordinator {
             while let Some(pos) = sched.admit() {
                 let node_id = order[pos].as_str();
                 let node = ir.node(node_id).expect("topo order references ir nodes");
-                let agent = node.agent().expect("scheduled nodes are agents").0;
+                let agent = node.agent.as_str();
 
                 // Graceful degradation: a skippable node (e.g. an optional
                 // guardrail check) is dropped outright once the budget is
                 // under pressure, trading its contribution for headroom.
                 if self.ladder.is_skippable(agent) && budget.status() != BudgetStatus::Healthy {
-                    budget.consume_projection(&node.qos.profile);
+                    budget.consume_projection(&node.profile);
                     self.publish_status(
                         &ir.task_id,
                         "node-skipped",
@@ -738,7 +730,7 @@ impl TaskCoordinator {
                             reason: format!("skipped node {node_id} under budget pressure"),
                         },
                     };
-                    sched.complete(pos, skipped, budget.status(), &node.qos.profile);
+                    sched.complete(pos, skipped, budget.status(), &node.profile);
                     continue;
                 }
 
@@ -811,7 +803,7 @@ impl TaskCoordinator {
                     }
                 }
                 span.end();
-                sched.complete(pos, completion, budget.status(), &node.qos.profile);
+                sched.complete(pos, completion, budget.status(), &node.profile);
                 continue;
             }
             if flights.is_empty() {
@@ -865,8 +857,8 @@ impl TaskCoordinator {
             if let Some(entry) = memo.lookup(&key) {
                 self.instruments.memo_hits.inc();
                 self.replay_cached_outputs(&ir.task_id, &node.id, &agent, &entry);
-                budget.charge(0.0, 0, node.qos.profile.accuracy);
-                budget.consume_projection(&node.qos.profile);
+                budget.charge(0.0, 0, node.profile.accuracy);
+                budget.consume_projection(&node.profile);
                 self.publish_status(
                     &ir.task_id,
                     "node-cached",
@@ -1126,8 +1118,8 @@ impl TaskCoordinator {
                 .as_ref()
                 .map(|r| (r.cost, r.latency_micros))
                 .unwrap_or((0.0, 0));
-            budget.charge(cost, latency, node.qos.profile.accuracy);
-            budget.consume_projection(&node.qos.profile);
+            budget.charge(cost, latency, node.profile.accuracy);
+            budget.consume_projection(&node.profile);
 
             // Quarantine the instruction that exhausted its attempts so
             // operators can inspect and replay it once the fault clears.
@@ -1158,12 +1150,8 @@ impl TaskCoordinator {
         }
 
         let report = attempt.report.expect("successful attempt carries a report");
-        budget.charge(
-            report.cost,
-            report.latency_micros,
-            node.qos.profile.accuracy,
-        );
-        budget.consume_projection(&node.qos.profile);
+        budget.charge(report.cost, report.latency_micros, node.profile.accuracy);
+        budget.consume_projection(&node.profile);
 
         // Only primary successes populate the cache: fallback answers carry
         // degraded quality, and caching them would hide the degradation on
@@ -1269,10 +1257,9 @@ impl TaskCoordinator {
                 // Transformation (§V-H): a JSON-typed input fed from raw user
                 // text goes through the data planner's extract operator
                 // (PROFILER.CRITERIA ← USER.TEXT).
-                let agent = node.agent().map(|(a, _)| a).unwrap_or_default();
                 let wants_json = self
                     .registry
-                    .get_spec(agent)
+                    .get_spec(&node.agent)
                     .ok()
                     .and_then(|s| s.input(param).map(|p| p.data_type == DataType::Json));
                 if wants_json == Some(true) {
@@ -1307,18 +1294,15 @@ impl TaskCoordinator {
                     .ok_or_else(|| format!("upstream {from}.{output} produced no value"))
             }
             IrBinding::Unplanned { error, .. } => Err(error.clone()),
-            IrBinding::Spliced { .. } => {
-                // The data plan was inlined into the IR at lowering time
-                // (and possibly re-optimized mid-flight); reconstruct the
-                // owned sub-plan and execute it through the data planner.
+            IrBinding::Spliced { plan, .. } => {
+                // The data plan was spliced in at lowering time (and
+                // possibly re-optimized mid-flight); it runs in place
+                // through the data planner.
                 let dp = self
                     .data_planner
                     .as_ref()
                     .ok_or_else(|| "no data planner for spliced binding".to_string())?;
-                let sub = ir
-                    .data_subplan(&node.id, param)
-                    .ok_or_else(|| format!("spliced binding {}.{param} has no subplan", node.id))?;
-                let executed = dp.execute(&sub).map_err(|e| e.to_string())?;
+                let executed = dp.execute(plan).map_err(|e| e.to_string())?;
                 budget.charge(
                     executed.actual.cost_per_call,
                     executed.actual.latency_micros,
@@ -1398,15 +1382,15 @@ fn route<'w>(msg: &Message, mut waits: impl Iterator<Item = &'w Wait>) -> Option
 
 /// Name of the plan's most expensive agent (replan exclusion heuristic).
 fn most_expensive(ir: &PlanIr) -> String {
-    ir.agent_nodes()
+    ir.nodes
+        .iter()
         .max_by(|a, b| {
-            a.qos
-                .profile
+            a.profile
                 .cost_per_call
-                .partial_cmp(&b.qos.profile.cost_per_call)
+                .partial_cmp(&b.profile.cost_per_call)
                 .unwrap_or(std::cmp::Ordering::Equal)
         })
-        .and_then(|n| n.agent().map(|(a, _)| a.to_string()))
+        .map(|n| n.agent.clone())
         .unwrap_or_default()
 }
 
@@ -2209,8 +2193,9 @@ mod tests {
         assert_eq!(report.degradations[0].to, None);
     }
 
-    #[test]
-    fn from_data_binding_is_satisfied_by_data_planner() {
+    /// A coordinator with a data planner over a jobs table and a parametric
+    /// source, and a `counter` agent that counts the jobs handed to it.
+    fn counter_runtime() -> (AgentFactory, TaskCoordinator) {
         use blueprint_datastore::{RelationalDb, RelationalSource};
         use blueprint_llmsim::{ModelProfile, ParametricSource, SimLlm};
         use blueprint_registry::DataRegistry;
@@ -2219,7 +2204,6 @@ mod tests {
         let factory = AgentFactory::new(store.clone());
         let registry = Arc::new(AgentRegistry::new());
 
-        // A matcher agent that counts the jobs it was handed.
         let spec = AgentSpec::new("counter", "count the jobs handed to it")
             .with_input(ParamSpec::required("jobs", "job listings", DataType::Table))
             .with_output(ParamSpec::required("count", "job count", DataType::Number))
@@ -2237,7 +2221,6 @@ mod tests {
         registry.register(spec).unwrap();
         factory.spawn("counter", "session:1").unwrap();
 
-        // Data planner over a jobs table + parametric source.
         let db = Arc::new(RelationalDb::new());
         db.execute("CREATE TABLE jobs (id INT, title TEXT, city TEXT)")
             .unwrap();
@@ -2253,9 +2236,13 @@ mod tests {
 
         let coordinator =
             TaskCoordinator::new(store, "session:1", registry).with_data_planner(Arc::new(dp));
+        (factory, coordinator)
+    }
 
+    /// One `counter` node with id `id`, fed the running example's jobs.
+    fn counter_plan(task_id: &str, id: &str) -> TaskPlan {
         let mut plan = TaskPlan::new(
-            "t9",
+            task_id,
             "I am looking for a data scientist position in SF bay area.",
         );
         let mut inputs = BTreeMap::new();
@@ -2266,22 +2253,37 @@ mod tests {
             },
         );
         plan.push(PlanNode {
-            id: "n1".into(),
+            id: id.into(),
             agent: "counter".into(),
             task: "count".into(),
             inputs,
             profile: CostProfile::new(0.1, 100, 1.0),
         });
+        plan
+    }
 
+    #[test]
+    fn from_data_binding_is_satisfied_by_data_planner() {
+        let (_factory, coordinator) = counter_runtime();
+        let plan = counter_plan("t9", "n1");
         let report = coordinator.execute(&plan, QosConstraints::none()).unwrap();
-        match &report.outcome {
-            Outcome::Completed { output } => {
-                // Only job 1 is a data scientist in a bay-area city.
-                assert_eq!(output["count"], json!(1));
-            }
-            other => panic!("unexpected outcome: {other:?}"),
-        }
+        // Only job 1 is a data scientist in a bay-area city.
+        assert_eq!(completed_output(&report)["count"], json!(1));
         // The data plan's LLM cost was charged to the budget.
+        assert!(report.budget.spent_cost > 0.0);
+    }
+
+    /// A node id that is also an id the data planner gives a spliced
+    /// operator (`d2`, the knowledge lookup) names two different things in
+    /// two namespaces: the plan runs like any other.
+    #[test]
+    fn agent_node_id_shared_with_a_spliced_operator_completes() {
+        let (_factory, coordinator) = counter_runtime();
+        let plan = counter_plan("t10", "d2");
+        let report = coordinator.execute(&plan, QosConstraints::none()).unwrap();
+        assert_eq!(completed_output(&report)["count"], json!(1));
+        assert_eq!(report.node_results.len(), 1);
+        assert_eq!(report.node_results[0].node, "d2");
         assert!(report.budget.spent_cost > 0.0);
     }
 

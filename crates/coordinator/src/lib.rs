@@ -10,8 +10,8 @@
 //! [`TaskCoordinator::execute`] is the one entry point. It lowers every
 //! plan — internal replans included — into the unified
 //! [`PlanIr`](blueprint_planner::PlanIr) with each `FromData` binding's data
-//! plan spliced under its node, and runs that IR: spliced operators execute
-//! when their owning node resolves its inputs. With
+//! plan spliced into the binding, and runs that IR: a spliced plan executes
+//! in place when its node resolves its inputs. With
 //! [`TaskCoordinator::with_adaptive`] the coordinator re-optimizes the
 //! pending IR suffix once when observed spend drifts past the given factor
 //! of the estimate.

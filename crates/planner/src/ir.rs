@@ -1,23 +1,28 @@
-//! The unified **plan IR**: one typed DAG for agent invocations and data
-//! operators.
+//! The unified **plan IR**: the task DAG with its data plans held in place.
 //!
 //! The paper treats task plans (§V-F, Fig 6) and data plans (§V-G, Fig 7)
 //! as one composable artifact — a data plan is *spliced* into the task plan
-//! as an input transformation, and the optimizer picks operators and model
-//! tiers over the whole composite DAG. This module is that artifact:
+//! as an input transformation of the node that consumes it, and the
+//! optimizer picks operators and model tiers over the whole composite. This
+//! module is that artifact: a DAG of agent nodes whose
+//! [`IrBinding::Spliced`] inputs own their [`DataPlan`], with each
+//! `Knowledge` operator's interchangeable parametric sources stored beside
+//! the plan.
 //!
 //! * [`PlanIr::from_task_plan`] is the one lowering of a [`TaskPlan`]: it
 //!   splices a data plan into every `FromData` binding via the
-//!   [`DataPlanner`]'s routing, annotating `Knowledge` operators with their
-//!   interchangeable parametric sources. A binding the planner cannot plan
-//!   stays in the IR as [`IrBinding::Unplanned`], carrying the error its
-//!   node fails with when dispatched. [`PlanIr::lower_spliced`] is the same
-//!   lowering with a data planner at hand;
-//! * [`PlanIr::from_data_plan`] lowers a standalone [`DataPlan`];
+//!   [`DataPlanner`]'s routing. A binding the planner cannot plan stays in
+//!   the IR as [`IrBinding::Unplanned`], carrying the error its node fails
+//!   with when dispatched. [`PlanIr::lower_spliced`] is the same lowering
+//!   with a data planner at hand. The lowering validates the task plan and
+//!   every spliced data plan, so an IR is valid by construction;
 //! * [`PlanIr::optimize`] runs the optimizer's joint Pareto-pruned search
-//!   over every choice point (model tiers *and* data sources) at once;
+//!   over every choice point (agent nodes, then data operators in splice
+//!   order) at once;
 //! * [`PlanIr::reoptimize_pending`] is the bounded mid-flight pass the
-//!   coordinator triggers when observed cost drifts past its estimate.
+//!   coordinator triggers when observed cost drifts past its estimate;
+//! * [`PlanIr::render_data_plan`] renders a standalone data plan with the
+//!   same operator lines as [`PlanIr::render_text`] (Fig 7).
 
 use std::collections::{BTreeMap, HashSet};
 
@@ -32,7 +37,6 @@ use blueprint_optimizer::{
 
 use crate::data_plan::{DataNode, DataOp, DataPlan};
 use crate::data_planner::DataPlanner;
-use crate::error::PlanError;
 use crate::plan::{index_edges, topo_sort, InputBinding, TaskPlan};
 use crate::Result;
 
@@ -61,117 +65,47 @@ pub enum IrBinding {
         /// Why no data plan could be spliced.
         error: String,
     },
-    /// Satisfied by the inlined data-operator subgraph owned by this
-    /// `(node, slot)`; `output` names the subgraph's result node.
+    /// Satisfied by the spliced data plan, which runs when the node
+    /// resolves its inputs; the plan's output is the binding's value.
     Spliced {
-        /// Result node id of the inlined data plan.
-        output: String,
         /// The original `FromData` query (kept for replanning and display).
         query: String,
+        /// The data plan, with the sources currently selected.
+        plan: DataPlan,
+        /// The interchangeable parametric sources of each `Knowledge`
+        /// operator in `plan`, as `(operator id, sources)` in plan order.
+        sources: Vec<(String, Vec<IrAlternative>)>,
     },
 }
 
-/// What an IR node *is*.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum IrKind {
-    /// Invoke a registry agent.
-    AgentInvocation {
-        /// Agent name.
-        agent: String,
-        /// The sub-task description this node covers.
-        task: String,
-    },
-    /// Execute a data operator (from a spliced or standalone data plan).
-    /// The full [`DataNode`] is embedded so the coordinator reconstructs the
-    /// owning sub-plan byte-for-byte.
-    DataOperator {
-        /// The operator instance, including its slot wiring and estimate.
-        node: DataNode,
-        /// `(agent node id, input slot)` this operator was spliced under;
-        /// `None` for standalone data-plan lowerings.
-        owner: Option<(String, String)>,
-    },
-}
-
-/// One interchangeable implementation of a node (a model tier for an LLM
-/// node, a parametric source for a `Knowledge` operator).
+/// One interchangeable parametric source of a `Knowledge` operator.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct IrAlternative {
-    /// Human-level tier label (e.g. `sim-large`).
-    pub tier: String,
-    /// Concrete target to substitute (source name or agent name).
+    /// Source name to substitute.
     pub target: String,
     /// Estimated QoS of choosing it.
     pub profile: CostProfile,
 }
 
-/// Per-node QoS annotation: the current estimate plus the alternatives the
-/// optimizer may swap in.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct IrQos {
-    /// Estimated QoS of the currently selected implementation.
-    pub profile: CostProfile,
-    /// Tier label of the current selection, when tiered.
-    pub tier: Option<String>,
-    /// Interchangeable implementations (empty when the node is fixed).
-    pub alternatives: Vec<IrAlternative>,
-}
-
-impl IrQos {
-    fn fixed(profile: CostProfile) -> Self {
-        IrQos {
-            profile,
-            tier: None,
-            alternatives: Vec::new(),
-        }
-    }
-}
-
-/// One node of the unified plan IR.
+/// One agent node of the unified plan IR.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct IrNode {
-    /// Node id, unique across the whole IR.
+    /// Node id, unique among the agent nodes.
     pub id: String,
-    /// Agent invocation or data operator.
-    pub kind: IrKind,
-    /// Input bindings (agent nodes; data operators carry their wiring in
-    /// the embedded [`DataNode`], mirrored here for rendering).
+    /// Agent name.
+    pub agent: String,
+    /// The sub-task description this node covers.
+    pub task: String,
+    /// Input bindings, spliced data plans included.
     pub inputs: BTreeMap<String, IrBinding>,
-    /// QoS annotation.
-    pub qos: IrQos,
-}
-
-impl IrNode {
-    /// True for agent-invocation nodes.
-    pub fn is_agent(&self) -> bool {
-        matches!(self.kind, IrKind::AgentInvocation { .. })
-    }
-
-    /// The agent name and task, for agent-invocation nodes.
-    pub fn agent(&self) -> Option<(&str, &str)> {
-        match &self.kind {
-            IrKind::AgentInvocation { agent, task } => Some((agent, task)),
-            _ => None,
-        }
-    }
-
-    /// The implementation currently selected at this node: the agent name,
-    /// a `Knowledge` operator's source, or the node id for other operators.
-    fn current_target(&self) -> String {
-        match &self.kind {
-            IrKind::AgentInvocation { agent, .. } => agent.clone(),
-            IrKind::DataOperator { node, .. } => match &node.op {
-                DataOp::Knowledge { source } => source.clone(),
-                _ => self.id.clone(),
-            },
-        }
-    }
+    /// Estimated QoS of the invocation.
+    pub profile: CostProfile,
 }
 
 /// A mid-flight tier switch applied by [`PlanIr::reoptimize_pending`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TierSwitch {
-    /// The IR node whose implementation changed.
+    /// The data operator whose source changed.
     pub node: String,
     /// Tier label before the switch.
     pub from: String,
@@ -186,6 +120,35 @@ fn tier_label(target: &str) -> String {
         Some(suffix) => format!("sim-{suffix}"),
         None => target.to_string(),
     }
+}
+
+/// The implementation selected at a data operator: a `Knowledge`
+/// operator's source, or the operator id for the others.
+fn current_target(node: &DataNode) -> &str {
+    match &node.op {
+        DataOp::Knowledge { source } => source,
+        _ => &node.id,
+    }
+}
+
+/// The sources recorded for operator `id` (empty when it has none).
+fn sources_of<'a>(sources: &'a [(String, Vec<IrAlternative>)], id: &str) -> &'a [IrAlternative] {
+    sources
+        .iter()
+        .find(|(op, _)| op == id)
+        .map_or(&[], |(_, alts)| alts)
+}
+
+/// Points a `Knowledge` operator at the source `alt`, with its estimate.
+fn switch_source(node: &mut DataNode, alt: &IrAlternative) {
+    if let DataOp::Knowledge { source } = &mut node.op {
+        source.clone_from(&alt.target);
+    }
+    node.estimate = CostEstimate {
+        cost_units: alt.profile.cost_per_call,
+        latency_micros: alt.profile.latency_micros,
+        accuracy: alt.profile.accuracy,
+    };
 }
 
 /// The agent nodes of a [`PlanIr`] in execution order, from
@@ -206,8 +169,7 @@ pub struct PlanIr {
     pub task_id: String,
     /// The user utterance this plan serves.
     pub goal: String,
-    /// Nodes in insertion order: agent nodes in task-plan order, then
-    /// spliced data operators.
+    /// Agent nodes in task-plan order.
     pub nodes: Vec<IrNode>,
     /// Objective the plan was optimized for.
     pub objective: Objective,
@@ -218,54 +180,50 @@ pub struct PlanIr {
 impl PlanIr {
     /// Lowers a task plan into IR — the one lowering every execution takes.
     /// Each `FromData` binding gets its data plan from `dp`'s routing,
-    /// spliced under the owning node with the interchangeable parametric
-    /// sources of its `Knowledge` operators as alternatives; one it cannot
-    /// plan (or every one, without a data planner) becomes
-    /// [`IrBinding::Unplanned`]. The IR carries the data planner's
-    /// objective and constraints so the optimizer and coordinator work from
-    /// the same QoS contract. Errors only on a structurally invalid plan.
+    /// spliced in place with the interchangeable parametric sources of its
+    /// `Knowledge` operators; one it cannot plan (or every one, without a
+    /// data planner) becomes [`IrBinding::Unplanned`]. The IR carries the
+    /// data planner's objective and constraints so the optimizer and
+    /// coordinator work from the same QoS contract. Errors only on a
+    /// structurally invalid plan.
     pub fn from_task_plan(plan: &TaskPlan, dp: Option<&DataPlanner>) -> Result<PlanIr> {
         plan.validate()?;
-        let mut ir = PlanIr {
-            task_id: plan.task_id.clone(),
-            goal: plan.utterance.clone(),
-            nodes: Vec::with_capacity(plan.nodes.len()),
-            objective: dp.map_or_else(Objective::balanced, DataPlanner::objective),
-            constraints: dp.map_or_else(QosConstraints::none, DataPlanner::constraints),
-        };
         // Agent nodes in insertion order, slots in BTreeMap order: the
         // splice order (and therefore data-node id allocation) is
         // deterministic.
-        let mut data_nodes = Vec::new();
-        for n in &plan.nodes {
-            let mut inputs = BTreeMap::new();
-            for (slot, b) in &n.inputs {
-                let binding = match b {
-                    InputBinding::FromUser => IrBinding::FromUser,
-                    InputBinding::FromNode { node, output } => IrBinding::FromNode {
-                        node: node.clone(),
-                        output: output.clone(),
-                    },
-                    InputBinding::Literal(v) => IrBinding::Literal(v.clone()),
-                    InputBinding::FromData { query } => {
-                        let owner = (n.id.clone(), slot.clone());
-                        lower_data_binding(query, owner, &plan.utterance, dp, &mut data_nodes)
-                    }
-                };
-                inputs.insert(slot.clone(), binding);
-            }
-            ir.nodes.push(IrNode {
+        let nodes = plan
+            .nodes
+            .iter()
+            .map(|n| IrNode {
                 id: n.id.clone(),
-                kind: IrKind::AgentInvocation {
-                    agent: n.agent.clone(),
-                    task: n.task.clone(),
-                },
-                inputs,
-                qos: IrQos::fixed(n.profile),
-            });
-        }
-        ir.nodes.extend(data_nodes);
-        Ok(ir)
+                agent: n.agent.clone(),
+                task: n.task.clone(),
+                inputs: n
+                    .inputs
+                    .iter()
+                    .map(|(slot, b)| {
+                        let binding = match b {
+                            InputBinding::FromUser => IrBinding::FromUser,
+                            InputBinding::FromNode { node, output } => IrBinding::FromNode {
+                                node: node.clone(),
+                                output: output.clone(),
+                            },
+                            InputBinding::Literal(v) => IrBinding::Literal(v.clone()),
+                            InputBinding::FromData { query } => splice(query, &plan.utterance, dp),
+                        };
+                        (slot.clone(), binding)
+                    })
+                    .collect(),
+                profile: n.profile,
+            })
+            .collect();
+        Ok(PlanIr {
+            task_id: plan.task_id.clone(),
+            goal: plan.utterance.clone(),
+            nodes,
+            objective: dp.map_or_else(Objective::balanced, DataPlanner::objective),
+            constraints: dp.map_or_else(QosConstraints::none, DataPlanner::constraints),
+        })
     }
 
     /// [`PlanIr::from_task_plan`] with a data planner: the spliced lowering
@@ -274,28 +232,35 @@ impl PlanIr {
         Self::from_task_plan(plan, Some(dp))
     }
 
-    /// Lowers a standalone data plan into IR (one `DataOperator` node per
-    /// operator, no owner). Used by the Fig 7 regenerator to show that both
-    /// figures are one artifact.
-    pub fn from_data_plan(plan: &DataPlan) -> PlanIr {
-        let nodes = plan.nodes.iter().map(|n| data_ir_node(n, None)).collect();
-        PlanIr {
-            task_id: "data".into(),
-            goal: plan.request.clone(),
-            nodes,
-            objective: Objective::balanced(),
-            constraints: QosConstraints::none(),
-        }
-    }
-
     /// Node lookup.
     pub fn node(&self, id: &str) -> Option<&IrNode> {
         self.nodes.iter().find(|n| n.id == id)
     }
 
-    /// Agent-invocation nodes in insertion order.
-    pub fn agent_nodes(&self) -> impl Iterator<Item = &IrNode> {
-        self.nodes.iter().filter(|n| n.is_agent())
+    /// Every spliced data plan with its sources, in splice order: agent
+    /// order, then slot order.
+    fn splices(&self) -> impl Iterator<Item = (&DataPlan, &[(String, Vec<IrAlternative>)])> {
+        self.nodes
+            .iter()
+            .flat_map(|n| n.inputs.values())
+            .filter_map(|b| match b {
+                IrBinding::Spliced { plan, sources, .. } => Some((plan, sources.as_slice())),
+                _ => None,
+            })
+    }
+
+    /// [`PlanIr::splices`] with each data plan open for a source switch,
+    /// beside the id of the agent node owning it.
+    fn splices_mut(
+        &mut self,
+    ) -> impl Iterator<Item = (&str, &mut DataPlan, &[(String, Vec<IrAlternative>)])> {
+        self.nodes.iter_mut().flat_map(|n| {
+            let owner = n.id.as_str();
+            n.inputs.values_mut().filter_map(move |b| match b {
+                IrBinding::Spliced { plan, sources, .. } => Some((owner, plan, sources.as_slice())),
+                _ => None,
+            })
+        })
     }
 
     /// The agent nodes' execution schedule: their ids in topological order
@@ -304,8 +269,8 @@ impl PlanIr {
     /// dataflow edges between them. Errors on cycles and unknown upstream
     /// nodes.
     pub fn schedule(&self) -> Result<Schedule> {
-        let ids: Vec<&str> = self.agent_nodes().map(|n| n.id.as_str()).collect();
-        let edges = self.agent_nodes().flat_map(|n| {
+        let ids: Vec<&str> = self.nodes.iter().map(|n| n.id.as_str()).collect();
+        let edges = self.nodes.iter().flat_map(|n| {
             n.inputs.values().filter_map(|b| match b {
                 IrBinding::FromNode { node, .. } => Some((node.as_str(), n.id.as_str())),
                 _ => None,
@@ -323,237 +288,118 @@ impl PlanIr {
         })
     }
 
-    /// Validates the whole IR: unique ids, known references, acyclic agent
-    /// DAG, spliced bindings resolvable.
-    pub fn validate(&self) -> Result<()> {
-        let mut ids = HashSet::new();
-        for n in &self.nodes {
-            if !ids.insert(n.id.as_str()) {
-                return Err(PlanError::InvalidPlan(format!(
-                    "duplicate node id: {}",
-                    n.id
-                )));
-            }
-            if let IrKind::DataOperator { node, .. } = &n.kind {
-                if node.id != n.id {
-                    return Err(PlanError::InvalidPlan(format!(
-                        "data operator {} embeds mismatched node {}",
-                        n.id, node.id
-                    )));
-                }
-            }
-        }
-        let agent_ids: HashSet<&str> = self.agent_nodes().map(|n| n.id.as_str()).collect();
-        for n in self.agent_nodes() {
-            for (slot, b) in &n.inputs {
-                match b {
-                    IrBinding::FromNode { node, .. } => {
-                        if !agent_ids.contains(node.as_str()) {
-                            return Err(PlanError::InvalidPlan(format!(
-                                "node {} references unknown node {node}",
-                                n.id
-                            )));
-                        }
-                        if node == &n.id {
-                            return Err(PlanError::InvalidPlan(format!(
-                                "node {} depends on itself",
-                                n.id
-                            )));
-                        }
-                    }
-                    IrBinding::Spliced { output, .. } => {
-                        let sub = self.data_subplan(&n.id, slot).ok_or_else(|| {
-                            PlanError::InvalidPlan(format!(
-                                "spliced binding {}.{slot} has no data nodes",
-                                n.id
-                            ))
-                        })?;
-                        if sub.node(output).is_none() {
-                            return Err(PlanError::InvalidPlan(format!(
-                                "spliced binding {}.{slot} output {output} not in subplan",
-                                n.id
-                            )));
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
-        self.schedule().map(|_| ())
-    }
-
-    /// Projected QoS of the plan: composes the *agent* nodes in insertion
+    /// Projected QoS of the plan: composes the agent nodes in insertion
     /// order, exactly like [`TaskPlan::projected_profile`]. Data operators
     /// are charged from actuals when their owner resolves inputs — the same
     /// accounting as the legacy path, so lowered plans budget identically.
     pub fn projected_profile(&self) -> CostProfile {
-        self.agent_nodes()
-            .fold(CostProfile::FREE, |acc, n| acc.then(&n.qos.profile))
-    }
-
-    /// Reconstructs the data plan spliced under `(owner, slot)`:
-    /// the owned operators in insertion order with the recorded output.
-    /// Byte-identical to the plan that was spliced in.
-    pub fn data_subplan(&self, owner: &str, slot: &str) -> Option<DataPlan> {
-        let IrBinding::Spliced { output, query } = self.node(owner)?.inputs.get(slot)? else {
-            return None;
-        };
-        let nodes: Vec<DataNode> = self
-            .nodes
-            .iter()
-            .filter_map(|n| match &n.kind {
-                IrKind::DataOperator {
-                    node,
-                    owner: Some((o, s)),
-                } if o == owner && s == slot => Some(node.clone()),
-                _ => None,
-            })
-            .collect();
-        if nodes.is_empty() {
-            return None;
-        }
-        Some(DataPlan {
-            request: query.clone(),
-            nodes,
-            output: output.clone(),
-        })
-    }
-
-    /// Every optimizable position in the IR as a [`ChoicePoint`]: nodes
-    /// with alternatives offer them all; fixed nodes offer exactly their
-    /// current profile, so the composed feasibility check covers the whole
-    /// plan.
-    pub fn choice_points(&self) -> Vec<ChoicePoint<String>> {
         self.nodes
             .iter()
-            .map(|n| {
-                let options = if n.qos.alternatives.is_empty() {
-                    vec![Candidate::new(n.current_target(), n.qos.profile)]
+            .fold(CostProfile::FREE, |acc, n| acc.then(&n.profile))
+    }
+
+    /// Every optimizable position in the IR as a [`ChoicePoint`]: the agent
+    /// nodes, then the data operators in splice order. A `Knowledge`
+    /// operator offers its sources; every other position offers exactly its
+    /// current implementation, so the composed feasibility check covers the
+    /// whole plan.
+    pub fn choice_points(&self) -> Vec<ChoicePoint<String>> {
+        let agents = self.nodes.iter().map(|n| {
+            ChoicePoint::new(
+                n.id.clone(),
+                vec![Candidate::new(n.agent.clone(), n.profile)],
+            )
+        });
+        let operators = self.splices().flat_map(|(plan, sources)| {
+            plan.nodes.iter().map(move |dn| {
+                let alts = sources_of(sources, &dn.id);
+                let options = if alts.is_empty() {
+                    let e = dn.estimate;
+                    let profile = CostProfile::new(e.cost_units, e.latency_micros, e.accuracy);
+                    vec![Candidate::new(current_target(dn).to_string(), profile)]
                 } else {
-                    n.qos
-                        .alternatives
-                        .iter()
+                    alts.iter()
                         .map(|a| Candidate::new(a.target.clone(), a.profile))
                         .collect()
                 };
-                ChoicePoint::new(n.id.clone(), options)
+                ChoicePoint::new(dn.id.clone(), options)
             })
-            .collect()
+        });
+        agents.chain(operators).collect()
     }
 
     /// Runs the optimizer's joint Pareto-pruned search over every choice
     /// point — model tiers on LLM nodes and source choices on data
-    /// operators in one space — and applies the winning assignment.
-    /// Returns the composed QoS of the chosen plan, or `None` when no
-    /// feasible assignment exists (the IR is left unchanged).
+    /// operators in one space — and applies the winning assignment by
+    /// choice-point position. Returns the composed QoS of the chosen plan,
+    /// or `None` when no feasible assignment exists (the IR is left
+    /// unchanged).
     pub fn optimize(
         &mut self,
         objective: Objective,
         constraints: &QosConstraints,
     ) -> Option<CostProfile> {
-        let points = self.choice_points();
-        let selection = optimize_unified(&points, objective, constraints)?;
-        for (point, &pick) in points.iter().zip(&selection.assignment) {
-            let target = &point.options[pick].item;
-            self.apply_alternative(&point.node, target);
+        let selection = optimize_unified(&self.choice_points(), objective, constraints)?;
+        // Agent nodes offer only their own agent; the operators' picks
+        // follow them in splice order, and index the operators' sources.
+        let mut picks = selection.assignment[self.nodes.len()..].iter();
+        for (_, plan, sources) in self.splices_mut() {
+            for dn in &mut plan.nodes {
+                let pick = *picks.next().expect("one choice point per operator");
+                if let Some(alt) = sources_of(sources, &dn.id).get(pick) {
+                    if alt.target != current_target(dn) {
+                        switch_source(dn, alt);
+                    }
+                }
+            }
         }
         self.objective = objective;
         self.constraints = *constraints;
         Some(selection.composed)
     }
 
-    /// Re-selects the implementation of data operators owned by
-    /// still-pending agent nodes, under the given objective and (typically
+    /// Re-selects the source of each `Knowledge` operator spliced under a
+    /// still-pending agent node, under the given objective and (typically
     /// tightened) constraints. Used by the coordinator's bounded mid-flight
     /// re-optimization; nodes already executed are never touched. Returns
-    /// the switches applied, in insertion order.
+    /// the switches applied, in splice order.
     pub fn reoptimize_pending(
         &mut self,
         pending: &HashSet<String>,
         objective: Objective,
         constraints: &QosConstraints,
     ) -> Vec<TierSwitch> {
-        let mut plans: Vec<(usize, String)> = Vec::new();
-        for (i, n) in self.nodes.iter().enumerate() {
-            let owned_by_pending = matches!(
-                &n.kind,
-                IrKind::DataOperator { owner: Some((o, _)), .. } if pending.contains(o)
-            );
-            if !owned_by_pending || n.qos.alternatives.len() < 2 {
-                continue;
-            }
-            let cands: Vec<Candidate<String>> = n
-                .qos
-                .alternatives
-                .iter()
-                .map(|a| Candidate::new(a.target.clone(), a.profile))
-                .collect();
-            let Some(idx) = select(&cands, objective, constraints) else {
-                continue;
-            };
-            let target = cands[idx].item.clone();
-            if target != n.current_target() {
-                plans.push((i, target));
-            }
-        }
         let mut switches = Vec::new();
-        for (i, target) in plans {
-            let id = self.nodes[i].id.clone();
-            let from = self.nodes[i]
-                .qos
-                .tier
-                .clone()
-                .unwrap_or_else(|| tier_label(&self.nodes[i].current_target()));
-            if self.apply_alternative(&id, &target) {
-                switches.push(TierSwitch {
-                    node: id,
-                    from,
-                    to: tier_label(&target),
-                });
+        for (owner, plan, sources) in self.splices_mut() {
+            if !pending.contains(owner) {
+                continue;
+            }
+            for dn in &mut plan.nodes {
+                let alts = sources_of(sources, &dn.id);
+                if alts.len() < 2 {
+                    continue;
+                }
+                let cands: Vec<Candidate<()>> =
+                    alts.iter().map(|a| Candidate::new((), a.profile)).collect();
+                let Some(idx) = select(&cands, objective, constraints) else {
+                    continue;
+                };
+                let alt = &alts[idx];
+                if alt.target != current_target(dn) {
+                    switches.push(TierSwitch {
+                        node: dn.id.clone(),
+                        from: tier_label(current_target(dn)),
+                        to: tier_label(&alt.target),
+                    });
+                    switch_source(dn, alt);
+                }
             }
         }
         switches
     }
 
-    /// Swaps a node's implementation to the alternative named `target`.
-    /// Returns false when the node or alternative doesn't exist (or the
-    /// target is already selected with no alternative entry).
-    pub fn apply_alternative(&mut self, node_id: &str, target: &str) -> bool {
-        let Some(n) = self.nodes.iter_mut().find(|n| n.id == node_id) else {
-            return false;
-        };
-        if n.current_target() == target {
-            return true;
-        }
-        let Some(alt) = n
-            .qos
-            .alternatives
-            .iter()
-            .find(|a| a.target == target)
-            .cloned()
-        else {
-            return false;
-        };
-        match &mut n.kind {
-            IrKind::AgentInvocation { agent, .. } => *agent = alt.target.clone(),
-            IrKind::DataOperator { node, .. } => {
-                if let DataOp::Knowledge { source } = &mut node.op {
-                    *source = alt.target.clone();
-                }
-                node.estimate = CostEstimate {
-                    cost_units: alt.profile.cost_per_call,
-                    latency_micros: alt.profile.latency_micros,
-                    accuracy: alt.profile.accuracy,
-                };
-            }
-        }
-        n.qos.profile = alt.profile;
-        n.qos.tier = Some(alt.tier);
-        true
-    }
-
     /// Renders the IR as text: agent nodes in order with their spliced data
-    /// operators indented beneath, then standalone operators.
+    /// operators indented beneath.
     ///
     /// ```text
     /// plan-ir t1: "I am looking for a data scientist position in SF bay area."
@@ -565,33 +411,7 @@ impl PlanIr {
     /// ```
     pub fn render_text(&self) -> String {
         let mut out = format!("plan-ir {}: \"{}\"\n", self.task_id, self.goal);
-        let render_data = |n: &IrNode, node: &DataNode, indent: &str, out: &mut String| {
-            let wiring = if node.inputs.is_empty() {
-                String::new()
-            } else {
-                let parts: Vec<String> = node
-                    .inputs
-                    .iter()
-                    .map(|(slot, dep)| format!("{slot} ← {dep}"))
-                    .collect();
-                format!(" ({})", parts.join(", "))
-            };
-            let tier = n
-                .qos
-                .tier
-                .as_ref()
-                .map(|t| format!(" ~tier {t}"))
-                .unwrap_or_default();
-            out.push_str(&format!(
-                "{indent}{} {}{}{}\n",
-                n.id,
-                node.op.detail(),
-                wiring,
-                tier
-            ));
-        };
-        for n in self.agent_nodes() {
-            let (agent, _) = n.agent().expect("agent node");
+        for n in &self.nodes {
             let inputs: Vec<String> = n
                 .inputs
                 .iter()
@@ -600,121 +420,98 @@ impl PlanIr {
                     IrBinding::FromNode { node, output } => format!("{p} ← {node}.{output}"),
                     IrBinding::Literal(v) => format!("{p} ← {v}"),
                     IrBinding::Unplanned { query, .. } => format!("{p} ← data(\"{query}\")"),
-                    IrBinding::Spliced { output, .. } => format!("{p} ← splice({output})"),
+                    IrBinding::Spliced { plan, .. } => format!("{p} ← splice({})", plan.output),
                 })
                 .collect();
             out.push_str(&format!(
                 "  {} {}({})\n",
                 n.id,
-                agent.to_uppercase(),
+                n.agent.to_uppercase(),
                 inputs.join(", ")
             ));
-            for d in &self.nodes {
-                if let IrKind::DataOperator {
-                    node,
-                    owner: Some((o, _)),
-                } = &d.kind
-                {
-                    if o == &n.id {
-                        render_data(d, node, "    ↳ ", &mut out);
-                    }
+            for b in n.inputs.values() {
+                if let IrBinding::Spliced { plan, .. } = b {
+                    render_operators(plan, "    ↳ ", &mut out);
                 }
-            }
-        }
-        for d in &self.nodes {
-            if let IrKind::DataOperator { node, owner: None } = &d.kind {
-                render_data(d, node, "  ", &mut out);
             }
         }
         out
     }
+
+    /// Renders a standalone data plan in the IR's text form: a header, then
+    /// one line per operator as [`PlanIr::render_text`] draws it (Fig 7).
+    pub fn render_data_plan(plan: &DataPlan) -> String {
+        let mut out = format!("plan-ir data: \"{}\"\n", plan.request);
+        render_operators(plan, "  ", &mut out);
+        out
+    }
 }
 
-/// Lowers one `FromData` binding of `owner = (node, slot)`: plans it through
-/// `dp` and appends the plan's operators to `data_nodes` (each `Knowledge`
-/// operator carrying its interchangeable sources as alternatives), or
-/// records why it could not be planned.
-fn lower_data_binding(
-    query: &str,
-    owner: (String, String),
-    utterance: &str,
-    dp: Option<&DataPlanner>,
-    data_nodes: &mut Vec<IrNode>,
-) -> IrBinding {
+/// Plans one `FromData` binding through `dp` and splices the plan in, with
+/// the sources of its `Knowledge` operators, or records why it could not be
+/// planned.
+fn splice(query: &str, utterance: &str, dp: Option<&DataPlanner>) -> IrBinding {
     let Some(dp) = dp else {
         return IrBinding::Unplanned {
             query: query.to_string(),
             error: format!("no data planner to satisfy: {query}"),
         };
     };
-    let dplan = match dp
+    match dp
         .plan_for_binding(query, utterance)
         .and_then(|d| d.validate().map(|()| d))
     {
-        Ok(dplan) => dplan,
-        Err(e) => {
-            return IrBinding::Unplanned {
-                query: query.to_string(),
-                error: e.to_string(),
-            }
-        }
-    };
-    let alternatives = dp.knowledge_alternatives(&dplan);
-    for dn in &dplan.nodes {
-        let mut ir_node = data_ir_node(dn, Some(owner.clone()));
-        if let Some((_, options)) = alternatives.iter().find(|(id, _)| id == &dn.id) {
-            ir_node.qos.alternatives = options
-                .iter()
-                .map(|c| IrAlternative {
-                    tier: tier_label(&c.item),
-                    target: c.item.clone(),
-                    profile: c.profile,
+        Ok(plan) => {
+            let sources = dp
+                .knowledge_alternatives(&plan)
+                .into_iter()
+                .map(|(id, cands)| {
+                    let alts = cands
+                        .into_iter()
+                        .map(|c| IrAlternative {
+                            target: c.item,
+                            profile: c.profile,
+                        })
+                        .collect();
+                    (id, alts)
                 })
                 .collect();
+            IrBinding::Spliced {
+                query: query.to_string(),
+                plan,
+                sources,
+            }
         }
-        data_nodes.push(ir_node);
-    }
-    IrBinding::Spliced {
-        output: dplan.output,
-        query: query.to_string(),
+        Err(e) => IrBinding::Unplanned {
+            query: query.to_string(),
+            error: e.to_string(),
+        },
     }
 }
 
-/// Converts one data-plan node into its IR form.
-fn data_ir_node(dn: &DataNode, owner: Option<(String, String)>) -> IrNode {
-    let inputs = dn
-        .inputs
-        .iter()
-        .map(|(slot, dep)| {
-            (
-                slot.clone(),
-                IrBinding::FromNode {
-                    node: dep.clone(),
-                    output: "value".to_string(),
-                },
-            )
-        })
-        .collect();
-    let tier = match &dn.op {
-        DataOp::Knowledge { source } => Some(tier_label(source)),
-        _ => None,
-    };
-    IrNode {
-        id: dn.id.clone(),
-        kind: IrKind::DataOperator {
-            node: dn.clone(),
-            owner,
-        },
-        inputs,
-        qos: IrQos {
-            profile: CostProfile::new(
-                dn.estimate.cost_units,
-                dn.estimate.latency_micros,
-                dn.estimate.accuracy,
-            ),
-            tier,
-            alternatives: Vec::new(),
-        },
+/// Appends one line per data operator: id, operator, wiring, and the model
+/// tier behind a `Knowledge` operator's source.
+fn render_operators(plan: &DataPlan, indent: &str, out: &mut String) {
+    for node in &plan.nodes {
+        let wiring = if node.inputs.is_empty() {
+            String::new()
+        } else {
+            let parts: Vec<String> = node
+                .inputs
+                .iter()
+                .map(|(slot, dep)| format!("{slot} ← {dep}"))
+                .collect();
+            format!(" ({})", parts.join(", "))
+        };
+        let tier = match &node.op {
+            DataOp::Knowledge { source } => format!(" ~tier {}", tier_label(source)),
+            _ => String::new(),
+        };
+        out.push_str(&format!(
+            "{indent}{} {}{wiring}{tier}\n",
+            node.id,
+            node.op.detail()
+        ));
     }
 }
 
@@ -763,10 +560,8 @@ mod tests {
                 query: "available job listings".into(),
             },
         );
-        let mut plan_nodes = vec![n1, n2];
-        for n in plan_nodes.drain(..) {
-            plan.push(n);
-        }
+        plan.push(n1);
+        plan.push(n2);
         plan
     }
 
@@ -810,11 +605,33 @@ mod tests {
         dp
     }
 
+    /// The plan spliced under `(node, slot)`, with its sources.
+    fn spliced<'a>(
+        ir: &'a PlanIr,
+        node: &str,
+        slot: &str,
+    ) -> (&'a DataPlan, &'a [(String, Vec<IrAlternative>)]) {
+        match ir.node(node).unwrap().inputs.get(slot) {
+            Some(IrBinding::Spliced { plan, sources, .. }) => (plan, sources),
+            other => panic!("expected a spliced binding, got {other:?}"),
+        }
+    }
+
+    /// The source of the first `Knowledge` operator spliced into the IR.
+    fn knowledge_source(ir: &PlanIr) -> String {
+        ir.splices()
+            .flat_map(|(plan, _)| &plan.nodes)
+            .find_map(|n| match &n.op {
+                DataOp::Knowledge { source } => Some(source.clone()),
+                _ => None,
+            })
+            .unwrap()
+    }
+
     #[test]
     fn lowering_preserves_structure_and_profile() {
         let plan = chain();
         let ir = PlanIr::from_task_plan(&plan, None).unwrap();
-        ir.validate().unwrap();
         let schedule = ir.schedule().unwrap();
         assert_eq!(schedule.order, plan.topo_order().unwrap());
         assert_eq!(schedule.edges, [(0, 1)]);
@@ -823,41 +640,48 @@ mod tests {
         assert_eq!(a.cost_per_call.to_bits(), b.cost_per_call.to_bits());
         assert_eq!(a.latency_micros, b.latency_micros);
         assert_eq!(a.accuracy.to_bits(), b.accuracy.to_bits());
-        assert_eq!(ir.agent_nodes().count(), 2);
+        assert_eq!(ir.nodes.len(), 2);
     }
 
     #[test]
-    fn splice_rewires_binding_and_reconstructs_byte_identical_subplan() {
+    fn splice_binding_holds_exactly_the_planners_plan() {
         let plan = chain();
         // Two identical planners allocate identical data-node ids: one
         // lowers, the other plans the binding directly as the reference.
         let ir = PlanIr::lower_spliced(&plan, &data_planner()).unwrap();
-        let dplan = data_planner()
+        let reference = data_planner();
+        let dplan = reference
             .plan_for_binding("available job listings", RUNNING_EXAMPLE)
             .unwrap();
-        ir.validate().unwrap();
-        assert!(matches!(
-            ir.node("n2").unwrap().inputs.get("jobs"),
-            Some(IrBinding::Spliced { .. })
-        ));
-        let back = ir.data_subplan("n2", "jobs").unwrap();
-        assert_eq!(back.nodes, dplan.nodes);
-        assert_eq!(back.output, dplan.output);
-        // Knowledge node carries both parametric tiers as alternatives.
-        let know = ir
-            .nodes
-            .iter()
-            .find(|n| {
-                matches!(&n.kind, IrKind::DataOperator { node, .. }
-                if matches!(node.op, DataOp::Knowledge { .. }))
+        let Some(IrBinding::Spliced {
+            query,
+            plan: held,
+            sources,
+        }) = ir.node("n2").unwrap().inputs.get("jobs")
+        else {
+            panic!("jobs was not spliced");
+        };
+        assert_eq!(query, "available job listings");
+        assert_eq!(held, &dplan);
+        // The knowledge operator carries both parametric tiers as sources,
+        // exactly the planner's candidates.
+        let want: Vec<(String, Vec<IrAlternative>)> = reference
+            .knowledge_alternatives(&dplan)
+            .into_iter()
+            .map(|(id, cands)| {
+                let alts = cands
+                    .into_iter()
+                    .map(|c| IrAlternative {
+                        target: c.item,
+                        profile: c.profile,
+                    })
+                    .collect();
+                (id, alts)
             })
-            .unwrap();
-        let tiers: Vec<&str> = know
-            .qos
-            .alternatives
-            .iter()
-            .map(|a| a.tier.as_str())
             .collect();
+        assert_eq!(sources, &want);
+        assert_eq!(sources.len(), 1);
+        let tiers: Vec<String> = sources[0].1.iter().map(|a| tier_label(&a.target)).collect();
         assert_eq!(tiers, ["sim-large", "sim-small"]);
     }
 
@@ -866,12 +690,8 @@ mod tests {
         let plan = chain();
         let dp = data_planner();
         let ir = PlanIr::lower_spliced(&plan, &dp).unwrap();
-        ir.validate().unwrap();
-        assert!(ir.nodes.iter().any(
-            |n| matches!(&n.kind, IrKind::DataOperator { owner: Some((o, s)), .. }
-                if o == "n2" && s == "jobs")
-        ));
-        assert!(!ir.agent_nodes().any(|n| n
+        assert!(!spliced(&ir, "n2", "jobs").0.nodes.is_empty());
+        assert!(!ir.nodes.iter().any(|n| n
             .inputs
             .values()
             .any(|b| matches!(b, IrBinding::Unplanned { .. }))));
@@ -894,14 +714,13 @@ mod tests {
         // succeeds and records the planner's own error text.
         let dp = data_planner();
         let ir = PlanIr::lower_spliced(&plan, &dp).unwrap();
-        ir.validate().unwrap();
         assert_eq!(
             unplanned(&ir),
             dp.plan_for_binding("candidate profiles", RUNNING_EXAMPLE)
                 .unwrap_err()
                 .to_string()
         );
-        assert!(ir.nodes.iter().all(|n| n.is_agent()));
+        assert_eq!(ir.choice_points().len(), 2);
         // Without a data planner every data binding is unplanned.
         let ir = PlanIr::from_task_plan(&chain(), None).unwrap();
         assert_eq!(
@@ -929,27 +748,39 @@ mod tests {
         // Cost-min picks the small tier...
         let composed = ir.optimize(Objective::MinCost, &QosConstraints::none());
         assert!(composed.is_some());
-        let know = |ir: &PlanIr| {
-            ir.nodes
-                .iter()
-                .find_map(|n| match &n.kind {
-                    IrKind::DataOperator { node, .. } => match &node.op {
-                        DataOp::Knowledge { source } => Some(source.clone()),
-                        _ => None,
-                    },
-                    _ => None,
-                })
-                .unwrap()
-        };
-        assert_eq!(know(&ir), "gpt-small");
+        assert_eq!(knowledge_source(&ir), "gpt-small");
         // ...an accuracy floor over the *composed* plan forces the large
         // tier back in (agent nodes 0.9·0.95 × data accuracies).
         let floor = QosConstraints::none().with_min_accuracy(0.82);
         ir.optimize(Objective::MinCost, &floor).unwrap();
-        assert_eq!(know(&ir), "gpt-large");
+        assert_eq!(knowledge_source(&ir), "gpt-large");
+        assert!(ir.render_text().contains("~tier sim-large"));
+    }
+
+    /// An agent node whose id is also a spliced operator's id takes
+    /// neither that operator's pick nor its place in the plan: the
+    /// assignment applies by choice-point position.
+    #[test]
+    fn optimize_applies_picks_by_position_when_ids_collide() {
+        let mut plan = chain();
+        plan.nodes[1].id = "d2".into();
+        let mut ir = PlanIr::lower_spliced(&plan, &data_planner()).unwrap();
+        let names: Vec<String> = ir.choice_points().into_iter().map(|p| p.node).collect();
+        assert_eq!(names, ["n1", "d2", "d1", "d2", "d3", "d4"]);
+        ir.optimize(Objective::MaxAccuracy, &QosConstraints::none())
+            .unwrap();
+        assert_eq!(knowledge_source(&ir), "gpt-large");
+        ir.optimize(Objective::MinCost, &QosConstraints::none())
+            .unwrap();
+        assert_eq!(knowledge_source(&ir), "gpt-small");
+        assert_eq!(ir.node("d2").unwrap().agent, "job-matcher");
+        let (plan, sources) = spliced(&ir, "d2", "jobs");
+        let small = &sources_of(sources, "d2")[1];
+        assert_eq!(small.target, "gpt-small");
+        let know = plan.node("d2").unwrap();
         assert_eq!(
-            ir.node("d2").unwrap().qos.tier.as_deref(),
-            Some("sim-large")
+            know.estimate.cost_units.to_bits(),
+            small.profile.cost_per_call.to_bits()
         );
     }
 
@@ -960,23 +791,9 @@ mod tests {
         let mut ir = PlanIr::lower_spliced(&plan, &dp).unwrap();
         // Pin the knowledge operator to the large tier so the downgrade is
         // observable regardless of what the planner picked by default.
-        let know_id = ir
-            .nodes
-            .iter()
-            .find_map(|n| match &n.kind {
-                IrKind::DataOperator { node, .. }
-                    if matches!(node.op, DataOp::Knowledge { .. }) =>
-                {
-                    Some(n.id.clone())
-                }
-                _ => None,
-            })
+        ir.optimize(Objective::MaxAccuracy, &QosConstraints::none())
             .unwrap();
-        assert!(ir.apply_alternative(&know_id, "gpt-large"));
-        assert_eq!(
-            ir.node(&know_id).unwrap().qos.tier.as_deref(),
-            Some("sim-large")
-        );
+        assert_eq!(knowledge_source(&ir), "gpt-large");
         // Under a tight latency cap the large tier is infeasible per-node.
         let tight = QosConstraints::none().with_max_latency_micros(200_000);
         // Nothing pending → nothing switches.
@@ -988,15 +805,10 @@ mod tests {
         let pending: HashSet<String> = ["n2".to_string()].into();
         let switches = ir.reoptimize_pending(&pending, Objective::MinLatency, &tight);
         assert_eq!(switches.len(), 1);
+        assert_eq!(switches[0].node, "d2");
         assert_eq!(switches[0].from, "sim-large");
         assert_eq!(switches[0].to, "sim-small");
-        let sub = ir.data_subplan("n2", "jobs").unwrap();
-        let know = sub
-            .nodes
-            .iter()
-            .find(|n| matches!(n.op, DataOp::Knowledge { .. }))
-            .unwrap();
-        assert!(matches!(&know.op, DataOp::Knowledge { source } if source == "gpt-small"));
+        assert_eq!(knowledge_source(&ir), "gpt-small");
         // Idempotent: re-running under the same constraints is a no-op.
         assert!(ir
             .reoptimize_pending(&pending, Objective::MinLatency, &tight)
@@ -1004,15 +816,28 @@ mod tests {
     }
 
     #[test]
-    fn from_data_plan_lowers_operators() {
+    fn standalone_render_uses_the_ir_operator_lines() {
         let dp = data_planner();
         let dplan = dp.plan_job_query(RUNNING_EXAMPLE).unwrap();
-        let ir = PlanIr::from_data_plan(&dplan);
-        assert_eq!(ir.nodes.len(), dplan.nodes.len());
-        assert!(ir.nodes.iter().all(|n| !n.is_agent()));
-        let text = ir.render_text();
+        let text = PlanIr::render_data_plan(&dplan);
+        assert!(text.starts_with(&format!("plan-ir data: \"{RUNNING_EXAMPLE}\"\n")));
         assert!(text.contains("knowledge[gpt-"));
         assert!(text.contains("~tier sim-"));
+        // Spliced, the same operators render as the same lines, indented
+        // under their owner.
+        let ir = PlanIr::lower_spliced(&chain(), &data_planner()).unwrap();
+        let rendered = ir.render_text();
+        let nested: Vec<&str> = rendered
+            .lines()
+            .filter_map(|l| l.strip_prefix("    ↳ "))
+            .collect();
+        let standalone: Vec<&str> = text
+            .lines()
+            .skip(1)
+            .filter_map(|l| l.strip_prefix("  "))
+            .collect();
+        assert_eq!(nested.len(), dplan.nodes.len());
+        assert_eq!(nested, standalone);
     }
 
     #[test]

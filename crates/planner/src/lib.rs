@@ -16,8 +16,9 @@
 //!
 //! A task plan lowers into the unified [`PlanIr`] (see [`ir`]) through one
 //! lowering, [`PlanIr::from_task_plan`], which splices the data plan of
-//! every `FromData` binding into the node that consumes it. That IR is the
-//! single DAG the optimizer searches and the coordinator executes.
+//! every `FromData` binding into the input binding of the node that
+//! consumes it, where it stays whole. That IR is the single DAG the
+//! optimizer searches and the coordinator executes.
 
 pub mod data_plan;
 pub mod data_planner;
@@ -29,7 +30,7 @@ pub mod task_planner;
 pub use data_plan::{DataNode, DataOp, DataPlan};
 pub use data_planner::{DataPlanner, ExecutedPlan};
 pub use error::PlanError;
-pub use ir::{IrAlternative, IrBinding, IrKind, IrNode, IrQos, PlanIr, Schedule, TierSwitch};
+pub use ir::{IrAlternative, IrBinding, IrNode, PlanIr, Schedule, TierSwitch};
 pub use plan::{InputBinding, PlanEdge, PlanNode, TaskPlan};
 pub use task_planner::{PlanFeedback, TaskPlanner};
 

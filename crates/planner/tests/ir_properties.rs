@@ -6,7 +6,7 @@
 //! knowledge lookup → graph expansion → SQL) — must satisfy:
 //!
 //! * **data-level reference**: for every `FromData` binding, executing the
-//!   lowered `data_subplan(owner, slot)` yields the same value, with
+//!   data plan the lowered binding holds yields the same value, with
 //!   bitwise-equal actual QoS, as `DataPlanner::satisfy(query, utterance)`
 //!   on an identically configured planner;
 //! * **sequential ≡ parallel**: the sequential and parallel schedulers give
@@ -23,7 +23,9 @@
 //! re-optimization that downgrades the spliced knowledge operator from
 //! `sim-large` to `sim-small`, and drift below the threshold must trigger
 //! none. A `FromData` binding nothing can plan must still fail on its own
-//! node, after the upstream node ran.
+//! node, after the upstream node ran. On the running example, the joint
+//! search space lists the agent nodes, then the spliced operators, with
+//! pinned candidate lists.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -44,7 +46,7 @@ use blueprint_core::Blueprint;
 use blueprint_datastore::{GraphSource, PropertyGraph, RelationalDb, RelationalSource};
 use blueprint_llmsim::{ModelProfile, ParametricSource, SimLlm};
 use blueprint_optimizer::{Objective, QosConstraints};
-use blueprint_planner::{DataPlanner, InputBinding, PlanIr, PlanNode, TaskPlan};
+use blueprint_planner::{DataPlanner, InputBinding, IrBinding, PlanIr, PlanNode, TaskPlan};
 use blueprint_registry::{AgentRegistry, DataRegistry};
 use blueprint_streams::StreamStore;
 
@@ -271,12 +273,13 @@ proptest! {
         let dp = data_planner();
         let reference = data_planner();
         let ir = PlanIr::lower_spliced(&plan, &dp).unwrap();
-        ir.validate().unwrap();
         for node in &plan.nodes {
             for (slot, binding) in &node.inputs {
                 let InputBinding::FromData { query } = binding else { continue };
-                let sub = ir.data_subplan(&node.id, slot).expect("binding was spliced");
-                let got = dp.execute(&sub).unwrap();
+                let Some(IrBinding::Spliced { plan: sub, .. }) = ir.node(&node.id).unwrap().inputs.get(slot) else {
+                    panic!("binding {}.{slot} was not spliced", node.id);
+                };
+                let got = dp.execute(sub).unwrap();
                 let want = reference.satisfy(query, &plan.utterance).unwrap();
                 prop_assert_eq!(
                     serde_json::to_string(&got.value).unwrap(),
@@ -413,4 +416,56 @@ fn unplannable_binding_fails_on_its_own_node() {
     assert_eq!(report.node_results.len(), 1);
     assert!(report.node_results[0].ok);
     assert_eq!(report.node_results[0].node, "n0");
+}
+
+/// The joint search space of the running example's plan (the bench HR
+/// runtime of Fig 6): the agent nodes in plan order, then the spliced
+/// operators in splice order, each with its candidate list as
+/// `(item, cost, latency, accuracy)`.
+#[test]
+fn running_example_choice_points_are_agents_then_spliced_operators() {
+    let bp = Blueprint::builder()
+        .with_hr_domain(HrConfig {
+            seed: 7,
+            jobs: 300,
+            applicants: 200,
+            companies: 25,
+            applications: 600,
+        })
+        .build()
+        .unwrap();
+    let plan = bp.task_planner().plan(RUNNING_EXAMPLE).unwrap();
+    let ir = PlanIr::lower_spliced(&plan, bp.data_planner()).unwrap();
+    let points: Vec<String> = ir
+        .choice_points()
+        .iter()
+        .map(|p| {
+            let options: Vec<String> = p
+                .options
+                .iter()
+                .map(|c| {
+                    format!(
+                        "({}, {:?}, {}, {:?})",
+                        c.item,
+                        c.profile.cost_per_call,
+                        c.profile.latency_micros,
+                        c.profile.accuracy
+                    )
+                })
+                .collect();
+            format!("{} [{}]", p.node, options.join(", "))
+        })
+        .collect();
+    assert_eq!(
+        points,
+        [
+            "n1 [(profiler, 0.5, 60000, 0.95)]",
+            "n2 [(job-matcher, 2.0, 120000, 0.9)]",
+            "n3 [(presenter, 0.05, 5000, 1.0)]",
+            "d1 [(d1, 0.0, 0, 1.0)]",
+            "d2 [(gpt-large, 0.3, 680000, 0.98)]",
+            "d3 [(d3, 0.001, 80, 1.0)]",
+            "d4 [(d4, 0.001, 80, 1.0)]",
+        ]
+    );
 }
