@@ -98,12 +98,15 @@ serving-bench:
 # Unified-IR gate: the IR unit tests (data plans held in place by their
 # bindings, choice points and picks by position), the spliced-path property
 # battery (each binding's data plan against the data planner's own answer,
-# sequential ≡ parallel, the running example's pinned choice points, and the
-# pinned adaptive re-optimization runs through BlueprintSession::handle),
-# and the joint optimizer search.
+# sequential ≡ parallel, the running example's pinned choice points, the
+# pinned adaptive re-optimization runs and the task's latency cap picking
+# the tier, all through BlueprintSession::handle), the joint pick against
+# brute force and the greedy per-operator pick at 256 cases, and the joint
+# optimizer search.
 ir:
 	cargo test -p blueprint-planner --lib ir::
 	cargo test -p blueprint-planner --test ir_properties
+	PROPTEST_CASES=256 cargo test -p blueprint-planner --test ir_properties joint_pick_
 	cargo test -p blueprint-optimizer --lib unified::
 
 # Rustdoc gate: the API docs must build without warnings.

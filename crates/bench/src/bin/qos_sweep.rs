@@ -1,6 +1,8 @@
 //! B5/B8 — the QoS sweep: which model tier the optimizer selects per
 //! objective and constraint, and the end-to-end cost/latency/accuracy of
-//! the running example under three QoS presets.
+//! the running example under three QoS presets. The constraints bound the
+//! whole plan (agent nodes and spliced data operators composed), as the
+//! coordinator's joint optimization applies them.
 //!
 //! Run with: `cargo run -p blueprint-bench --bin qos_sweep`
 
@@ -23,18 +25,21 @@ fn blueprint_with(objective: Objective, constraints: QosConstraints) -> Blueprin
         .expect("blueprint assembles")
 }
 
-fn chosen_tier(bp: &Blueprint) -> String {
-    let plan = bp
-        .data_planner()
-        .plan_job_query(RUNNING_EXAMPLE)
-        .expect("plans");
-    plan.nodes
-        .iter()
-        .find_map(|n| match &n.op {
-            blueprint_core::planner::DataOp::Knowledge { source } => Some(source.clone()),
-            _ => None,
-        })
-        .unwrap_or_else(|| "-".into())
+/// The knowledge source of the plan the runtime would run for the running
+/// example: the task plan, lowered and optimized by the session's
+/// coordinator exactly as `handle` does before it dispatches.
+fn chosen_tier(bp: &Blueprint, constraints: &QosConstraints) -> String {
+    let session = bp.start_session().expect("session");
+    let plan = session.plan(RUNNING_EXAMPLE).expect("plans");
+    let ir = session
+        .coordinator()
+        .lower(&plan, constraints)
+        .expect("lowers");
+    let text = ir.render_text();
+    let source = text
+        .split_once("knowledge[")
+        .and_then(|(_, rest)| rest.split_once(']'));
+    source.map_or_else(|| "-".into(), |(source, _)| source.to_string())
 }
 
 fn main() {
@@ -52,14 +57,14 @@ fn main() {
             QosConstraints::none(),
         ),
         (
-            "min-cost, accuracy ≥ 0.85",
+            "min-cost, accuracy ≥ 0.70",
             Objective::MinCost,
-            QosConstraints::none().with_min_accuracy(0.85),
+            QosConstraints::none().with_min_accuracy(0.70),
         ),
         (
-            "min-cost, accuracy ≥ 0.95",
+            "min-cost, accuracy ≥ 0.80",
             Objective::MinCost,
-            QosConstraints::none().with_min_accuracy(0.95),
+            QosConstraints::none().with_min_accuracy(0.80),
         ),
         (
             "min-latency, unconstrained",
@@ -72,14 +77,14 @@ fn main() {
             QosConstraints::none(),
         ),
         (
-            "max-accuracy, latency ≤ 200ms",
+            "max-accuracy, latency ≤ 400ms",
             Objective::MaxAccuracy,
-            QosConstraints::none().with_max_latency_micros(200_000),
+            QosConstraints::none().with_max_latency_micros(400_000),
         ),
         ("balanced", Objective::balanced(), QosConstraints::none()),
     ] {
         let bp = blueprint_with(objective, constraints);
-        let tier = chosen_tier(&bp);
+        let tier = chosen_tier(&bp, &constraints);
         println!("{:<34} {:<12}", label, tier);
         selections.push(json!({ "setting": label, "chosen_tier": tier }));
     }

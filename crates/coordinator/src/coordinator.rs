@@ -8,7 +8,7 @@ use serde_json::{json, Value};
 
 use blueprint_agents::{AgentReport, DataType, ExecuteAgent, Inputs};
 use blueprint_observability::{Counter, Gauge, Observability, SpanHandle, SpanId};
-use blueprint_optimizer::{Budget, BudgetStatus, QosConstraints, SharedBudget};
+use blueprint_optimizer::{Budget, BudgetStatus, Objective, QosConstraints, SharedBudget};
 use blueprint_planner::{DataPlanner, IrBinding, IrNode, PlanIr, Schedule, TaskPlan, TaskPlanner};
 use blueprint_registry::AgentRegistry;
 use blueprint_resilience::{BreakerRegistry, DegradationLadder, DegradationNote, RetryPolicy};
@@ -447,9 +447,9 @@ impl TaskCoordinator {
     }
 
     /// Executes a task plan under the given constraints. The plan — like
-    /// every internal replan — is lowered into the unified IR with its data
-    /// plans spliced in ([`PlanIr::from_task_plan`]), and the IR is what
-    /// runs: one DAG reaches the optimizer and the coordinator.
+    /// every internal replan — is lowered and optimized by
+    /// [`TaskCoordinator::lower`], and the IR is what runs: one DAG reaches
+    /// the optimizer and the coordinator.
     ///
     /// The whole execution runs on the calling thread: one event loop
     /// dispatches nodes, publishes their instructions, and waits on the
@@ -460,7 +460,7 @@ impl TaskCoordinator {
         plan: &TaskPlan,
         constraints: QosConstraints,
     ) -> Result<ExecutionReport, ExecutionError> {
-        let ir = self.lower_plan(plan)?;
+        let ir = self.lower(plan, &constraints)?;
         let mut budget = Budget::new(constraints);
         budget.set_projection(&ir.projected_profile());
         // One root span per task; node spans hang off it along plan-DAG
@@ -490,11 +490,27 @@ impl TaskCoordinator {
         result
     }
 
-    /// The one lowering: a data binding the data planner cannot plan (or
-    /// any, without one) stays in the IR and fails its node on dispatch.
-    fn lower_plan(&self, plan: &TaskPlan) -> Result<PlanIr, ExecutionError> {
-        PlanIr::from_task_plan(plan, self.data_planner.as_deref())
-            .map_err(|e| ExecutionError(e.to_string()))
+    /// The one lowering and optimization of every IR this coordinator runs
+    /// (the task's plan and each replan): [`PlanIr::from_task_plan`], then
+    /// [`PlanIr::optimize`] for the data planner's objective under
+    /// `constraints`, the budget's headroom. An IR with no feasible
+    /// assignment runs as lowered, and the budget enforces the constraints.
+    pub fn lower(
+        &self,
+        plan: &TaskPlan,
+        constraints: &QosConstraints,
+    ) -> Result<PlanIr, ExecutionError> {
+        let mut ir = PlanIr::from_task_plan(plan, self.data_planner.as_deref())
+            .map_err(|e| ExecutionError(e.to_string()))?;
+        ir.optimize(self.objective(), constraints);
+        Ok(ir)
+    }
+
+    /// The objective every IR is optimized for: the data planner's.
+    fn objective(&self) -> Objective {
+        self.data_planner
+            .as_ref()
+            .map_or_else(Objective::balanced, |dp| dp.objective())
     }
 
     fn execute_inner(
@@ -537,9 +553,8 @@ impl TaskCoordinator {
             if matches!(sched.halt(), Some(Halt::Reoptimize)) {
                 let threshold = self.adaptive.expect("reoptimize requires a threshold");
                 let pending: HashSet<String> = sched.pending().map(|i| order[i].clone()).collect();
-                let objective = ir.objective;
                 let remaining = shared.snapshot().remaining_constraints();
-                for s in ir.reoptimize_pending(&pending, objective, &remaining) {
+                for s in ir.reoptimize_pending(&pending, self.objective(), &remaining) {
                     self.publish_status(
                         &ir.task_id,
                         "node-reoptimized",
@@ -574,9 +589,10 @@ impl TaskCoordinator {
                         .ok()
                 });
                 if let Some(new_plan) = replacement {
+                    let budget = shared.snapshot();
                     let inner = self.execute_inner(
-                        self.lower_plan(&new_plan)?,
-                        shared.snapshot(),
+                        self.lower(&new_plan, &budget.remaining_constraints())?,
+                        budget,
                         depth + 1,
                         task,
                     )?;
@@ -633,7 +649,7 @@ impl TaskCoordinator {
                     }
                     if let Ok(new_plan) = tp.plan_subtasks(&ir.goal, &subtasks, &excluded) {
                         let inner = self.execute_inner(
-                            self.lower_plan(&new_plan)?,
+                            self.lower(&new_plan, &budget.remaining_constraints())?,
                             budget.clone(),
                             depth + 1,
                             task,

@@ -6,8 +6,7 @@ use std::time::Duration;
 
 use blueprint_agents::AgentFactory;
 use blueprint_coordinator::{
-    CoordinatorDaemon, ExecutionError, ExecutionReport, MemoCache, OverrunPolicy, SchedulerMode,
-    TaskCoordinator,
+    CoordinatorDaemon, ExecutionError, ExecutionReport, MemoCache, SchedulerMode, TaskCoordinator,
 };
 use blueprint_datastore::{
     DataSource, DocumentSource, FaultInjectedSource, GraphSource, InstrumentedSource, KvSource,
@@ -88,7 +87,6 @@ pub struct BlueprintBuilder {
     extra_models: Vec<ModelProfile>,
     objective: Objective,
     constraints: QosConstraints,
-    policy: OverrunPolicy,
     report_timeout: Duration,
     fault_plan: Option<FaultPlan>,
     retry: RetryPolicy,
@@ -111,7 +109,6 @@ impl Default for BlueprintBuilder {
             extra_models: Vec::new(),
             objective: Objective::balanced(),
             constraints: QosConstraints::none(),
-            policy: OverrunPolicy::default(),
             report_timeout: Duration::from_secs(10),
             fault_plan: None,
             retry: RetryPolicy::none(),
@@ -163,12 +160,6 @@ impl BlueprintBuilder {
     /// Sets the default QoS constraints for task execution.
     pub fn with_constraints(mut self, constraints: QosConstraints) -> Self {
         self.constraints = constraints;
-        self
-    }
-
-    /// Sets the coordinator's overrun policy.
-    pub fn with_policy(mut self, policy: OverrunPolicy) -> Self {
-        self.policy = policy;
         self
     }
 
@@ -386,7 +377,6 @@ impl BlueprintBuilder {
             data_planner: Arc::new(data_planner),
             sessions,
             constraints: self.constraints,
-            policy: self.policy,
             report_timeout: self.report_timeout,
             fault_injector: injector,
             breakers,
@@ -412,7 +402,6 @@ pub struct Blueprint {
     data_planner: Arc<DataPlanner>,
     pub(crate) sessions: Arc<SessionManager>,
     pub(crate) constraints: QosConstraints,
-    policy: OverrunPolicy,
     report_timeout: Duration,
     fault_injector: Option<Arc<FaultInjector>>,
     breakers: Option<Arc<BreakerRegistry>>,
@@ -510,7 +499,6 @@ impl Blueprint {
             TaskCoordinator::new(self.store.clone(), scope, Arc::clone(&self.agent_registry))
                 .with_data_planner(Arc::clone(&self.data_planner))
                 .with_task_planner(Arc::clone(&self.task_planner))
-                .with_policy(self.policy)
                 .with_report_timeout(self.report_timeout)
                 .with_retry_policy(self.retry.clone())
                 .with_degradation(self.ladder.clone())

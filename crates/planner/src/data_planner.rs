@@ -1,5 +1,7 @@
 //! The data planner (§V-G): plans and executes data retrieval across
-//! multi-modal sources under QoS constraints.
+//! multi-modal sources. A plan records each `Knowledge` operator's
+//! candidate model tiers; the plan IR's joint optimization picks among them
+//! under the task's QoS constraints.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -9,11 +11,12 @@ use serde_json::{json, Value};
 use blueprint_agents::CostProfile;
 use blueprint_datastore::{CostEstimate, DataSource, RelationalDb, SourceQuery};
 use blueprint_llmsim::SimLlm;
-use blueprint_optimizer::{select, Candidate, Objective, QosConstraints};
+use blueprint_optimizer::{Objective, QosConstraints};
 use blueprint_registry::DataRegistry;
 
 use crate::data_plan::{DataNode, DataOp, DataPlan};
 use crate::error::PlanError;
+use crate::ir::IrAlternative;
 use crate::Result;
 
 /// The result of executing a data plan.
@@ -55,12 +58,14 @@ impl DataPlanner {
         self.sources.insert(source.name().to_string(), source);
     }
 
-    /// Sets the optimization objective.
+    /// Sets the objective the coordinator optimizes every plan IR for.
     pub fn set_objective(&mut self, objective: Objective) {
         self.objective = objective;
     }
 
-    /// Sets the QoS constraints future plans must satisfy.
+    /// Sets the runtime's default task constraints, as reported by
+    /// [`DataPlanner::constraints`]. Planning does not read them: the
+    /// coordinator optimizes under each task's own budget.
     pub fn set_constraints(&mut self, constraints: QosConstraints) {
         self.constraints = constraints;
     }
@@ -70,12 +75,12 @@ impl DataPlanner {
         &self.registry
     }
 
-    /// The planner's optimization objective.
+    /// The objective the coordinator optimizes every plan IR for.
     pub fn objective(&self) -> Objective {
         self.objective
     }
 
-    /// The planner's QoS constraints.
+    /// The runtime's default task constraints.
     pub fn constraints(&self) -> QosConstraints {
         self.constraints
     }
@@ -115,16 +120,16 @@ impl DataPlanner {
     /// estimates, sorted by source name. These are the interchangeable model
     /// tiers the unified plan IR exposes as alternatives on `Knowledge`
     /// operators.
-    pub fn parametric_candidates(&self, question: &str) -> Vec<Candidate<String>> {
+    pub fn parametric_candidates(&self, question: &str) -> Vec<IrAlternative> {
         let query = SourceQuery::Knowledge(question.to_string());
         self.sources_by_modality("parametric")
             .into_iter()
             .map(|s| {
                 let est = s.estimate(&query);
-                Candidate::new(
-                    s.name().to_string(),
-                    CostProfile::new(est.cost_units, est.latency_micros, est.accuracy),
-                )
+                IrAlternative {
+                    target: s.name().to_string(),
+                    profile: CostProfile::new(est.cost_units, est.latency_micros, est.accuracy),
+                }
             })
             .collect()
     }
@@ -133,7 +138,7 @@ impl DataPlanner {
     /// operator, the parametric sources that could answer its question
     /// (recovered from the upstream `Q2NL` or `Literal` node) with their
     /// estimates. Returns `(node id, candidates)` in plan order.
-    pub fn knowledge_alternatives(&self, plan: &DataPlan) -> Vec<(String, Vec<Candidate<String>>)> {
+    pub fn knowledge_alternatives(&self, plan: &DataPlan) -> Vec<(String, Vec<IrAlternative>)> {
         plan.nodes
             .iter()
             .filter(|n| matches!(n.op, DataOp::Knowledge { .. }))
@@ -149,36 +154,16 @@ impl DataPlanner {
             .collect()
     }
 
-    /// Picks the best parametric source for a knowledge question under the
-    /// planner's objective and constraints — the optimizer choosing among
-    /// model tiers (§V-G).
-    fn choose_parametric(&self, question: &str) -> Result<(String, CostEstimate)> {
-        let candidates = self.parametric_candidates(question);
-        if candidates.is_empty() {
-            return Err(PlanError::NoSourceFor(format!("knowledge: {question}")));
-        }
-        let idx = select(&candidates, self.objective, &self.constraints).ok_or_else(|| {
-            PlanError::Infeasible(format!(
-                "no parametric source satisfies the QoS constraints for: {question}"
-            ))
-        })?;
-        let chosen = &candidates[idx];
-        Ok((
-            chosen.item.clone(),
-            CostEstimate {
-                cost_units: chosen.profile.cost_per_call,
-                latency_micros: chosen.profile.latency_micros,
-                accuracy: chosen.profile.accuracy,
-            },
-        ))
-    }
-
     /// Plans the Fig 7 decomposition for a job query like
     /// "data scientist position in sf bay area":
     ///
     /// 1. extract criteria (title, location) from the utterance;
     /// 2. if the location is a *region* (answerable from parametric
-    ///    knowledge), inject `Q2NL` → `Knowledge` to obtain its cities;
+    ///    knowledge), inject `Q2NL` → `Knowledge` to obtain its cities. The
+    ///    `Knowledge` operator starts on the first parametric source by
+    ///    name; [`DataPlanner::knowledge_alternatives`] lists the others,
+    ///    and the plan IR's optimization picks among them. Errors when no
+    ///    parametric source is attached;
     /// 3. expand the title through the graph taxonomy when available;
     /// 4. splice both lists into a relational `SELECT`.
     pub fn plan_job_query(&self, utterance: &str) -> Result<DataPlan> {
@@ -200,14 +185,19 @@ impl DataPlanner {
                         inputs: vec![],
                         estimate: CostEstimate::FREE,
                     });
-                    let (source, estimate) = self.choose_parametric(&question)?;
+                    let source = self
+                        .sources_by_modality("parametric")
+                        .into_iter()
+                        .next()
+                        .ok_or_else(|| PlanError::NoSourceFor(format!("knowledge: {question}")))?;
                     let know_id = self.next_id();
-                    self.registry.record_usage(&source, &question).ok();
                     plan.push(DataNode {
                         id: know_id.clone(),
-                        op: DataOp::Knowledge { source },
+                        op: DataOp::Knowledge {
+                            source: source.name().to_string(),
+                        },
                         inputs: vec![("question".into(), q2nl_id)],
-                        estimate,
+                        estimate: source.estimate(&SourceQuery::Knowledge(question)),
                     });
                     Some(know_id)
                 } else {
@@ -308,7 +298,6 @@ impl DataPlanner {
             inputs,
             estimate,
         });
-        plan.validate()?;
         Ok(plan)
     }
 
@@ -808,53 +797,59 @@ mod tests {
         ));
     }
 
+    /// The plan records the candidate tiers and picks none: the knowledge
+    /// operator starts on the first source by name, whatever objective and
+    /// constraints the planner carries (the plan IR's optimization picks).
     #[test]
-    fn parametric_choice_respects_constraints() {
-        let db = jobs_db();
-        let mut p = DataPlanner::new(
-            Arc::new(DataRegistry::new()),
-            Arc::new(SimLlm::new(ModelProfile::large())),
-        );
-        p.add_source(Arc::new(RelationalSource::new("hr-db", db)));
-        p.add_source(Arc::new(ParametricSource::new(
-            "gpt-large",
-            Arc::new(SimLlm::new(ModelProfile::large())),
-        )));
+    fn knowledge_starts_on_the_first_candidate_by_name() {
+        let (mut p, _) = planner();
         p.add_source(Arc::new(ParametricSource::new(
             "gpt-tiny",
             Arc::new(SimLlm::new(ModelProfile::tiny())),
         )));
-        // Cost-min without constraints picks the tiny tier...
-        p.set_objective(Objective::MinCost);
-        let plan = p.plan_job_query(RUNNING_EXAMPLE).unwrap();
-        let knowledge = plan
-            .nodes
-            .iter()
-            .find(|n| n.op.name() == "knowledge")
-            .unwrap();
-        assert!(matches!(&knowledge.op, DataOp::Knowledge { source } if source == "gpt-tiny"));
-        // ...but an accuracy floor forces the large tier.
-        p.set_constraints(QosConstraints::none().with_min_accuracy(0.95));
-        let plan2 = p.plan_job_query(RUNNING_EXAMPLE).unwrap();
-        let knowledge2 = plan2
-            .nodes
-            .iter()
-            .find(|n| n.op.name() == "knowledge")
-            .unwrap();
-        assert!(matches!(&knowledge2.op, DataOp::Knowledge { source } if source == "gpt-large"));
+        let question = "cities in the sf bay area";
+        let candidates = p.parametric_candidates(question);
+        let names: Vec<&str> = candidates.iter().map(|c| c.target.as_str()).collect();
+        assert_eq!(names, ["gpt-large", "gpt-tiny"]);
+        for (objective, constraints) in [
+            (Objective::balanced(), QosConstraints::none()),
+            (Objective::MinCost, QosConstraints::none()),
+            (
+                Objective::MinCost,
+                QosConstraints::none().with_min_accuracy(0.999),
+            ),
+        ] {
+            p.set_objective(objective);
+            p.set_constraints(constraints);
+            let plan = p.plan_job_query(RUNNING_EXAMPLE).unwrap();
+            let knowledge = plan
+                .nodes
+                .iter()
+                .find(|n| n.op.name() == "knowledge")
+                .unwrap();
+            assert!(matches!(&knowledge.op, DataOp::Knowledge { source } if source == "gpt-large"));
+            let first = candidates[0].profile;
+            assert_eq!(knowledge.estimate.cost_units, first.cost_per_call);
+            assert_eq!(knowledge.estimate.latency_micros, first.latency_micros);
+            assert_eq!(knowledge.estimate.accuracy, first.accuracy);
+            let alternatives = p.knowledge_alternatives(&plan);
+            assert_eq!(alternatives, [(knowledge.id.clone(), candidates.clone())]);
+        }
     }
 
     #[test]
-    fn infeasible_constraints_error() {
-        let (mut p, _) = {
-            let (p, db) = planner();
-            (p, db)
-        };
-        p.set_constraints(QosConstraints::none().with_min_accuracy(0.999));
-        assert!(matches!(
-            p.plan_job_query(RUNNING_EXAMPLE),
-            Err(PlanError::Infeasible(_))
-        ));
+    fn missing_parametric_source_fails() {
+        let mut p = DataPlanner::new(
+            Arc::new(DataRegistry::new()),
+            Arc::new(SimLlm::new(ModelProfile::large())),
+        );
+        p.add_source(Arc::new(RelationalSource::new("hr-db", jobs_db())));
+        match p.plan_job_query(RUNNING_EXAMPLE) {
+            Err(PlanError::NoSourceFor(what)) => {
+                assert_eq!(what, "knowledge: cities in the sf bay area")
+            }
+            other => panic!("expected a missing knowledge source, got {other:?}"),
+        }
     }
 
     #[test]

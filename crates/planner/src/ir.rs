@@ -14,13 +14,19 @@
 //!   [`DataPlanner`]'s routing. A binding the planner cannot plan stays in
 //!   the IR as [`IrBinding::Unplanned`], carrying the error its node fails
 //!   with when dispatched. [`PlanIr::lower_spliced`] is the same lowering
-//!   with a data planner at hand. The lowering validates the task plan and
-//!   every spliced data plan, so an IR is valid by construction;
+//!   with a data planner at hand. The lowering validates the task plan; a
+//!   spliced data plan is validated where it runs,
+//!   [`DataPlanner::execute`], which fails its node with the planner's
+//!   error text;
 //! * [`PlanIr::optimize`] runs the optimizer's joint Pareto-pruned search
 //!   over every choice point (agent nodes, then data operators in splice
-//!   order) at once;
-//! * [`PlanIr::reoptimize_pending`] is the bounded mid-flight pass the
-//!   coordinator triggers when observed cost drifts past its estimate;
+//!   order) at once. The lowering only records each `Knowledge`
+//!   operator's candidate sources; this search is the one place a source
+//!   is picked, and the coordinator runs it on every IR it executes;
+//! * [`PlanIr::reoptimize_pending`] is the same search limited to the
+//!   still-pending agent nodes and their operators: the bounded mid-flight
+//!   pass the coordinator triggers when observed cost drifts past its
+//!   estimate;
 //! * [`PlanIr::render_data_plan`] renders a standalone data plan with the
 //!   same operator lines as [`PlanIr::render_text`] (Fig 7).
 
@@ -31,9 +37,7 @@ use serde_json::Value;
 
 use blueprint_agents::CostProfile;
 use blueprint_datastore::CostEstimate;
-use blueprint_optimizer::{
-    optimize_unified, select, Candidate, ChoicePoint, Objective, QosConstraints,
-};
+use blueprint_optimizer::{optimize_unified, Candidate, ChoicePoint, Objective, QosConstraints};
 
 use crate::data_plan::{DataNode, DataOp, DataPlan};
 use crate::data_planner::DataPlanner;
@@ -139,6 +143,25 @@ fn sources_of<'a>(sources: &'a [(String, Vec<IrAlternative>)], id: &str) -> &'a 
         .map_or(&[], |(_, alts)| alts)
 }
 
+/// The choice point of data operator `node`: its sources when it has any,
+/// otherwise its current implementation alone.
+fn operator_point(
+    node: &DataNode,
+    sources: &[(String, Vec<IrAlternative>)],
+) -> ChoicePoint<String> {
+    let alts = sources_of(sources, &node.id);
+    let options = if alts.is_empty() {
+        let e = node.estimate;
+        let profile = CostProfile::new(e.cost_units, e.latency_micros, e.accuracy);
+        vec![Candidate::new(current_target(node).to_string(), profile)]
+    } else {
+        alts.iter()
+            .map(|a| Candidate::new(a.target.clone(), a.profile))
+            .collect()
+    };
+    ChoicePoint::new(node.id.clone(), options)
+}
+
 /// Points a `Knowledge` operator at the source `alt`, with its estimate.
 fn switch_source(node: &mut DataNode, alt: &IrAlternative) {
     if let DataOp::Knowledge { source } = &mut node.op {
@@ -171,10 +194,6 @@ pub struct PlanIr {
     pub goal: String,
     /// Agent nodes in task-plan order.
     pub nodes: Vec<IrNode>,
-    /// Objective the plan was optimized for.
-    pub objective: Objective,
-    /// QoS constraints the plan must satisfy.
-    pub constraints: QosConstraints,
 }
 
 impl PlanIr {
@@ -182,10 +201,10 @@ impl PlanIr {
     /// Each `FromData` binding gets its data plan from `dp`'s routing,
     /// spliced in place with the interchangeable parametric sources of its
     /// `Knowledge` operators; one it cannot plan (or every one, without a
-    /// data planner) becomes [`IrBinding::Unplanned`]. The IR carries the
-    /// data planner's objective and constraints so the optimizer and
-    /// coordinator work from the same QoS contract. Errors only on a
-    /// structurally invalid plan.
+    /// data planner) becomes [`IrBinding::Unplanned`]. Each `Knowledge`
+    /// operator starts on its first candidate source by name; no objective
+    /// or constraint is consulted here, because [`PlanIr::optimize`] picks
+    /// the sources. Errors only on a structurally invalid task plan.
     pub fn from_task_plan(plan: &TaskPlan, dp: Option<&DataPlanner>) -> Result<PlanIr> {
         plan.validate()?;
         // Agent nodes in insertion order, slots in BTreeMap order: the
@@ -221,8 +240,6 @@ impl PlanIr {
             task_id: plan.task_id.clone(),
             goal: plan.utterance.clone(),
             nodes,
-            objective: dp.map_or_else(Objective::balanced, DataPlanner::objective),
-            constraints: dp.map_or_else(QosConstraints::none, DataPlanner::constraints),
         })
     }
 
@@ -237,20 +254,19 @@ impl PlanIr {
         self.nodes.iter().find(|n| n.id == id)
     }
 
-    /// Every spliced data plan with its sources, in splice order: agent
-    /// order, then slot order.
-    fn splices(&self) -> impl Iterator<Item = (&DataPlan, &[(String, Vec<IrAlternative>)])> {
-        self.nodes
-            .iter()
-            .flat_map(|n| n.inputs.values())
-            .filter_map(|b| match b {
-                IrBinding::Spliced { plan, sources, .. } => Some((plan, sources.as_slice())),
+    /// Every spliced data plan with its sources, in splice order (agent
+    /// order, then slot order), beside the id of the agent node owning it.
+    fn splices(&self) -> impl Iterator<Item = (&str, &DataPlan, &[(String, Vec<IrAlternative>)])> {
+        self.nodes.iter().flat_map(|n| {
+            let owner = n.id.as_str();
+            n.inputs.values().filter_map(move |b| match b {
+                IrBinding::Spliced { plan, sources, .. } => Some((owner, plan, sources.as_slice())),
                 _ => None,
             })
+        })
     }
 
-    /// [`PlanIr::splices`] with each data plan open for a source switch,
-    /// beside the id of the agent node owning it.
+    /// [`PlanIr::splices`] with each data plan open for a source switch.
     fn splices_mut(
         &mut self,
     ) -> impl Iterator<Item = (&str, &mut DataPlan, &[(String, Vec<IrAlternative>)])> {
@@ -304,27 +320,22 @@ impl PlanIr {
     /// current implementation, so the composed feasibility check covers the
     /// whole plan.
     pub fn choice_points(&self) -> Vec<ChoicePoint<String>> {
-        let agents = self.nodes.iter().map(|n| {
+        self.choice_points_of(|_| true)
+    }
+
+    /// [`PlanIr::choice_points`] of the agent nodes `owns` admits, and of
+    /// the operators spliced under them.
+    fn choice_points_of(&self, owns: impl Fn(&str) -> bool) -> Vec<ChoicePoint<String>> {
+        let agents = self.nodes.iter().filter(|n| owns(&n.id)).map(|n| {
             ChoicePoint::new(
                 n.id.clone(),
                 vec![Candidate::new(n.agent.clone(), n.profile)],
             )
         });
-        let operators = self.splices().flat_map(|(plan, sources)| {
-            plan.nodes.iter().map(move |dn| {
-                let alts = sources_of(sources, &dn.id);
-                let options = if alts.is_empty() {
-                    let e = dn.estimate;
-                    let profile = CostProfile::new(e.cost_units, e.latency_micros, e.accuracy);
-                    vec![Candidate::new(current_target(dn).to_string(), profile)]
-                } else {
-                    alts.iter()
-                        .map(|a| Candidate::new(a.target.clone(), a.profile))
-                        .collect()
-                };
-                ChoicePoint::new(dn.id.clone(), options)
-            })
-        });
+        let operators = self
+            .splices()
+            .filter(|(owner, ..)| owns(owner))
+            .flat_map(|(_, plan, sources)| plan.nodes.iter().map(|dn| operator_point(dn, sources)));
         agents.chain(operators).collect()
     }
 
@@ -339,63 +350,59 @@ impl PlanIr {
         objective: Objective,
         constraints: &QosConstraints,
     ) -> Option<CostProfile> {
-        let selection = optimize_unified(&self.choice_points(), objective, constraints)?;
-        // Agent nodes offer only their own agent; the operators' picks
-        // follow them in splice order, and index the operators' sources.
-        let mut picks = selection.assignment[self.nodes.len()..].iter();
-        for (_, plan, sources) in self.splices_mut() {
-            for dn in &mut plan.nodes {
-                let pick = *picks.next().expect("one choice point per operator");
-                if let Some(alt) = sources_of(sources, &dn.id).get(pick) {
-                    if alt.target != current_target(dn) {
-                        switch_source(dn, alt);
-                    }
-                }
-            }
-        }
-        self.objective = objective;
-        self.constraints = *constraints;
-        Some(selection.composed)
+        self.search(|_| true, objective, constraints)
+            .map(|(composed, _)| composed)
     }
 
-    /// Re-selects the source of each `Knowledge` operator spliced under a
-    /// still-pending agent node, under the given objective and (typically
-    /// tightened) constraints. Used by the coordinator's bounded mid-flight
+    /// Re-runs the joint search of [`PlanIr::optimize`] over the choice
+    /// points of the still-pending agent nodes and the operators spliced
+    /// under them, under the given objective and (typically tightened)
+    /// constraints. Used by the coordinator's bounded mid-flight
     /// re-optimization; nodes already executed are never touched. Returns
-    /// the switches applied, in splice order.
+    /// the switches applied, in splice order (none when no assignment is
+    /// feasible).
     pub fn reoptimize_pending(
         &mut self,
         pending: &HashSet<String>,
         objective: Objective,
         constraints: &QosConstraints,
     ) -> Vec<TierSwitch> {
+        self.search(|id| pending.contains(id), objective, constraints)
+            .map_or_else(Vec::new, |(_, switches)| switches)
+    }
+
+    /// The joint search over the choice points of the agent nodes `owns`
+    /// admits: applies the winning assignment by choice-point position
+    /// (agent nodes offer only their own agent; the operators' picks follow
+    /// them in splice order, and index the operators' sources). Returns the
+    /// composed QoS and the source switches, or `None` when no assignment
+    /// is feasible.
+    fn search(
+        &mut self,
+        owns: impl Fn(&str) -> bool,
+        objective: Objective,
+        constraints: &QosConstraints,
+    ) -> Option<(CostProfile, Vec<TierSwitch>)> {
+        let selection = optimize_unified(&self.choice_points_of(&owns), objective, constraints)?;
+        let agents = self.nodes.iter().filter(|n| owns(&n.id)).count();
+        let mut picks = selection.assignment[agents..].iter();
         let mut switches = Vec::new();
-        for (owner, plan, sources) in self.splices_mut() {
-            if !pending.contains(owner) {
-                continue;
-            }
+        for (_, plan, sources) in self.splices_mut().filter(|(owner, ..)| owns(owner)) {
             for dn in &mut plan.nodes {
-                let alts = sources_of(sources, &dn.id);
-                if alts.len() < 2 {
-                    continue;
-                }
-                let cands: Vec<Candidate<()>> =
-                    alts.iter().map(|a| Candidate::new((), a.profile)).collect();
-                let Some(idx) = select(&cands, objective, constraints) else {
-                    continue;
-                };
-                let alt = &alts[idx];
-                if alt.target != current_target(dn) {
-                    switches.push(TierSwitch {
-                        node: dn.id.clone(),
-                        from: tier_label(current_target(dn)),
-                        to: tier_label(&alt.target),
-                    });
-                    switch_source(dn, alt);
+                let pick = *picks.next().expect("one choice point per operator");
+                if let Some(alt) = sources_of(sources, &dn.id).get(pick) {
+                    if alt.target != current_target(dn) {
+                        switches.push(TierSwitch {
+                            node: dn.id.clone(),
+                            from: tier_label(current_target(dn)),
+                            to: tier_label(&alt.target),
+                        });
+                        switch_source(dn, alt);
+                    }
                 }
             }
         }
-        switches
+        Some((selection.composed, switches))
     }
 
     /// Renders the IR as text: agent nodes in order with their spliced data
@@ -449,7 +456,8 @@ impl PlanIr {
 
 /// Plans one `FromData` binding through `dp` and splices the plan in, with
 /// the sources of its `Knowledge` operators, or records why it could not be
-/// planned.
+/// planned. The plan is not validated here: [`DataPlanner::execute`]
+/// validates it when its node resolves.
 fn splice(query: &str, utterance: &str, dp: Option<&DataPlanner>) -> IrBinding {
     let Some(dp) = dp else {
         return IrBinding::Unplanned {
@@ -457,31 +465,12 @@ fn splice(query: &str, utterance: &str, dp: Option<&DataPlanner>) -> IrBinding {
             error: format!("no data planner to satisfy: {query}"),
         };
     };
-    match dp
-        .plan_for_binding(query, utterance)
-        .and_then(|d| d.validate().map(|()| d))
-    {
-        Ok(plan) => {
-            let sources = dp
-                .knowledge_alternatives(&plan)
-                .into_iter()
-                .map(|(id, cands)| {
-                    let alts = cands
-                        .into_iter()
-                        .map(|c| IrAlternative {
-                            target: c.item,
-                            profile: c.profile,
-                        })
-                        .collect();
-                    (id, alts)
-                })
-                .collect();
-            IrBinding::Spliced {
-                query: query.to_string(),
-                plan,
-                sources,
-            }
-        }
+    match dp.plan_for_binding(query, utterance) {
+        Ok(plan) => IrBinding::Spliced {
+            query: query.to_string(),
+            sources: dp.knowledge_alternatives(&plan),
+            plan,
+        },
         Err(e) => IrBinding::Unplanned {
             query: query.to_string(),
             error: e.to_string(),
@@ -620,7 +609,7 @@ mod tests {
     /// The source of the first `Knowledge` operator spliced into the IR.
     fn knowledge_source(ir: &PlanIr) -> String {
         ir.splices()
-            .flat_map(|(plan, _)| &plan.nodes)
+            .flat_map(|(_, plan, _)| &plan.nodes)
             .find_map(|n| match &n.op {
                 DataOp::Knowledge { source } => Some(source.clone()),
                 _ => None,
@@ -665,21 +654,7 @@ mod tests {
         assert_eq!(held, &dplan);
         // The knowledge operator carries both parametric tiers as sources,
         // exactly the planner's candidates.
-        let want: Vec<(String, Vec<IrAlternative>)> = reference
-            .knowledge_alternatives(&dplan)
-            .into_iter()
-            .map(|(id, cands)| {
-                let alts = cands
-                    .into_iter()
-                    .map(|c| IrAlternative {
-                        target: c.item,
-                        profile: c.profile,
-                    })
-                    .collect();
-                (id, alts)
-            })
-            .collect();
-        assert_eq!(sources, &want);
+        assert_eq!(sources, &reference.knowledge_alternatives(&dplan));
         assert_eq!(sources.len(), 1);
         let tiers: Vec<String> = sources[0].1.iter().map(|a| tier_label(&a.target)).collect();
         assert_eq!(tiers, ["sim-large", "sim-small"]);
@@ -813,6 +788,40 @@ mod tests {
         assert!(ir
             .reoptimize_pending(&pending, Objective::MinLatency, &tight)
             .is_empty());
+    }
+
+    /// The mid-flight pass is the joint search over the pending suffix: it
+    /// composes a pending node with its spliced operators, and leaves out
+    /// the nodes already run.
+    #[test]
+    fn reoptimize_pending_composes_only_the_pending_suffix() {
+        let mut ir = PlanIr::lower_spliced(&chain(), &data_planner()).unwrap();
+        assert_eq!(knowledge_source(&ir), "gpt-large");
+        let pending: HashSet<String> = ["n2".to_string()].into();
+        // n2 and its operators, on the large tier the lowering starts on.
+        let operators: u64 = spliced(&ir, "n2", "jobs")
+            .0
+            .nodes
+            .iter()
+            .map(|n| n.estimate.latency_micros)
+            .sum();
+        let suffix = ir.node("n2").unwrap().profile.latency_micros + operators;
+        let cap = QosConstraints::none().with_max_latency_micros(suffix);
+        // The suffix on the large tier fits the cap exactly: nothing moves,
+        // though n1 puts the whole plan over it.
+        assert!(ir
+            .reoptimize_pending(&pending, Objective::MaxAccuracy, &cap)
+            .is_empty());
+        assert_eq!(knowledge_source(&ir), "gpt-large");
+        let mut whole = ir.clone();
+        whole.optimize(Objective::MaxAccuracy, &cap).unwrap();
+        assert_eq!(knowledge_source(&whole), "gpt-small");
+        // One microsecond less and the large tier fits on its own, but not
+        // with its owner and siblings: the pass downgrades it.
+        let tighter = QosConstraints::none().with_max_latency_micros(suffix - 1);
+        let switches = ir.reoptimize_pending(&pending, Objective::MaxAccuracy, &tighter);
+        assert_eq!(switches.len(), 1);
+        assert_eq!(knowledge_source(&ir), "gpt-small");
     }
 
     #[test]

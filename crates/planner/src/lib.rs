@@ -11,14 +11,15 @@
 //!   (discover, select, join, extract, summarize, Q2NL, ...) spanning
 //!   sources of different modalities, injecting operators where needed —
 //!   e.g. routing "cities in the SF bay area" to an LLM-as-data-source and
-//!   splicing the answer into a relational query (Fig 7) — and optimizing
-//!   source choices under QoS constraints.
+//!   splicing the answer into a relational query (Fig 7) — and recording
+//!   the interchangeable sources of each such operator.
 //!
 //! A task plan lowers into the unified [`PlanIr`] (see [`ir`]) through one
 //! lowering, [`PlanIr::from_task_plan`], which splices the data plan of
 //! every `FromData` binding into the input binding of the node that
 //! consumes it, where it stays whole. That IR is the single DAG the
-//! optimizer searches and the coordinator executes.
+//! optimizer searches and the coordinator executes: its joint search,
+//! [`PlanIr::optimize`], is the one place a source is picked.
 
 pub mod data_plan;
 pub mod data_planner;

@@ -26,9 +26,18 @@
 //! node, after the upstream node ran. On the running example, the joint
 //! search space lists the agent nodes, then the spliced operators, with
 //! pinned candidate lists.
+//!
+//! The joint search is checked against two oracles over random objectives
+//! and caps, on the running example with three model tiers: brute-force
+//! enumeration (the joint pick is feasible whenever some assignment is)
+//! and the greedy per-operator pick (`select` on each choice point; the
+//! joint pick scores no worse whenever the greedy one composes to a
+//! feasible plan). Through `BlueprintSession::handle`, a task's latency
+//! cap picks the knowledge tier for the whole plan, not for the operator
+//! alone.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use proptest::prelude::*;
@@ -45,7 +54,7 @@ use blueprint_core::hrdomain::HrConfig;
 use blueprint_core::Blueprint;
 use blueprint_datastore::{GraphSource, PropertyGraph, RelationalDb, RelationalSource};
 use blueprint_llmsim::{ModelProfile, ParametricSource, SimLlm};
-use blueprint_optimizer::{Objective, QosConstraints};
+use blueprint_optimizer::{select, ChoicePoint, Objective, QosConstraints};
 use blueprint_planner::{DataPlanner, InputBinding, IrBinding, PlanIr, PlanNode, TaskPlan};
 use blueprint_registry::{AgentRegistry, DataRegistry};
 use blueprint_streams::StreamStore;
@@ -468,4 +477,132 @@ fn running_example_choice_points_are_agents_then_spliced_operators() {
             "d4 [(d4, 0.001, 80, 1.0)]",
         ]
     );
+}
+
+/// The task's own latency cap picks the knowledge tier for the whole plan.
+/// Maximizing accuracy on the large and small tiers under an 800 000 µs
+/// cap: the large tier's 680 000 µs estimate fits the cap on its own, but
+/// the plan composed around it (865 160 µs estimated) does not, so the
+/// coordinator's joint optimization runs the small tier (365 160 µs), and
+/// the task completes within the cap. A per-operator pick runs the large
+/// tier, and the task aborts on its actual spend.
+#[test]
+fn task_latency_cap_picks_the_tier_for_the_whole_plan() {
+    let bp = Blueprint::builder()
+        .with_hr_domain(HrConfig {
+            seed: 5,
+            jobs: 60,
+            applicants: 50,
+            companies: 8,
+            applications: 100,
+        })
+        .with_model(ModelProfile::large())
+        .with_extra_model(ModelProfile::small())
+        .with_objective(Objective::MaxAccuracy)
+        .with_constraints(QosConstraints::none().with_max_latency_micros(800_000))
+        .build()
+        .unwrap();
+    let report = bp.start_session().unwrap().handle(RUNNING_EXAMPLE).unwrap();
+    assert!(report.outcome.succeeded(), "outcome: {:?}", report.outcome);
+    assert!(report.reoptimizations.is_empty());
+    assert!(
+        report.budget.spent_latency_micros <= 800_000,
+        "{}",
+        report.budget.spent_latency_micros
+    );
+}
+
+/// The running example lowered on the bench HR runtime with all three
+/// model tiers as knowledge sources, built once for the whole battery.
+fn three_tier_ir() -> &'static PlanIr {
+    static IR: OnceLock<PlanIr> = OnceLock::new();
+    IR.get_or_init(|| {
+        let bp = Blueprint::builder()
+            .with_hr_domain(HrConfig {
+                seed: 7,
+                jobs: 300,
+                applicants: 200,
+                companies: 25,
+                applications: 600,
+            })
+            .with_model(ModelProfile::large())
+            .with_extra_model(ModelProfile::small())
+            .with_extra_model(ModelProfile::tiny())
+            .build()
+            .unwrap();
+        let plan = bp.task_planner().plan(RUNNING_EXAMPLE).unwrap();
+        PlanIr::lower_spliced(&plan, bp.data_planner()).unwrap()
+    })
+}
+
+/// The composed profile of every assignment of one option per point.
+fn every_assignment(points: &[ChoicePoint<String>]) -> Vec<CostProfile> {
+    points.iter().fold(vec![CostProfile::FREE], |acc, p| {
+        acc.iter()
+            .flat_map(|a| p.options.iter().map(move |o| a.then(&o.profile)))
+            .collect()
+    })
+}
+
+fn objective_strategy() -> impl Strategy<Value = Objective> {
+    (0usize..4, 0.0f64..2.0, 0.0f64..2.0, 0.0f64..2.0).prop_map(
+        |(kind, cost_w, latency_w, accuracy_w)| match kind {
+            0 => Objective::MinCost,
+            1 => Objective::MinLatency,
+            2 => Objective::MaxAccuracy,
+            _ => Objective::Weighted {
+                cost_w,
+                latency_w,
+                accuracy_w,
+            },
+        },
+    )
+}
+
+/// Caps around the running example's composed plans (cost 2.555–2.852,
+/// latency 224 160–865 160 µs, accuracy 0.641–0.838 across the tiers).
+fn constraints_strategy() -> impl Strategy<Value = QosConstraints> {
+    (
+        prop::option::of(2.5f64..2.9),
+        prop::option::of(200_000u64..900_000),
+        prop::option::of(0.6f64..0.86),
+    )
+        .prop_map(
+            |(max_cost, max_latency_micros, min_accuracy)| QosConstraints {
+                max_cost,
+                max_latency_micros,
+                min_accuracy,
+            },
+        )
+}
+
+proptest! {
+    /// The joint pick against brute-force enumeration and against the
+    /// greedy per-operator pick.
+    #[test]
+    fn joint_pick_is_feasible_and_no_worse_than_greedy(
+        objective in objective_strategy(),
+        constraints in constraints_strategy(),
+    ) {
+        let ir = three_tier_ir();
+        let points = ir.choice_points();
+        let joint = ir.clone().optimize(objective, &constraints);
+        let feasible = every_assignment(&points)
+            .iter()
+            .any(|p| constraints.admits(p));
+        prop_assert_eq!(joint.is_some(), feasible);
+        if let Some(picked) = joint {
+            prop_assert!(constraints.admits(&picked), "{picked:?} under {constraints:?}");
+        }
+        let greedy = points.iter().try_fold(CostProfile::FREE, |acc, p| {
+            select(&p.options, objective, &constraints).map(|i| acc.then(&p.options[i].profile))
+        });
+        if let Some(greedy) = greedy.filter(|g| constraints.admits(g)) {
+            let picked = joint.expect("a feasible greedy plan makes the joint search feasible");
+            prop_assert!(
+                objective.score(&picked) <= objective.score(&greedy),
+                "joint {picked:?} vs greedy {greedy:?} for {objective:?}"
+            );
+        }
+    }
 }

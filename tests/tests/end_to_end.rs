@@ -150,19 +150,37 @@ fn tight_budget_aborts_and_loose_budget_completes() {
     assert!(report.outcome.succeeded());
 }
 
+/// The objective picks the knowledge tier of the plan that runs: the
+/// coordinator optimizes the lowered plan for the data planner's objective
+/// before dispatching it. The data layer's charges (the budget's spend
+/// beyond its agent nodes') differ by exactly the two tiers' latencies.
 #[test]
 fn objective_changes_tier_choice_in_data_plans() {
-    let bp = Blueprint::builder()
-        .with_hr_domain(small_hr())
-        .with_model(ModelProfile::large())
-        .with_extra_model(ModelProfile::tiny())
-        .with_objective(Objective::MinCost)
-        .build()
-        .unwrap();
-    let plan = bp.data_planner().plan_job_query(RUNNING_EXAMPLE).unwrap();
-    let text = plan.render_text();
-    // Cost-min picks the tiny tier for the knowledge lookup.
-    assert!(text.contains("knowledge[gpt-tiny]"), "{text}");
+    let data_latency = |objective| {
+        let bp = Blueprint::builder()
+            .with_hr_domain(small_hr())
+            .with_model(ModelProfile::large())
+            .with_extra_model(ModelProfile::tiny())
+            .with_objective(objective)
+            .build()
+            .unwrap();
+        let report = bp.start_session().unwrap().handle(RUNNING_EXAMPLE).unwrap();
+        assert!(report.outcome.succeeded(), "{:?}", report.outcome);
+        let agents: u64 = report.node_results.iter().map(|n| n.latency_micros).sum();
+        let tiers = bp
+            .data_planner()
+            .parametric_candidates("cities in the sf bay area");
+        (report.budget.spent_latency_micros - agents, tiers)
+    };
+    let (cheap, tiers) = data_latency(Objective::MinCost);
+    let (accurate, _) = data_latency(Objective::MaxAccuracy);
+    let names: Vec<&str> = tiers.iter().map(|c| c.target.as_str()).collect();
+    assert_eq!(names, ["gpt-large", "gpt-tiny"]);
+    // Cost-min runs the tiny tier, accuracy-max the large one.
+    assert_eq!(
+        accurate - cheap,
+        tiers[0].profile.latency_micros - tiers[1].profile.latency_micros
+    );
 }
 
 #[test]
