@@ -51,12 +51,16 @@ serving:
 
 # Scheduler gate: the pure scheduler's property battery (random DAGs,
 # completion orders, failures and budget halts against the sequential
-# reference) and the parallel ≡ sequential battery at 256 cases, plus the
-# pins of the event loop's work: two store deliveries per dispatched node,
-# and no thread started by an execution.
+# reference, each checkpoint projecting the nodes not yet settled) and the
+# parallel ≡ sequential battery at 256 cases; the task ledger (the optimizer
+# crate's budget and property tests, and a replan that checkpoints against
+# its own plan); plus the pins of the event loop's work: two store
+# deliveries per dispatched node, and no thread started by an execution.
 scheduler:
 	PROPTEST_CASES=256 cargo test -p blueprint-coordinator --lib scheduler::
 	PROPTEST_CASES=256 cargo test -p blueprint-coordinator --test parallel_properties
+	cargo test -p blueprint-optimizer
+	cargo test -p blueprint-coordinator --lib replan_checkpoints_against_its_own_plan
 	cargo test -p blueprint-coordinator --test threads
 	cargo test -p integration-tests --test deliveries
 

@@ -8,7 +8,7 @@ use serde_json::{json, Value};
 
 use blueprint_agents::{AgentReport, DataType, ExecuteAgent, Inputs};
 use blueprint_observability::{Counter, Gauge, Observability, SpanHandle, SpanId};
-use blueprint_optimizer::{Budget, BudgetStatus, Objective, QosConstraints, SharedBudget};
+use blueprint_optimizer::{Budget, BudgetStatus, Objective, QosConstraints};
 use blueprint_planner::{DataPlanner, IrBinding, IrNode, PlanIr, Schedule, TaskPlan, TaskPlanner};
 use blueprint_registry::AgentRegistry;
 use blueprint_resilience::{BreakerRegistry, DegradationLadder, DegradationNote, RetryPolicy};
@@ -206,6 +206,7 @@ pub struct TaskCoordinator {
 /// pays one atomic op per event.
 struct CoordInstruments {
     dispatches: Counter,
+    budget_debits: Counter,
     memo_hits: Counter,
     retries: Counter,
     queue_depth: Gauge,
@@ -314,6 +315,10 @@ struct TaskContext {
 }
 
 impl TaskCoordinator {
+    /// How long a coordinator waits for each agent report unless
+    /// [`TaskCoordinator::with_report_timeout`] says otherwise.
+    pub const DEFAULT_REPORT_TIMEOUT: Duration = Duration::from_secs(10);
+
     /// The session scope this coordinator serves.
     pub fn scope(&self) -> &str {
         &self.scope
@@ -328,6 +333,7 @@ impl TaskCoordinator {
         let obs = store.observability().clone();
         let instruments = CoordInstruments {
             dispatches: obs.metrics.counter("blueprint.coordinator.dispatches"),
+            budget_debits: obs.metrics.counter("blueprint.optimizer.budget_debits"),
             memo_hits: obs.metrics.counter("blueprint.coordinator.memo_hits"),
             retries: obs.metrics.counter("blueprint.resilience.retries"),
             queue_depth: obs.metrics.gauge("blueprint.coordinator.queue_depth"),
@@ -341,7 +347,7 @@ impl TaskCoordinator {
             data_planner: None,
             task_planner: None,
             policy: OverrunPolicy::default(),
-            report_timeout: Duration::from_secs(5),
+            report_timeout: Self::DEFAULT_REPORT_TIMEOUT,
             retry: RetryPolicy::none(),
             breakers: None,
             ladder: DegradationLadder::new(),
@@ -461,8 +467,7 @@ impl TaskCoordinator {
         constraints: QosConstraints,
     ) -> Result<ExecutionReport, ExecutionError> {
         let ir = self.lower(plan, &constraints)?;
-        let mut budget = Budget::new(constraints);
-        budget.set_projection(&ir.projected_profile());
+        let budget = Budget::new(constraints);
         // One root span per task; node spans hang off it along plan-DAG
         // edges. Replanned inner executions nest under the same root.
         let mut task_span = self
@@ -495,6 +500,11 @@ impl TaskCoordinator {
     /// [`PlanIr::optimize`] for the data planner's objective under
     /// `constraints`, the budget's headroom. An IR with no feasible
     /// assignment runs as lowered, and the budget enforces the constraints.
+    ///
+    /// With a data planner, a JSON-typed input fed from the raw user text
+    /// is spliced with the planner's extract operator (§V-H transformation,
+    /// PROFILER.CRITERIA ← USER.TEXT), so the optimizer sees that call like
+    /// every other data plan.
     pub fn lower(
         &self,
         plan: &TaskPlan,
@@ -502,6 +512,25 @@ impl TaskCoordinator {
     ) -> Result<PlanIr, ExecutionError> {
         let mut ir = PlanIr::from_task_plan(plan, self.data_planner.as_deref())
             .map_err(|e| ExecutionError(e.to_string()))?;
+        if let Some(dp) = &self.data_planner {
+            for node in &mut ir.nodes {
+                for (param, binding) in &mut node.inputs {
+                    let json_from_user = matches!(binding, IrBinding::FromUser)
+                        && self.registry.get_spec(&node.agent).is_ok_and(|s| {
+                            s.input(param)
+                                .is_some_and(|p| p.data_type == DataType::Json)
+                        });
+                    if json_from_user {
+                        let plan = dp.plan_extract(&ir.goal);
+                        *binding = IrBinding::Spliced {
+                            query: plan.request.clone(),
+                            plan,
+                            sources: Vec::new(),
+                        };
+                    }
+                }
+            }
+        }
         ir.optimize(self.objective(), constraints);
         Ok(ir)
     }
@@ -516,7 +545,7 @@ impl TaskCoordinator {
     fn execute_inner(
         &self,
         mut ir: PlanIr,
-        budget: Budget,
+        mut budget: Budget,
         depth: u8,
         task: &TaskContext,
     ) -> Result<ExecutionReport, ExecutionError> {
@@ -535,7 +564,6 @@ impl TaskCoordinator {
                 adaptive: self.adaptive,
             },
         );
-        let shared = SharedBudget::new(budget).with_metrics(&self.obs.metrics);
         // Span ids per position, recorded at dispatch so children can parent
         // under the earliest dependency's span. Dispatch happens in
         // sorted-ready order, so span ids are allocated deterministically
@@ -543,7 +571,7 @@ impl TaskCoordinator {
         let mut span_ids: Vec<Option<SpanId>> = vec![None; order.len()];
 
         loop {
-            self.drive(&ir, &order, &mut sched, &shared, &mut span_ids, task)?;
+            self.drive(&ir, &order, &mut sched, &mut budget, &mut span_ids, task)?;
 
             // A drift-triggered re-optimization is resolved here, with no
             // node in flight: re-select the implementation of data operators
@@ -553,7 +581,7 @@ impl TaskCoordinator {
             if matches!(sched.halt(), Some(Halt::Reoptimize)) {
                 let threshold = self.adaptive.expect("reoptimize requires a threshold");
                 let pending: HashSet<String> = sched.pending().map(|i| order[i].clone()).collect();
-                let remaining = shared.snapshot().remaining_constraints();
+                let remaining = budget.remaining_constraints();
                 for s in ir.reoptimize_pending(&pending, self.objective(), &remaining) {
                     self.publish_status(
                         &ir.task_id,
@@ -589,10 +617,9 @@ impl TaskCoordinator {
                         .ok()
                 });
                 if let Some(new_plan) = replacement {
-                    let budget = shared.snapshot();
                     let inner = self.execute_inner(
                         self.lower(&new_plan, &budget.remaining_constraints())?,
-                        budget,
+                        budget.clone(),
                         depth + 1,
                         task,
                     )?;
@@ -601,7 +628,7 @@ impl TaskCoordinator {
                         inner: Box::new(inner),
                     };
                     let (progress, _, _) = sched.finish();
-                    return Ok(progress.report(&ir.task_id, outcome, shared.snapshot()));
+                    return Ok(progress.report(&ir.task_id, outcome, budget));
                 }
                 sched.resume();
                 continue;
@@ -609,7 +636,6 @@ impl TaskCoordinator {
             break;
         }
 
-        let budget = shared.snapshot();
         let (progress, outputs, halt) = sched.finish();
         let outcome = match halt {
             None => {
@@ -693,12 +719,17 @@ impl TaskCoordinator {
     /// reached its terminal state; and only when there is none, blocks on
     /// the task's report subscription until a report, a report deadline or
     /// a retry backoff moves some in-flight node on.
+    ///
+    /// The budget checkpoints (after each completion, and before admitting
+    /// a skippable node) project the rest of the plan from the nodes not
+    /// yet settled, i.e. not yet in a terminal state with their charges on
+    /// the ledger.
     fn drive<'ir>(
         &self,
         ir: &'ir PlanIr,
         order: &[String],
         sched: &mut Scheduler,
-        budget: &SharedBudget,
+        budget: &mut Budget,
         span_ids: &mut [Option<SpanId>],
         task: &TaskContext,
     ) -> Result<(), ExecutionError> {
@@ -706,6 +737,17 @@ impl TaskCoordinator {
         let mut flights: Vec<Flight<'ir>> = Vec::new();
         // Nodes that reached their terminal state, in the order they did.
         let mut finished: VecDeque<(Flight<'ir>, Completion)> = VecDeque::new();
+        // Nothing is in flight on entry, so the settled nodes are the ones
+        // the scheduler holds a result for.
+        let mut settled = vec![true; order.len()];
+        for pos in sched.pending() {
+            settled[pos] = false;
+        }
+        let status = |budget: &Budget, settled: &[bool]| {
+            budget.status(&ir.projected_profile(|id| {
+                order.iter().zip(settled).any(|(o, &done)| !done && o == id)
+            }))
+        };
         loop {
             while let Some(pos) = sched.admit() {
                 let node_id = order[pos].as_str();
@@ -715,8 +757,10 @@ impl TaskCoordinator {
                 // Graceful degradation: a skippable node (e.g. an optional
                 // guardrail check) is dropped outright once the budget is
                 // under pressure, trading its contribution for headroom.
-                if self.ladder.is_skippable(agent) && budget.status() != BudgetStatus::Healthy {
-                    budget.consume_projection(&node.profile);
+                if self.ladder.is_skippable(agent)
+                    && status(budget, &settled) != BudgetStatus::Healthy
+                {
+                    settled[pos] = true;
                     self.publish_status(
                         &ir.task_id,
                         "node-skipped",
@@ -746,7 +790,7 @@ impl TaskCoordinator {
                             reason: format!("skipped node {node_id} under budget pressure"),
                         },
                     };
-                    sched.complete(pos, skipped, budget.status(), &node.profile);
+                    sched.complete(pos, skipped, status(budget, &settled), &node.profile);
                     continue;
                 }
 
@@ -795,7 +839,10 @@ impl TaskCoordinator {
                     .map(|&p| (order[p].as_str(), sched.output(p)))
                     .collect();
                 match self.start(ir, task, &mut flight, &upstream, budget)? {
-                    Some(completion) => finished.push_back((flight, completion)),
+                    Some(completion) => {
+                        settled[pos] = true;
+                        finished.push_back((flight, completion));
+                    }
                     None => flights.push(flight),
                 }
             }
@@ -819,7 +866,7 @@ impl TaskCoordinator {
                     }
                 }
                 span.end();
-                sched.complete(pos, completion, budget.status(), &node.profile);
+                sched.complete(pos, completion, status(budget, &settled), &node.profile);
                 continue;
             }
             if flights.is_empty() {
@@ -835,7 +882,9 @@ impl TaskCoordinator {
                 Wake::Timer(i) => (i, self.on_timer(ir, task, &mut flights[i], budget)?),
             };
             if let Some(completion) = step {
-                finished.push_back((flights.remove(i), completion));
+                let flight = flights.remove(i);
+                settled[flight.pos] = true;
+                finished.push_back((flight, completion));
             }
         }
     }
@@ -850,12 +899,12 @@ impl TaskCoordinator {
         task: &TaskContext,
         f: &mut Flight<'_>,
         upstream: &[(&str, Option<&Value>)],
-        budget: &SharedBudget,
+        budget: &mut Budget,
     ) -> Result<Option<Completion>, ExecutionError> {
         let node = f.node;
         let mut inputs = Inputs::new();
         for (param, binding) in &node.inputs {
-            match self.resolve_input(ir, node, param, binding, upstream, budget) {
+            match self.resolve_input(ir, binding, upstream, budget) {
                 Ok(v) => {
                     inputs.insert(param.clone(), v);
                 }
@@ -873,8 +922,7 @@ impl TaskCoordinator {
             if let Some(entry) = memo.lookup(&key) {
                 self.instruments.memo_hits.inc();
                 self.replay_cached_outputs(&ir.task_id, &node.id, &agent, &entry);
-                budget.charge(0.0, 0, node.profile.accuracy);
-                budget.consume_projection(&node.profile);
+                self.charge(budget, 0.0, 0, node.profile.accuracy);
                 self.publish_status(
                     &ir.task_id,
                     "node-cached",
@@ -974,7 +1022,7 @@ impl TaskCoordinator {
         ir: &PlanIr,
         task: &TaskContext,
         f: &mut Flight<'_>,
-        budget: &SharedBudget,
+        budget: &mut Budget,
     ) -> Result<Option<Completion>, ExecutionError> {
         match f.wait {
             Wait::Report { .. } => self.on_answer(ir, task, f, None, budget),
@@ -994,7 +1042,7 @@ impl TaskCoordinator {
         task: &TaskContext,
         f: &mut Flight<'_>,
         report: Option<AgentReport>,
-        budget: &SharedBudget,
+        budget: &mut Budget,
     ) -> Result<Option<Completion>, ExecutionError> {
         let ok = report.as_ref().is_some_and(|r| r.ok);
         if let Some(b) = &self.breakers {
@@ -1033,9 +1081,9 @@ impl TaskCoordinator {
                 // the caller experienced (accuracy-neutral: the retry
                 // supersedes the failed answer).
                 if let Some(r) = &report {
-                    budget.charge(r.cost, r.latency_micros, 1.0);
+                    self.charge(budget, r.cost, r.latency_micros, 1.0);
                 }
-                budget.charge(0.0, delay, 1.0);
+                self.charge(budget, 0.0, delay, 1.0);
                 f.spent_delay += delay;
                 f.wait = Wait::Backoff {
                     until: Instant::now() + Duration::from_micros(delay.min(100_000)),
@@ -1060,7 +1108,7 @@ impl TaskCoordinator {
         task: &TaskContext,
         f: &mut Flight<'_>,
         run: NodeAttempt,
-        budget: &SharedBudget,
+        budget: &mut Budget,
     ) -> Result<Option<Completion>, ExecutionError> {
         if run.error.is_some() && f.primary.is_none() {
             if let Some((fallback, _)) = self.ladder.fallback_for(f.planned()) {
@@ -1090,7 +1138,7 @@ impl TaskCoordinator {
         ir: &PlanIr,
         f: &mut Flight<'_>,
         run: NodeAttempt,
-        budget: &SharedBudget,
+        budget: &mut Budget,
     ) -> Completion {
         let node = f.node;
         let agent = f.planned().to_string();
@@ -1115,7 +1163,7 @@ impl TaskCoordinator {
                     "node-degraded",
                     json!({"node": node.id, "from": agent, "to": fallback}),
                 );
-                budget.charge(0.0, 0, 1.0 - penalty);
+                self.charge(budget, 0.0, 0, 1.0 - penalty);
                 executing_agent = f.agent.clone();
                 NodeAttempt {
                     attempts: first.attempts + run.attempts,
@@ -1134,8 +1182,7 @@ impl TaskCoordinator {
                 .as_ref()
                 .map(|r| (r.cost, r.latency_micros))
                 .unwrap_or((0.0, 0));
-            budget.charge(cost, latency, node.profile.accuracy);
-            budget.consume_projection(&node.profile);
+            self.charge(budget, cost, latency, node.profile.accuracy);
 
             // Quarantine the instruction that exhausted its attempts so
             // operators can inspect and replay it once the fault clears.
@@ -1166,8 +1213,12 @@ impl TaskCoordinator {
         }
 
         let report = attempt.report.expect("successful attempt carries a report");
-        budget.charge(report.cost, report.latency_micros, node.profile.accuracy);
-        budget.consume_projection(&node.profile);
+        self.charge(
+            budget,
+            report.cost,
+            report.latency_micros,
+            node.profile.accuracy,
+        );
 
         // Only primary successes populate the cache: fallback answers carry
         // degraded quality, and caching them would hide the degradation on
@@ -1261,37 +1312,13 @@ impl TaskCoordinator {
     fn resolve_input(
         &self,
         ir: &PlanIr,
-        node: &IrNode,
-        param: &str,
         binding: &IrBinding,
         upstream: &[(&str, Option<&Value>)],
-        budget: &SharedBudget,
+        budget: &mut Budget,
     ) -> Result<Value, String> {
         match binding {
             IrBinding::Literal(v) => Ok(v.clone()),
-            IrBinding::FromUser => {
-                // Transformation (§V-H): a JSON-typed input fed from raw user
-                // text goes through the data planner's extract operator
-                // (PROFILER.CRITERIA ← USER.TEXT).
-                let wants_json = self
-                    .registry
-                    .get_spec(&node.agent)
-                    .ok()
-                    .and_then(|s| s.input(param).map(|p| p.data_type == DataType::Json));
-                if wants_json == Some(true) {
-                    if let Some(dp) = &self.data_planner {
-                        let extract_plan = dp.plan_extract(&ir.goal);
-                        let executed = dp.execute(&extract_plan).map_err(|e| e.to_string())?;
-                        budget.charge(
-                            executed.actual.cost_per_call,
-                            executed.actual.latency_micros,
-                            executed.actual.accuracy,
-                        );
-                        return Ok(executed.value);
-                    }
-                }
-                Ok(Value::String(ir.goal.clone()))
-            }
+            IrBinding::FromUser => Ok(Value::String(ir.goal.clone())),
             IrBinding::FromNode { node: from, output } => {
                 let outputs = upstream
                     .iter()
@@ -1319,7 +1346,8 @@ impl TaskCoordinator {
                     .as_ref()
                     .ok_or_else(|| "no data planner for spliced binding".to_string())?;
                 let executed = dp.execute(plan).map_err(|e| e.to_string())?;
-                budget.charge(
+                self.charge(
+                    budget,
                     executed.actual.cost_per_call,
                     executed.actual.latency_micros,
                     executed.actual.accuracy,
@@ -1327,6 +1355,13 @@ impl TaskCoordinator {
                 Ok(executed.value)
             }
         }
+    }
+
+    /// Charges one debit to the task's ledger and counts it in
+    /// `blueprint.optimizer.budget_debits`.
+    fn charge(&self, budget: &mut Budget, cost: f64, latency_micros: u64, accuracy: f64) {
+        self.instruments.budget_debits.inc();
+        budget.charge(cost, latency_micros, accuracy);
     }
 
     /// The id of a task's stream `leaf` (a node id, or `status`) under the
@@ -1506,7 +1541,10 @@ mod tests {
         // Each agent charged 0.5 cost and 1ms latency.
         assert!((report.budget.spent_cost - 1.0).abs() < 1e-9);
         assert_eq!(report.budget.spent_latency_micros, 2_000);
-        assert_eq!(report.budget.status(), BudgetStatus::Healthy);
+        assert_eq!(
+            report.budget.status(&CostProfile::FREE),
+            BudgetStatus::Healthy
+        );
     }
 
     #[test]
@@ -2427,5 +2465,83 @@ mod tests {
             other => panic!("unexpected outcome: {other:?}"),
         };
         assert_eq!(output(&first), output(&second));
+    }
+
+    #[test]
+    fn replan_checkpoints_against_its_own_plan() {
+        // `flaky-upper` fails, so the plan [flaky-upper, pricey-reverser]
+        // replans onto [backup-upper, pricey-reverser]. After backup-upper,
+        // 0.5 is spent and pricey-reverser's 3.0 is still to run: 3.5
+        // projected against a 3.2 cap, exactly as when the replacement plan
+        // runs on its own. A replan whose ledger started from the replaced
+        // plan's leftover projection (3.0 after flaky-upper) read 2.5 and
+        // completed over its cap.
+        let store = StreamStore::new();
+        let factory = AgentFactory::new(store.clone());
+        let registry = Arc::new(AgentRegistry::new());
+        let spec = |name: &str, description: &str, cost: f64| {
+            AgentSpec::new(name, description)
+                .with_input(ParamSpec::required("text", "input", DataType::Text))
+                .with_output(ParamSpec::required("out", "output", DataType::Text))
+                .with_profile(CostProfile::new(cost, 1_000, 0.95))
+        };
+        let upper = "uppercase text transformer service";
+        let reverse = "reverse the characters of a text";
+        let fail_proc: Arc<dyn Processor> = Arc::new(FnProcessor::new(
+            |_: &Inputs, _: &AgentContext| -> blueprint_agents::Result<Outputs> {
+                Err(blueprint_agents::AgentError::ProcessorFailed(
+                    "service unavailable".into(),
+                ))
+            },
+        ));
+        factory
+            .register(spec("flaky-upper", upper, 1.0), fail_proc)
+            .unwrap();
+        upper_agent(&factory, "backup-upper", 1.0);
+        upper_agent(&factory, "pricey-reverser", 3.0);
+        for s in [
+            spec("flaky-upper", upper, 1.0),
+            spec("backup-upper", upper, 1.0),
+            spec("pricey-reverser", reverse, 3.0),
+        ] {
+            factory.spawn(&s.name, "session:1").unwrap();
+            registry.register(s).unwrap();
+        }
+        registry.record_usage("flaky-upper", upper).unwrap();
+        let llm = Arc::new(blueprint_llmsim::SimLlm::new(
+            blueprint_llmsim::ModelProfile::large(),
+        ));
+        let task_planner = Arc::new(TaskPlanner::new(registry.clone(), llm));
+        let coordinator = TaskCoordinator::new(store, "session:1", registry)
+            .with_task_planner(Arc::clone(&task_planner))
+            .with_report_timeout(Duration::from_secs(5));
+        let subtasks = [upper.to_string(), reverse.to_string()];
+        let cap = QosConstraints::none().with_max_cost(3.2);
+
+        let plan = task_planner
+            .plan_subtasks("please uppercase this", &subtasks, &[])
+            .unwrap();
+        let agents: Vec<&str> = plan.nodes.iter().map(|n| n.agent.as_str()).collect();
+        assert_eq!(agents, ["flaky-upper", "pricey-reverser"]);
+        let replanned = coordinator.execute(&plan, cap).unwrap();
+
+        let replacement = task_planner
+            .plan_subtasks("please uppercase this", &subtasks, &["flaky-upper".into()])
+            .unwrap();
+        let direct = coordinator.execute(&replacement, cap).unwrap();
+        let aborted = Outcome::Aborted {
+            reason: "projected costs exceed the budget".into(),
+        };
+        assert_eq!(direct.outcome, aborted);
+        assert_eq!(direct.budget.spent_cost, 0.5);
+
+        match &replanned.outcome {
+            Outcome::Replanned { inner, .. } => {
+                assert_eq!(inner.node_results[0].agent, "backup-upper");
+                assert_eq!(inner.outcome, aborted);
+                assert_eq!(inner.budget.spent_cost, 0.5);
+            }
+            other => panic!("expected a replan, got {other:?}"),
+        }
     }
 }

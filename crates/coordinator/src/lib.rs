@@ -1,11 +1,15 @@
 //! # blueprint-coordinator
 //!
-//! The task coordinator (§V-H): receives a [`TaskPlan`](blueprint_planner::TaskPlan) DAG with an initial
-//! budget and projected costs, initiates agents by streaming instruction
-//! messages to them, monitors execution, applies input transformations
-//! (invoking the data planner for `FromData` bindings and text→criteria
-//! extraction), updates the [`Budget`](blueprint_optimizer::Budget) with actual costs from agent
-//! reports, and aborts or replans when thresholds are exceeded.
+//! The task coordinator (§V-H): receives a [`TaskPlan`](blueprint_planner::TaskPlan) DAG under QoS
+//! constraints, initiates agents by streaming instruction messages to them,
+//! monitors execution, applies input transformations (the data planner's
+//! plans for `FromData` bindings and for text→criteria extraction, both
+//! spliced into the IR), updates the [`Budget`](blueprint_optimizer::Budget) with actual costs from agent
+//! reports, and aborts or replans when the actuals together with the
+//! projection of the rest of the running plan exceed the constraints. The
+//! ledger has one owner, the execution's event loop; the projection is
+//! composed from the estimates of the nodes that have not settled yet at
+//! each checkpoint, so a replan checkpoints against its own plan.
 //!
 //! [`TaskCoordinator::execute`] is the one entry point. It lowers every
 //! plan — internal replans included — into the unified

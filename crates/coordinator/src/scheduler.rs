@@ -384,10 +384,17 @@ mod tests {
                 Some(max) => QosConstraints::none().with_max_cost(max),
                 None => QosConstraints::none(),
             };
-            let mut budget = Budget::new(constraints);
-            let projected: f64 = self.nodes.iter().map(|n| n.estimate.cost_per_call).sum();
-            budget.set_projection(&CostProfile::new(projected, 0, 1.0));
-            budget
+            Budget::new(constraints)
+        }
+
+        /// The projection of the rest of the plan: the composed estimates
+        /// of the positions `open` admits.
+        fn projection(&self, open: impl Fn(usize) -> bool) -> CostProfile {
+            self.nodes
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| open(i))
+                .fold(CostProfile::FREE, |acc, (_, n)| acc.then(&n.estimate))
         }
 
         fn edges(&self) -> Vec<(usize, usize)> {
@@ -442,7 +449,6 @@ mod tests {
             return Completion::Unresolved(format!("n{pos} unresolved"));
         }
         budget.charge(node.cost, 0, 1.0);
-        budget.consume_projection(&node.estimate);
         let ok = node.fate == Fate::Succeeds;
         Completion::Done {
             result: result(pos, ok, node.cost, 1),
@@ -461,14 +467,16 @@ mod tests {
     }
 
     /// The sequential reference: walk the positions in order, stopping at
-    /// the first failure or budget halt.
+    /// the first failure or budget halt. Before node `pos` runs, the rest
+    /// of the plan is `pos` onwards; after it ran, the nodes after it.
     fn reference(case: &Case) -> Report {
         let mut budget = case.budget();
         let (mut results, mut notes) = (Vec::new(), Vec::new());
         let (mut halt, mut output) = (None, None);
         for (pos, node) in case.nodes.iter().enumerate() {
-            if node.skippable && budget.status() != BudgetStatus::Healthy {
-                budget.consume_projection(&node.estimate);
+            if node.skippable
+                && budget.status(&case.projection(|i| i >= pos)) != BudgetStatus::Healthy
+            {
                 let Completion::Skipped { result, note } = skip(pos) else {
                     unreachable!()
                 };
@@ -486,7 +494,6 @@ mod tests {
                 }
                 Fate::Fails => {
                     budget.charge(node.cost, 0, 1.0);
-                    budget.consume_projection(&node.estimate);
                     results.push(result(pos, false, node.cost, 1));
                     halt = Some(Halt::Failure {
                         pos,
@@ -496,10 +503,9 @@ mod tests {
                 }
                 Fate::Succeeds => {
                     budget.charge(node.cost, 0, 1.0);
-                    budget.consume_projection(&node.estimate);
                     results.push(result(pos, true, node.cost, 1));
                     output = Some(json!({"out": pos}));
-                    halt = match (budget.status(), case.policy) {
+                    halt = match (budget.status(&case.projection(|i| i > pos)), case.policy) {
                         (BudgetStatus::Exceeded, _) => Some(Halt::Exceeded),
                         (BudgetStatus::ProjectedOverrun, OverrunPolicy::Abort) => {
                             Some(Halt::ProjectedAbort)
@@ -527,8 +533,9 @@ mod tests {
     /// Drives the scheduler under `cap`, completing in-flight nodes in the
     /// order `picks` chooses, and checks the admission invariants on the
     /// way: a node is admitted only with admission open, under the cap, and
-    /// after every parent succeeded. Returns the report and the positions
-    /// that were admitted.
+    /// after every parent succeeded. Every checkpoint projects the rest of
+    /// the plan from the nodes that have not reached a terminal state.
+    /// Returns the report and the positions that were admitted.
     fn drive(
         case: &Case,
         cap: usize,
@@ -537,6 +544,7 @@ mod tests {
         let n = case.nodes.len();
         let mut sched = Scheduler::new(n, case.edges(), cap, rules(case));
         let mut budget = case.budget();
+        let mut settled = vec![false; n];
         let mut succeeded = vec![false; n];
         let (mut in_flight, mut admitted) = (Vec::new(), Vec::new());
         let mut picks = picks.iter().cycle();
@@ -549,10 +557,13 @@ mod tests {
                 }
                 admitted.push(pos);
                 let node = &case.nodes[pos];
-                if node.skippable && budget.status() != BudgetStatus::Healthy {
-                    budget.consume_projection(&node.estimate);
+                if node.skippable
+                    && budget.status(&case.projection(|i| !settled[i])) != BudgetStatus::Healthy
+                {
+                    settled[pos] = true;
                     succeeded[pos] = true;
-                    sched.complete(pos, skip(pos), budget.status(), &node.estimate);
+                    let ledger = budget.status(&case.projection(|i| !settled[i]));
+                    sched.complete(pos, skip(pos), ledger, &node.estimate);
                     continue;
                 }
                 in_flight.push(pos);
@@ -563,8 +574,10 @@ mod tests {
             let pos = in_flight.remove(picks.next().expect("cycled") % in_flight.len());
             let node = &case.nodes[pos];
             let completion = invoke(node, pos, &mut budget);
+            settled[pos] = true;
             succeeded[pos] = node.fate == Fate::Succeeds;
-            sched.complete(pos, completion, budget.status(), &node.estimate);
+            let ledger = budget.status(&case.projection(|i| !settled[i]));
+            sched.complete(pos, completion, ledger, &node.estimate);
         }
         prop_assert_eq!(sched.in_flight(), 0);
         let (progress, outputs, halt) = sched.finish();

@@ -20,9 +20,7 @@ use blueprint_observability::{
 use blueprint_optimizer::{Objective, QosConstraints};
 use blueprint_planner::{DataPlanner, PlanError, TaskPlan, TaskPlanner};
 use blueprint_registry::{AgentRegistry, DataRegistry};
-use blueprint_resilience::{
-    BreakerConfig, BreakerRegistry, DegradationLadder, FaultInjector, FaultPlan, RetryPolicy,
-};
+use blueprint_resilience::{BreakerConfig, BreakerRegistry, FaultInjector, FaultPlan, RetryPolicy};
 use blueprint_session::{Session, SessionManager};
 use blueprint_streams::{Message, StreamStore};
 
@@ -91,7 +89,6 @@ pub struct BlueprintBuilder {
     fault_plan: Option<FaultPlan>,
     retry: RetryPolicy,
     breaker_config: Option<BreakerConfig>,
-    ladder: DegradationLadder,
     scheduler: SchedulerMode,
     memo_capacity: Option<usize>,
     adaptive: Option<f64>,
@@ -109,11 +106,10 @@ impl Default for BlueprintBuilder {
             extra_models: Vec::new(),
             objective: Objective::balanced(),
             constraints: QosConstraints::none(),
-            report_timeout: Duration::from_secs(10),
+            report_timeout: TaskCoordinator::DEFAULT_REPORT_TIMEOUT,
             fault_plan: None,
             retry: RetryPolicy::none(),
             breaker_config: None,
-            ladder: DegradationLadder::new(),
             scheduler: SchedulerMode::default(),
             memo_capacity: None,
             adaptive: None,
@@ -163,7 +159,8 @@ impl BlueprintBuilder {
         self
     }
 
-    /// Sets how long the coordinator waits for each agent report.
+    /// Sets how long the coordinator waits for each agent report
+    /// ([`TaskCoordinator::DEFAULT_REPORT_TIMEOUT`] by default).
     pub fn with_report_timeout(mut self, timeout: Duration) -> Self {
         self.report_timeout = timeout;
         self
@@ -186,12 +183,6 @@ impl BlueprintBuilder {
     /// probing), the registry (routing), and every session's coordinator.
     pub fn with_circuit_breakers(mut self, config: BreakerConfig) -> Self {
         self.breaker_config = Some(config);
-        self
-    }
-
-    /// Sets the degradation ladder (fallback agents, skippable nodes).
-    pub fn with_degradation(mut self, ladder: DegradationLadder) -> Self {
-        self.ladder = ladder;
         self
     }
 
@@ -381,7 +372,6 @@ impl BlueprintBuilder {
             fault_injector: injector,
             breakers,
             retry: self.retry,
-            ladder: self.ladder,
             scheduler: self.scheduler,
             memo: self.memo_capacity.map(|cap| Arc::new(MemoCache::new(cap))),
             adaptive: self.adaptive,
@@ -406,7 +396,6 @@ pub struct Blueprint {
     fault_injector: Option<Arc<FaultInjector>>,
     breakers: Option<Arc<BreakerRegistry>>,
     retry: RetryPolicy,
-    ladder: DegradationLadder,
     scheduler: SchedulerMode,
     memo: Option<Arc<MemoCache>>,
     adaptive: Option<f64>,
@@ -501,7 +490,6 @@ impl Blueprint {
                 .with_task_planner(Arc::clone(&self.task_planner))
                 .with_report_timeout(self.report_timeout)
                 .with_retry_policy(self.retry.clone())
-                .with_degradation(self.ladder.clone())
                 .with_scheduler(self.scheduler);
         if let Some(b) = &self.breakers {
             coordinator = coordinator.with_breakers(Arc::clone(b));
@@ -537,6 +525,7 @@ impl Blueprint {
         )?;
         Ok(BlueprintSession {
             session,
+            sessions: Arc::clone(&self.sessions),
             coordinator,
             daemon,
             factory: Arc::clone(&self.factory),
@@ -550,6 +539,7 @@ impl Blueprint {
 /// A live session: spawned agents + coordinator + daemon.
 pub struct BlueprintSession {
     session: Session,
+    sessions: Arc<SessionManager>,
     coordinator: Arc<TaskCoordinator>,
     daemon: CoordinatorDaemon,
     factory: Arc<AgentFactory>,
@@ -616,12 +606,14 @@ impl BlueprintSession {
         self.daemon.executed()
     }
 
-    /// Stops the session's agents and daemon.
+    /// Stops the session's agents and daemon, then retires the session:
+    /// its live entry and every stream under its scope are removed.
     pub fn shutdown(&mut self) {
         self.daemon.stop();
         for id in self.instances.drain(..) {
             self.factory.stop(id);
         }
+        self.sessions.retire(self.session.id());
     }
 }
 
@@ -761,6 +753,28 @@ mod tests {
         assert_eq!(bp.factory().stats().running_instances, 10);
         session.shutdown();
         assert_eq!(bp.factory().stats().running_instances, 0);
+    }
+
+    #[test]
+    fn dropped_sessions_are_retired() {
+        let bp = blueprint();
+        let mut scopes = Vec::new();
+        for _ in 0..50 {
+            let session = bp.start_session().unwrap();
+            // Untagged, so no agent reacts and nothing is published into
+            // the scope after the session is dropped.
+            session
+                .session()
+                .publish("user", Message::data("hello"))
+                .unwrap();
+            let scope = session.session().scope().to_string();
+            assert!(!bp.store().list_streams(Some(&scope)).is_empty());
+            scopes.push(scope);
+        }
+        assert!(bp.sessions.live_sessions().is_empty());
+        for scope in &scopes {
+            assert!(bp.store().list_streams(Some(scope)).is_empty(), "{scope}");
+        }
     }
 
     #[test]

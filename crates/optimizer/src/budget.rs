@@ -3,15 +3,14 @@
 //! The paper's **budget** component keeps "records of the current and
 //! projected QoS stats to guide execution \[and\] planning" (§IV). The task
 //! coordinator charges actual costs as agent reports arrive and aborts or
-//! replans when the projection exceeds the constraints (§V-H).
+//! replans when the actuals together with the projection of the rest of
+//! the plan exceed the constraints (§V-H). The ledger records the actuals;
+//! the projection is worked out from the running plan at each checkpoint
+//! and passed to [`Budget::status`].
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use blueprint_agents::CostProfile;
-use blueprint_observability::{Counter, MetricsRegistry};
 
 /// Hard QoS limits on a task.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
@@ -61,7 +60,7 @@ impl QosConstraints {
 /// Verdict of a budget check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum BudgetStatus {
-    /// Within limits, including projections.
+    /// Within limits, including the projection of the rest of the plan.
     Healthy,
     /// Actuals are within limits but actual+projected exceeds them — the
     /// coordinator should consider replanning (§V-H).
@@ -70,7 +69,10 @@ pub enum BudgetStatus {
     Exceeded,
 }
 
-/// Runtime QoS ledger for one task execution.
+/// Runtime QoS ledger for one task execution (or one serving session): the
+/// actual spend only. The projection of the rest of the plan belongs to the
+/// plan, so the owner of the ledger works it out at each checkpoint and
+/// hands it to [`Budget::status`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Budget {
     /// The task's limits.
@@ -81,61 +83,24 @@ pub struct Budget {
     pub spent_latency_micros: u64,
     /// Running accuracy estimate of completed steps (product).
     pub accuracy_so_far: f64,
-    /// Projected cost of the remaining plan (set from optimizer estimates).
-    pub projected_cost: f64,
-    /// Projected latency of the remaining plan (µs).
-    pub projected_latency_micros: u64,
-    /// Projected accuracy of the remaining plan.
-    pub projected_accuracy: f64,
 }
 
 impl Budget {
-    /// A fresh budget under the given constraints with no projection.
+    /// A fresh budget under the given constraints.
     pub fn new(constraints: QosConstraints) -> Self {
         Budget {
             constraints,
             spent_cost: 0.0,
             spent_latency_micros: 0,
             accuracy_so_far: 1.0,
-            projected_cost: 0.0,
-            projected_latency_micros: 0,
-            projected_accuracy: 1.0,
         }
     }
 
-    /// Installs the optimizer's projection for the (remaining) plan.
-    pub fn set_projection(&mut self, remaining: &CostProfile) {
-        self.projected_cost = remaining.cost_per_call;
-        self.projected_latency_micros = remaining.latency_micros;
-        self.projected_accuracy = remaining.accuracy;
-    }
-
-    /// Charges the actual QoS of one completed step and reduces the
-    /// projection by that step's estimate.
+    /// Charges the actual QoS of one completed step.
     pub fn charge(&mut self, actual_cost: f64, actual_latency_micros: u64, step_accuracy: f64) {
         self.spent_cost += actual_cost.max(0.0);
         self.spent_latency_micros += actual_latency_micros;
         self.accuracy_so_far *= step_accuracy.clamp(0.0, 1.0);
-    }
-
-    /// Reduces the remaining projection after a step completes.
-    pub fn consume_projection(&mut self, step: &CostProfile) {
-        self.projected_cost = (self.projected_cost - step.cost_per_call).max(0.0);
-        self.projected_latency_micros = self
-            .projected_latency_micros
-            .saturating_sub(step.latency_micros);
-        if step.accuracy > 0.0 {
-            self.projected_accuracy = (self.projected_accuracy / step.accuracy).clamp(0.0, 1.0);
-        }
-    }
-
-    /// Total = actual + projected, as a profile.
-    pub fn projected_total(&self) -> CostProfile {
-        CostProfile {
-            cost_per_call: self.spent_cost + self.projected_cost,
-            latency_micros: self.spent_latency_micros + self.projected_latency_micros,
-            accuracy: self.accuracy_so_far * self.projected_accuracy,
-        }
     }
 
     /// Actuals only, as a profile.
@@ -147,8 +112,10 @@ impl Budget {
         }
     }
 
-    /// Checks the ledger against the constraints.
-    pub fn status(&self) -> BudgetStatus {
+    /// Checks the ledger against the constraints, with `remaining` the
+    /// projected QoS of the steps still to run ([`CostProfile::FREE`] when
+    /// nothing is projected).
+    pub fn status(&self, remaining: &CostProfile) -> BudgetStatus {
         // Accuracy floors are checked on the projection only: accuracy does
         // not "run out" the way cost does, but a projection below the floor
         // means the plan cannot meet it.
@@ -163,7 +130,7 @@ impl Budget {
         if actual_over {
             return BudgetStatus::Exceeded;
         }
-        if !self.constraints.admits(&self.projected_total()) {
+        if !self.constraints.admits(&self.actual().then(remaining)) {
             return BudgetStatus::ProjectedOverrun;
         }
         BudgetStatus::Healthy
@@ -196,58 +163,6 @@ impl Budget {
     }
 }
 
-/// A [`Budget`] shared by concurrently executing plan nodes.
-///
-/// The parallel scheduler dispatches every ready node at once, so charges,
-/// projection consumption, retry/backoff debits, and status checks race.
-/// All accounting goes through one mutex so the ledger stays exact: charges
-/// are additive and commutative, so the final totals are independent of the
-/// order in which racing nodes land their updates.
-#[derive(Clone)]
-pub struct SharedBudget {
-    inner: Arc<Mutex<Budget>>,
-    debits: Counter,
-}
-
-impl SharedBudget {
-    /// Wraps a budget for concurrent use.
-    pub fn new(budget: Budget) -> Self {
-        SharedBudget {
-            inner: Arc::new(Mutex::new(budget)),
-            debits: Counter::default(),
-        }
-    }
-
-    /// Reports every debit into `blueprint.optimizer.budget_debits`.
-    pub fn with_metrics(mut self, metrics: &MetricsRegistry) -> Self {
-        self.debits = metrics.counter("blueprint.optimizer.budget_debits");
-        self
-    }
-
-    /// Charges the actual QoS of one completed step (see [`Budget::charge`]).
-    pub fn charge(&self, actual_cost: f64, actual_latency_micros: u64, step_accuracy: f64) {
-        self.debits.inc();
-        self.inner
-            .lock()
-            .charge(actual_cost, actual_latency_micros, step_accuracy);
-    }
-
-    /// Reduces the remaining projection after a step completes.
-    pub fn consume_projection(&self, step: &CostProfile) {
-        self.inner.lock().consume_projection(step);
-    }
-
-    /// Checks the ledger against the constraints.
-    pub fn status(&self) -> BudgetStatus {
-        self.inner.lock().status()
-    }
-
-    /// A point-in-time copy of the ledger.
-    pub fn snapshot(&self) -> Budget {
-        self.inner.lock().clone()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,7 +183,7 @@ mod tests {
     #[test]
     fn fresh_budget_is_healthy() {
         let b = Budget::new(QosConstraints::none().with_max_cost(1.0));
-        assert_eq!(b.status(), BudgetStatus::Healthy);
+        assert_eq!(b.status(&CostProfile::FREE), BudgetStatus::Healthy);
         assert_eq!(b.remaining_cost(), 1.0);
     }
 
@@ -276,10 +191,10 @@ mod tests {
     fn charge_accumulates_and_detects_exceeded() {
         let mut b = Budget::new(QosConstraints::none().with_max_cost(1.0));
         b.charge(0.6, 10, 0.95);
-        assert_eq!(b.status(), BudgetStatus::Healthy);
+        assert_eq!(b.status(&CostProfile::FREE), BudgetStatus::Healthy);
         assert!((b.remaining_cost() - 0.4).abs() < 1e-9);
         b.charge(0.6, 10, 0.95);
-        assert_eq!(b.status(), BudgetStatus::Exceeded);
+        assert_eq!(b.status(&CostProfile::FREE), BudgetStatus::Exceeded);
         assert_eq!(b.remaining_cost(), 0.0);
     }
 
@@ -287,39 +202,69 @@ mod tests {
     fn latency_exceeded() {
         let mut b = Budget::new(QosConstraints::none().with_max_latency_micros(100));
         b.charge(0.0, 101, 1.0);
-        assert_eq!(b.status(), BudgetStatus::Exceeded);
+        assert_eq!(b.status(&CostProfile::FREE), BudgetStatus::Exceeded);
     }
 
     #[test]
     fn projection_triggers_overrun_before_actuals() {
         let mut b = Budget::new(QosConstraints::none().with_max_cost(1.0));
-        b.set_projection(&CostProfile::new(0.9, 0, 1.0));
         b.charge(0.2, 0, 1.0);
         // Spent 0.2 + projected 0.9 = 1.1 > 1.0, but actuals are fine.
-        assert_eq!(b.status(), BudgetStatus::ProjectedOverrun);
-        // After consuming part of the projection the plan can be healthy.
-        b.consume_projection(&CostProfile::new(0.9, 0, 1.0));
-        assert_eq!(b.status(), BudgetStatus::Healthy);
+        assert_eq!(
+            b.status(&CostProfile::new(0.9, 0, 1.0)),
+            BudgetStatus::ProjectedOverrun
+        );
+        // With less of the plan left to run the same ledger is healthy.
+        assert_eq!(
+            b.status(&CostProfile::new(0.8, 0, 1.0)),
+            BudgetStatus::Healthy
+        );
+        assert_eq!(b.status(&CostProfile::FREE), BudgetStatus::Healthy);
+    }
+
+    #[test]
+    fn latency_projection_composes_with_spend() {
+        let mut b = Budget::new(QosConstraints::none().with_max_latency_micros(300));
+        b.charge(0.0, 100, 1.0);
+        assert_eq!(
+            b.status(&CostProfile::new(0.0, 200, 1.0)),
+            BudgetStatus::Healthy
+        );
+        assert_eq!(
+            b.status(&CostProfile::new(0.0, 201, 1.0)),
+            BudgetStatus::ProjectedOverrun
+        );
     }
 
     #[test]
     fn accuracy_floor_checked_on_projection() {
         let mut b = Budget::new(QosConstraints::none().with_min_accuracy(0.9));
         b.charge(0.0, 0, 0.85);
-        assert_eq!(b.status(), BudgetStatus::ProjectedOverrun);
+        assert_eq!(b.status(&CostProfile::FREE), BudgetStatus::ProjectedOverrun);
+        // The projected accuracy multiplies onto the actual one.
+        let mut b = Budget::new(QosConstraints::none().with_min_accuracy(0.7));
+        b.charge(0.0, 0, 0.9);
+        assert_eq!(
+            b.status(&CostProfile::new(0.0, 0, 0.8)),
+            BudgetStatus::Healthy
+        );
+        assert_eq!(
+            b.status(&CostProfile::new(0.0, 0, 0.75)),
+            BudgetStatus::ProjectedOverrun
+        );
     }
 
     #[test]
-    fn projected_total_composes() {
-        let mut b = Budget::new(QosConstraints::none());
-        b.charge(1.0, 100, 0.9);
-        b.set_projection(&CostProfile::new(2.0, 200, 0.8));
-        let total = b.projected_total();
-        assert!((total.cost_per_call - 3.0).abs() < 1e-9);
-        assert_eq!(total.latency_micros, 300);
-        assert!((total.accuracy - 0.72).abs() < 1e-9);
+    fn exceeded_actuals_win_over_any_projection() {
+        let mut b = Budget::new(QosConstraints::none().with_max_cost(1.0));
+        b.charge(1.5, 0, 1.0);
+        assert_eq!(b.status(&CostProfile::FREE), BudgetStatus::Exceeded);
+        assert_eq!(
+            b.status(&CostProfile::new(5.0, 0, 0.1)),
+            BudgetStatus::Exceeded
+        );
         let actual = b.actual();
-        assert!((actual.cost_per_call - 1.0).abs() < 1e-9);
+        assert!((actual.cost_per_call - 1.5).abs() < 1e-9);
     }
 
     #[test]
@@ -351,14 +296,5 @@ mod tests {
         // Unconstrained axes stay unconstrained.
         let rem = Budget::new(QosConstraints::none()).remaining_constraints();
         assert_eq!(rem, QosConstraints::none());
-    }
-
-    #[test]
-    fn consume_projection_saturates() {
-        let mut b = Budget::new(QosConstraints::none());
-        b.set_projection(&CostProfile::new(1.0, 100, 0.9));
-        b.consume_projection(&CostProfile::new(5.0, 500, 0.9));
-        assert_eq!(b.projected_cost, 0.0);
-        assert_eq!(b.projected_latency_micros, 0);
     }
 }

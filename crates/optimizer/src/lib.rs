@@ -17,15 +17,17 @@
 //! * [`optimize_unified`] — joint Pareto-pruned assignment over the unified
 //!   plan IR's choice points (model tiers on agent nodes *and* parametric
 //!   sources on data operators in one search space);
-//! * [`Budget`] — runtime tracking of projected vs. actual QoS with
-//!   violation detection, consumed by the task coordinator.
+//! * [`Budget`] — the runtime ledger of actual QoS, plain data with one
+//!   owner (a task's event loop, or a serving session's lane). Its
+//!   [`Budget::status`] checks the actuals together with a projection of
+//!   the rest of the plan that the caller works out when it checks.
 
 pub mod budget;
 pub mod objective;
 pub mod pareto;
 pub mod unified;
 
-pub use budget::{Budget, BudgetStatus, QosConstraints, SharedBudget};
+pub use budget::{Budget, BudgetStatus, QosConstraints};
 pub use objective::Objective;
 pub use pareto::{optimize_choices, pareto_frontier, select, Candidate};
 pub use unified::{optimize_unified, ChoicePoint, UnifiedSelection};

@@ -304,13 +304,16 @@ impl PlanIr {
         })
     }
 
-    /// Projected QoS of the plan: composes the agent nodes in insertion
-    /// order, exactly like [`TaskPlan::projected_profile`]. Data operators
-    /// are charged from actuals when their owner resolves inputs — the same
-    /// accounting as the legacy path, so lowered plans budget identically.
-    pub fn projected_profile(&self) -> CostProfile {
+    /// Projected QoS of the agent nodes `keep` admits by id, composed in
+    /// insertion order like [`TaskPlan::projected_profile`]: with every
+    /// node, the whole plan's; with the nodes that have no result yet, the
+    /// rest of a running plan, which the coordinator checks its ledger
+    /// against. Data operators are charged from actuals when their owner
+    /// resolves its inputs.
+    pub fn projected_profile(&self, keep: impl Fn(&str) -> bool) -> CostProfile {
         self.nodes
             .iter()
+            .filter(|n| keep(&n.id))
             .fold(CostProfile::FREE, |acc, n| acc.then(&n.profile))
     }
 
@@ -624,12 +627,16 @@ mod tests {
         let schedule = ir.schedule().unwrap();
         assert_eq!(schedule.order, plan.topo_order().unwrap());
         assert_eq!(schedule.edges, [(0, 1)]);
-        let a = ir.projected_profile();
+        let a = ir.projected_profile(|_| true);
         let b = plan.projected_profile();
         assert_eq!(a.cost_per_call.to_bits(), b.cost_per_call.to_bits());
         assert_eq!(a.latency_micros, b.latency_micros);
         assert_eq!(a.accuracy.to_bits(), b.accuracy.to_bits());
         assert_eq!(ir.nodes.len(), 2);
+        // The rest of the plan after its first node is its second node.
+        let rest = ir.projected_profile(|id| id != plan.nodes[0].id);
+        assert_eq!(rest, CostProfile::FREE.then(&plan.nodes[1].profile));
+        assert_eq!(ir.projected_profile(|_| false), CostProfile::FREE);
     }
 
     #[test]

@@ -25,7 +25,8 @@
 //! none. A `FromData` binding nothing can plan must still fail on its own
 //! node, after the upstream node ran. On the running example, the joint
 //! search space lists the agent nodes, then the spliced operators, with
-//! pinned candidate lists.
+//! pinned candidate lists. A JSON-typed input fed from the user text lowers
+//! to a spliced extract plan that the search space includes.
 //!
 //! The joint search is checked against two oracles over random objectives
 //! and caps, on the running example with three model tiers: brute-force
@@ -55,7 +56,7 @@ use blueprint_core::Blueprint;
 use blueprint_datastore::{GraphSource, PropertyGraph, RelationalDb, RelationalSource};
 use blueprint_llmsim::{ModelProfile, ParametricSource, SimLlm};
 use blueprint_optimizer::{select, ChoicePoint, Objective, QosConstraints};
-use blueprint_planner::{DataPlanner, InputBinding, IrBinding, PlanIr, PlanNode, TaskPlan};
+use blueprint_planner::{DataOp, DataPlanner, InputBinding, IrBinding, PlanIr, PlanNode, TaskPlan};
 use blueprint_registry::{AgentRegistry, DataRegistry};
 use blueprint_streams::StreamStore;
 
@@ -477,6 +478,78 @@ fn running_example_choice_points_are_agents_then_spliced_operators() {
             "d4 [(d4, 0.001, 80, 1.0)]",
         ]
     );
+}
+
+/// A JSON-typed input fed from the user text (the job matcher's profile,
+/// with no profiler upstream) lowers to a spliced extract plan, so the
+/// optimizer's choice points cover the extract call. Running it gives the
+/// matcher the extracted profile, as a plan that hands it over as a literal
+/// does, with the ledger bit for bit what the extraction at dispatch
+/// charged before it moved into the IR.
+#[test]
+fn user_text_extraction_is_spliced_into_the_ir() {
+    let bp = Blueprint::builder()
+        .with_hr_domain(HrConfig {
+            seed: 7,
+            jobs: 300,
+            applicants: 200,
+            companies: 25,
+            applications: 600,
+        })
+        .build()
+        .unwrap();
+    let subtasks = [
+        "match the job seeker profile against available job listings and rank them".to_string(),
+        "present results and content to the end user".to_string(),
+    ];
+    let plan = bp
+        .task_planner()
+        .plan_subtasks(RUNNING_EXAMPLE, &subtasks, &[])
+        .unwrap();
+    assert_eq!(plan.nodes[0].agent, "job-matcher");
+    assert_eq!(
+        plan.nodes[0].inputs["job_seeker_data"],
+        InputBinding::FromUser
+    );
+    let session = bp.start_session().unwrap();
+    let coordinator = session.coordinator();
+
+    let ir = coordinator.lower(&plan, &QosConstraints::none()).unwrap();
+    let n1 = ir.node("n1").unwrap();
+    let Some(IrBinding::Spliced { plan: extract, .. }) = n1.inputs.get("job_seeker_data") else {
+        panic!("not spliced: {:?}", n1.inputs["job_seeker_data"]);
+    };
+    assert!(extract.nodes.iter().any(|n| n.op == DataOp::Extract));
+    // The text input stays the utterance.
+    assert_eq!(n1.inputs["criteria"], IrBinding::FromUser);
+    let points: Vec<String> = ir.choice_points().into_iter().map(|p| p.node).collect();
+    for op in &extract.nodes {
+        assert!(points.contains(&op.id), "{} not in {points:?}", op.id);
+    }
+
+    let report = coordinator.execute(&plan, QosConstraints::none()).unwrap();
+    let Outcome::Completed { output } = &report.outcome else {
+        panic!("outcome: {:?}", report.outcome);
+    };
+    // The same matcher fed the extracted profile as a literal.
+    let dp = bp.data_planner();
+    let profile = dp.execute(&dp.plan_extract(RUNNING_EXAMPLE)).unwrap().value;
+    let mut literal = plan.clone();
+    literal.task_id = "literal".into();
+    literal.nodes[0]
+        .inputs
+        .insert("job_seeker_data".into(), InputBinding::Literal(profile));
+    let reference = coordinator
+        .execute(&literal, QosConstraints::none())
+        .unwrap();
+    let Outcome::Completed { output: expected } = &reference.outcome else {
+        panic!("reference outcome: {:?}", reference.outcome);
+    };
+    assert_eq!(output.to_string(), expected.to_string());
+    // The ledger the extraction charged at dispatch, before it was spliced.
+    assert_eq!(report.budget.spent_cost.to_bits(), 0x3fef6c8b43958106);
+    assert_eq!(report.budget.spent_latency_micros, 1_124_460);
+    assert_eq!(report.budget.accuracy_so_far.to_bits(), 0x3feba8d64d7f0ed3);
 }
 
 /// The task's own latency cap picks the knowledge tier for the whole plan.

@@ -3,8 +3,9 @@
 //! Enterprise serving means many concurrent sessions over one shared
 //! blueprint. The [`SessionRouter`] admits tasks from up to `max_sessions`
 //! sessions, serializes each session's tasks (a session is a conversation —
-//! its turns happen in order), enforces per-session budget/QoS isolation via
-//! the optimizer's [`SharedBudget`], and dispatches across sessions fairly:
+//! its turns happen in order), enforces per-session budget/QoS isolation
+//! with one optimizer [`Budget`] per session, and dispatches across
+//! sessions fairly:
 //! a bounded pool of `max_in_flight` workers drains a round-robin ready
 //! queue, so no session can starve its siblings no matter how much work it
 //! enqueues.
@@ -17,9 +18,10 @@
 //!
 //! # Isolation guarantees
 //!
-//! - **Budget**: each session charges only its own [`SharedBudget`]; a
-//!   session whose budget is `Exceeded` has its remaining tasks *rejected*
-//!   (drained without running) while sibling sessions proceed untouched.
+//! - **Budget**: each session's lane owns its [`Budget`], read at pickup
+//!   and charged at completion under the router's state lock; a session
+//!   whose budget is `Exceeded` has its remaining tasks *rejected* (drained
+//!   without running) while sibling sessions proceed untouched.
 //! - **Ordering**: at most one task per session is in flight, so a session's
 //!   tasks run in submission order — per-session results are deterministic
 //!   regardless of how sessions interleave.
@@ -47,8 +49,8 @@ use std::thread::JoinHandle;
 
 use serde_json::Value;
 
-use blueprint_observability::{Counter, Gauge, Histogram, MetricsRegistry, Observability, Tracer};
-use blueprint_optimizer::{Budget, BudgetStatus, QosConstraints, SharedBudget};
+use blueprint_observability::{Counter, Gauge, Histogram, Observability, Tracer};
+use blueprint_optimizer::{Budget, BudgetStatus, CostProfile, QosConstraints};
 
 /// Serving-layer knobs.
 #[derive(Debug, Clone, Copy)]
@@ -159,7 +161,7 @@ impl std::fmt::Display for RouterError {
 impl std::error::Error for RouterError {}
 
 struct Lane {
-    budget: SharedBudget,
+    budget: Budget,
     queue: VecDeque<(String, SessionJob)>,
     /// True while a worker is executing this lane's task (per-session
     /// serialization).
@@ -189,12 +191,12 @@ struct Inner {
     /// `wait_idle`/`close_session` wait here for drains.
     idle_cv: Condvar,
     shutdown: AtomicBool,
-    metrics: MetricsRegistry,
     tracer: Tracer,
     active: Gauge,
     queue_depth: Gauge,
     dispatches: Counter,
     rejections: Counter,
+    budget_debits: Counter,
     task_latency: Histogram,
 }
 
@@ -225,12 +227,12 @@ impl SessionRouter {
             work_cv: Condvar::new(),
             idle_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            metrics: metrics.clone(),
             tracer: obs.tracer.clone(),
             active: metrics.gauge("blueprint.session.active"),
             queue_depth: metrics.gauge("blueprint.session.queue_depth"),
             dispatches: metrics.counter("blueprint.session.dispatches"),
             rejections: metrics.counter("blueprint.session.rejections"),
+            budget_debits: metrics.counter("blueprint.optimizer.budget_debits"),
             task_latency: metrics.histogram("blueprint.session.task_latency_micros"),
             cfg,
         });
@@ -271,11 +273,10 @@ impl SessionRouter {
         if state.lanes.contains_key(&session) {
             return Err(RouterError::AtCapacity(self.inner.cfg.max_sessions));
         }
-        let budget = SharedBudget::new(Budget::new(constraints)).with_metrics(&self.inner.metrics);
         state.lanes.insert(
             session,
             Lane {
-                budget,
+                budget: Budget::new(constraints),
                 queue: VecDeque::new(),
                 in_flight: false,
                 enqueued: false,
@@ -285,16 +286,6 @@ impl SessionRouter {
         );
         self.inner.active.set(state.lanes.len() as i64);
         Ok(())
-    }
-
-    /// The session's shared budget (charge points for out-of-band work).
-    pub fn session_budget(&self, session: u64) -> Result<SharedBudget, RouterError> {
-        let state = self.inner.state();
-        state
-            .lanes
-            .get(&session)
-            .map(|l| l.budget.clone())
-            .ok_or(RouterError::UnknownSession(session))
     }
 
     /// Queues one task on a session's lane. The job runs on a router worker;
@@ -368,7 +359,7 @@ impl SessionRouter {
         Ok(SessionReport {
             session,
             completions: lane.completions,
-            budget: lane.budget.snapshot(),
+            budget: lane.budget,
             rejected: lane.rejected,
         })
     }
@@ -406,7 +397,7 @@ impl Drop for SessionRouter {
 fn worker_loop(inner: Arc<Inner>) {
     loop {
         // Pick the next ready session (round-robin) and take its head task.
-        let (session, label, job, budget) = {
+        let (session, label, job, exceeded) = {
             let mut state = inner.state();
             loop {
                 if inner.shutdown.load(Ordering::Relaxed) {
@@ -420,11 +411,11 @@ fn worker_loop(inner: Arc<Inner>) {
                     lane.enqueued = false;
                     let (label, job) = lane.queue.pop_front().expect("ready lane has work");
                     lane.in_flight = true;
-                    let budget = lane.budget.clone();
+                    let exceeded = lane.budget.status(&CostProfile::FREE) == BudgetStatus::Exceeded;
                     state.pending = pending;
                     state.running += 1;
                     inner.queue_depth.set(pending as i64);
-                    break (session, label, job, budget);
+                    break (session, label, job, exceeded);
                 }
                 state = inner.work_cv.wait(state).unwrap_or_else(|e| e.into_inner());
             }
@@ -433,16 +424,17 @@ fn worker_loop(inner: Arc<Inner>) {
         // QoS isolation: a session that exhausted its budget gets its tasks
         // rejected (drained without running) — it cannot consume worker time
         // that sibling sessions are entitled to.
-        let completion = if matches!(budget.status(), BudgetStatus::Exceeded) {
+        let (completion, charge) = if exceeded {
             inner.rejections.inc();
-            TaskCompletion {
+            let rejected = TaskCompletion {
                 session,
                 label,
                 disposition: Disposition::Rejected,
                 cost: 0.0,
                 latency_micros: 0,
                 output: Value::Null,
-            }
+            };
+            (rejected, None)
         } else {
             inner.dispatches.inc();
             if inner.tracer.is_armed() {
@@ -464,9 +456,9 @@ fn worker_loop(inner: Arc<Inner>) {
                     accuracy: 0.0,
                     output: Value::String("job panicked".into()),
                 });
-            budget.charge(outcome.cost, outcome.latency_micros, outcome.accuracy);
             inner.task_latency.record(outcome.latency_micros);
-            TaskCompletion {
+            let charge = (outcome.cost, outcome.latency_micros, outcome.accuracy);
+            let ran = TaskCompletion {
                 session,
                 label,
                 disposition: if outcome.ok {
@@ -477,17 +469,21 @@ fn worker_loop(inner: Arc<Inner>) {
                 cost: outcome.cost,
                 latency_micros: outcome.latency_micros,
                 output: outcome.output,
-            }
+            };
+            (ran, Some(charge))
         };
 
         let mut state = inner.state();
-        let rejected = completion.disposition == Disposition::Rejected;
         let lane = state
             .lanes
             .get_mut(&session)
             .expect("lane open while its task runs");
-        if rejected {
-            lane.rejected += 1;
+        match charge {
+            Some((cost, latency_micros, accuracy)) => {
+                inner.budget_debits.inc();
+                lane.budget.charge(cost, latency_micros, accuracy);
+            }
+            None => lane.rejected += 1,
         }
         lane.completions.push(completion);
         lane.in_flight = false;
@@ -671,7 +667,7 @@ mod tests {
     #[test]
     fn metrics_count_dispatches_and_depth_returns_to_zero() {
         let obs = Observability {
-            metrics: MetricsRegistry::new(),
+            metrics: blueprint_observability::MetricsRegistry::new(),
             ..Observability::disarmed()
         };
         let metrics = obs.metrics.clone();
@@ -694,6 +690,7 @@ mod tests {
         r.wait_idle();
         let snap = metrics.snapshot();
         assert_eq!(snap.counter("blueprint.session.dispatches"), 8);
+        assert_eq!(snap.counter("blueprint.optimizer.budget_debits"), 8);
         assert_eq!(snap.gauge("blueprint.session.queue_depth"), 0);
         assert_eq!(snap.gauge("blueprint.session.active"), 2);
         assert_eq!(
