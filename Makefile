@@ -83,15 +83,20 @@ observability:
 	cargo test -p blueprint-observability
 
 # Hot-path gate: the equivalence batteries of the turn's per-row kernels at
-# 1,024 cases (the job matcher against its sort-everything oracle, the
-# registry search and embedding against their re-tokenizing oracles, the
-# payload byte count against the rendered JSON) and the allocation pin of a
-# disarmed span.
+# 1,024 cases (the job matcher against its sort-everything oracle and its
+# typed row-batch path against its JSON path, the registry search and
+# embedding against their re-tokenizing oracles, the payload byte count
+# against the rendered JSON, a row batch's JSON and byte length against
+# ResultSet::into_json) and the allocation pins of a disarmed span and of an
+# agent hop carrying a row batch (as many allocations at 1,000 rows as at
+# 10,000).
 hotpath:
 	PROPTEST_CASES=1024 cargo test -p blueprint-hrdomain --lib matcher::
 	PROPTEST_CASES=1024 cargo test -p blueprint-registry --test search_equivalence
 	PROPTEST_CASES=1024 cargo test -p blueprint-streams --lib payload_size_counts_the_rendered_json
+	PROPTEST_CASES=1024 cargo test -p blueprint-datastore --test batch_properties
 	cargo test -p blueprint-observability --test alloc_counts
+	cargo test -p blueprint-agents --test alloc_counts
 
 # Throughput sweep: the deterministic load generator replays the mixed
 # workload across 1/8/64 sessions and writes BENCH_serving.json at the repo

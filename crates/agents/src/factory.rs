@@ -386,7 +386,7 @@ mod tests {
             )
             .unwrap();
         let out = sub.recv_timeout(Duration::from_secs(2)).unwrap();
-        assert_eq!(out.payload, json!("ping"));
+        assert_eq!(out.payload(), &json!("ping"));
     }
 
     #[test]

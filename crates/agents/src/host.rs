@@ -337,7 +337,7 @@ impl AgentHost {
                                 continue;
                             }
                             shared.store.record_consume(&shared.spec.name, stream, &msg);
-                            if let Some(inputs) = net.offer(param, msg.payload.clone()) {
+                            if let Some(inputs) = net.offer(param, msg.payload().clone()) {
                                 shared.autonomous.fetch_add(1, Ordering::Relaxed);
                                 let shared2 = Arc::clone(&shared);
                                 let out_stream =
@@ -484,7 +484,7 @@ mod tests {
             .unwrap();
 
         let out = out_sub.recv_timeout(Duration::from_secs(2)).unwrap();
-        assert_eq!(out.payload, json!("HELLO"));
+        assert_eq!(out.payload(), &json!("HELLO"));
         assert!(out.has_tag(&Tag::new("upper")));
         assert_eq!(out.producer, "upper");
 
@@ -542,7 +542,7 @@ mod tests {
         // Collect every delivery until the host has been quiet for 300 ms.
         let mut outputs = std::collections::BTreeSet::new();
         while let Ok(msg) = out_sub.recv_timeout(Duration::from_millis(300)) {
-            assert_eq!(msg.payload, json!("ONCE"));
+            assert_eq!(msg.payload(), &json!("ONCE"));
             outputs.insert(msg.id);
         }
         assert_eq!(invocations.load(Ordering::SeqCst), 1);
@@ -596,7 +596,7 @@ mod tests {
             )
             .unwrap();
         let out = out_sub.recv_timeout(Duration::from_secs(2)).unwrap();
-        assert_eq!(out.payload, json!("FIND JOBS"));
+        assert_eq!(out.payload(), &json!("FIND JOBS"));
         // Wait for the counter (updated on the listener thread before submit).
         for _ in 0..100 {
             if host.stats().autonomous_fires == 1 {
@@ -847,7 +847,7 @@ mod tests {
             )
             .unwrap();
         let out = out_sub.recv_timeout(Duration::from_secs(2)).unwrap();
-        assert_eq!(out.payload, json!(["3 jobs considered"]));
+        assert_eq!(out.payload(), &json!(["3 jobs considered"]));
         assert!(host.stats().autonomous_fires >= 1);
     }
 }

@@ -5,18 +5,30 @@
 //! and produces `matches`. The task planner connects outputs to inputs by
 //! these declarations (Fig 6), and the task coordinator validates values
 //! against them before invoking the processor.
+//!
+//! Values are JSON, except a data plan's SQL result: it arrives as the
+//! [`RowBatch`] the relational source returned, shared by `Arc` from the
+//! data planner to the processor. A processor that reads rows takes the
+//! batch ([`Inputs::rows`]) and reads cells by column index; one that asks
+//! for JSON gets the array of row objects the batch renders to, rendered
+//! once. Type checks treat a batch as that array.
 
 use std::collections::BTreeMap;
+use std::sync::{Arc, OnceLock};
 
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
+
+use blueprint_datastore::{DataValue, RowBatch};
+use blueprint_streams::object_len;
 
 use crate::error::AgentError;
 use crate::Result;
 
 /// The coarse value types flowing between agents.
 ///
-/// These are deliberately few: parameters carry JSON values, and `DataType`
+/// These are deliberately few: parameters carry JSON values (or row
+/// batches that stand for JSON tables), and `DataType`
 /// exists so planners can check output→input compatibility and so the data
 /// planner knows when a transformation (e.g. `extract`) must be injected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -60,6 +72,12 @@ impl DataType {
             }
             DataType::Any => true,
         }
+    }
+
+    /// Checks a row batch against this type, as the array of objects it
+    /// renders to: a table, a list, or anything.
+    pub fn check_rows(self) -> bool {
+        matches!(self, DataType::Table | DataType::List | DataType::Any)
     }
 
     /// Human-readable name.
@@ -122,9 +140,63 @@ impl ParamSpec {
     }
 }
 
+/// One value of an input bag, with a row batch's JSON rendered at most
+/// once, on the first JSON read.
+#[derive(Debug)]
+struct Slot {
+    value: DataValue,
+    json: OnceLock<Value>,
+}
+
+impl Slot {
+    fn json(&self) -> &Value {
+        match &self.value {
+            DataValue::Json(v) => v,
+            DataValue::Rows(batch) => self.json.get_or_init(|| batch.to_json()),
+        }
+    }
+
+    /// An owned copy: a batch not rendered yet is rendered straight into
+    /// it, without caching a copy.
+    fn to_json(&self) -> Value {
+        match self.json.get() {
+            Some(rendered) => rendered.clone(),
+            None => self.value.as_json().into_owned(),
+        }
+    }
+
+    fn into_json(self) -> Value {
+        match self.json.into_inner() {
+            Some(rendered) => rendered,
+            None => self.value.into_json(),
+        }
+    }
+}
+
+impl From<DataValue> for Slot {
+    fn from(value: DataValue) -> Self {
+        Slot {
+            value,
+            json: OnceLock::new(),
+        }
+    }
+}
+
+/// A copy shares the batch and leaves its JSON unrendered.
+impl Clone for Slot {
+    fn clone(&self) -> Self {
+        self.value.clone().into()
+    }
+}
+
 /// A bag of named values arriving at (or leaving) a processor.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct Inputs(BTreeMap<String, Value>);
+///
+/// A value is JSON, or a [`RowBatch`] shared by `Arc` (a data plan's SQL
+/// result). [`Inputs::rows`] hands a processor the batch itself; the JSON
+/// accessors ([`Inputs::get`], [`Inputs::require`], `Serialize`) render it
+/// once, on the first read, to the array of row objects it stands for.
+#[derive(Debug, Clone, Default)]
+pub struct Inputs(BTreeMap<String, Slot>);
 
 impl Inputs {
     /// Empty input bag.
@@ -134,18 +206,35 @@ impl Inputs {
 
     /// Builder-style insertion.
     pub fn with(mut self, name: impl Into<String>, value: Value) -> Self {
-        self.0.insert(name.into(), value);
+        self.insert(name, value);
         self
     }
 
     /// Inserts a value.
     pub fn insert(&mut self, name: impl Into<String>, value: Value) {
-        self.0.insert(name.into(), value);
+        self.insert_data(name, value);
     }
 
-    /// Looks up a value.
+    /// Builder-style insertion of a data value (JSON or a row batch).
+    pub fn with_data(mut self, name: impl Into<String>, value: impl Into<DataValue>) -> Self {
+        self.insert_data(name, value);
+        self
+    }
+
+    /// Inserts a data value (JSON or a row batch); a batch is shared, not
+    /// rendered.
+    pub fn insert_data(&mut self, name: impl Into<String>, value: impl Into<DataValue>) {
+        self.0.insert(name.into(), Slot::from(value.into()));
+    }
+
+    /// Looks up a value as JSON (a row batch is rendered on the first read).
     pub fn get(&self, name: &str) -> Option<&Value> {
-        self.0.get(name)
+        self.0.get(name).map(Slot::json)
+    }
+
+    /// The row batch under `name`, when that value is one. Never renders.
+    pub fn rows(&self, name: &str) -> Option<&Arc<RowBatch>> {
+        self.0.get(name)?.value.rows()
     }
 
     /// Looks up a string value.
@@ -175,28 +264,33 @@ impl Inputs {
         self.0.is_empty()
     }
 
-    /// Iterates over `(name, value)` pairs in name order.
+    /// Iterates over `(name, value)` pairs in name order, as JSON.
     pub fn iter(&self) -> impl Iterator<Item = (&String, &Value)> {
-        self.0.iter()
+        self.0.iter().map(|(k, slot)| (k, slot.json()))
     }
 
     /// Validates and completes this bag against the given parameter specs:
     /// checks presence of required params, fills defaults, and type-checks.
+    /// A row batch checks as the array of objects it renders to.
     pub fn validate(mut self, specs: &[ParamSpec]) -> Result<Self> {
         for spec in specs {
             match self.0.get(&spec.name) {
-                Some(value) => {
-                    if !spec.data_type.check(value) {
+                Some(slot) => {
+                    let (ok, got) = match &slot.value {
+                        DataValue::Json(v) => (spec.data_type.check(v), type_name_of(v)),
+                        DataValue::Rows(_) => (spec.data_type.check_rows(), "table"),
+                    };
+                    if !ok {
                         return Err(AgentError::TypeMismatch {
                             param: spec.name.clone(),
                             expected: spec.data_type.name().to_string(),
-                            got: type_name_of(value).to_string(),
+                            got: got.to_string(),
                         });
                     }
                 }
                 None => {
                     if let Some(default) = &spec.default {
-                        self.0.insert(spec.name.clone(), default.clone());
+                        self.insert(spec.name.clone(), default.clone());
                     } else if spec.required {
                         return Err(AgentError::MissingInput(spec.name.clone()));
                     }
@@ -208,12 +302,32 @@ impl Inputs {
 
     /// Converts to a JSON object.
     pub fn to_json(&self) -> Value {
-        Value::Object(self.0.iter().map(|(k, v)| (k.clone(), v.clone())).collect())
+        Value::Object(
+            self.0
+                .iter()
+                .map(|(k, slot)| (k.clone(), slot.to_json()))
+                .collect(),
+        )
     }
 
     /// Converts to a JSON object, moving the values.
     pub fn into_json(self) -> Value {
-        Value::Object(self.0)
+        Value::Object(
+            self.0
+                .into_iter()
+                .map(|(k, slot)| (k, slot.into_json()))
+                .collect(),
+        )
+    }
+
+    /// Byte length of the compact JSON text of [`Inputs::to_json`], counted
+    /// without rendering it (a row batch knows its own).
+    pub fn json_len(&self) -> usize {
+        object_len(
+            self.0
+                .iter()
+                .map(|(k, slot)| (k.as_str(), slot.value.json_len())),
+        )
     }
 
     /// Builds an input bag from a JSON object; non-objects yield an empty bag.
@@ -221,16 +335,42 @@ impl Inputs {
         let mut map = BTreeMap::new();
         if let Some(obj) = value.as_object() {
             for (k, v) in obj {
-                map.insert(k.clone(), v.clone());
+                map.insert(k.clone(), DataValue::Json(v.clone()).into());
             }
         }
         Inputs(map)
     }
 }
 
+/// Equal when they render to the same JSON object.
+impl PartialEq for Inputs {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl Serialize for Inputs {
+    fn serialize(&self) -> Value {
+        self.to_json()
+    }
+}
+
+impl Deserialize for Inputs {
+    fn deserialize(value: &Value) -> std::result::Result<Self, serde::Error> {
+        match value {
+            Value::Object(_) => Ok(Inputs::from_json(value)),
+            _ => Err(serde::Error::custom("expected object")),
+        }
+    }
+}
+
 impl FromIterator<(String, Value)> for Inputs {
     fn from_iter<I: IntoIterator<Item = (String, Value)>>(iter: I) -> Self {
-        Inputs(iter.into_iter().collect())
+        Inputs(
+            iter.into_iter()
+                .map(|(k, v)| (k, DataValue::Json(v).into()))
+                .collect(),
+        )
     }
 }
 

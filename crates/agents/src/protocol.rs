@@ -5,11 +5,20 @@
 //! pick up the ones addressed to them, and publish an [`AgentReport`] with
 //! actual QoS costs when done. Keeping the protocol on streams (rather than
 //! direct calls) is what makes execution observable and replayable.
+//!
+//! An instruction travels as a typed message body
+//! ([`Message::control_body`]): the host takes its inputs, row batches
+//! included, by downcasting the shared body, without decoding JSON. Its
+//! JSON form, the derived `Serialize` of [`ExecuteAgent`], is rendered only
+//! where JSON is read (traces, dead letters, exports).
+
+use std::any::Any;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 use serde_json::{Map, Value};
 
-use blueprint_streams::{Message, MessageId};
+use blueprint_streams::{escaped_len, number_len, object_len, Message, MessageBody, MessageId};
 
 use crate::param::Inputs;
 
@@ -57,28 +66,59 @@ impl ExecuteAgent {
     /// and with the target agent name as an additional tag, so hosts can
     /// subscribe selectively.
     ///
-    /// Every field is moved into the arguments; the payload equals the
-    /// derived `Serialize` form.
+    /// The instruction is the message's typed body, moved into an `Arc`;
+    /// read as JSON, the payload is the derived `Serialize` form.
     pub fn into_message(self) -> Message {
         let tag = format!("agent:{}", self.agent);
-        let mut args = Map::new();
-        args.insert("agent".into(), Value::String(self.agent));
-        args.insert("inputs".into(), self.inputs.into_json());
-        args.insert("output_stream".into(), Value::String(self.output_stream));
-        args.insert("task_id".into(), Value::String(self.task_id));
-        args.insert("node_id".into(), Value::String(self.node_id));
-        args.insert("span".into(), self.span.map_or(Value::Null, Value::from));
-        Message::control(ops::EXECUTE_AGENT, Value::Object(args)).with_tag(tag)
+        Message::control_body(ops::EXECUTE_AGENT, Arc::new(self)).with_tag(tag)
+    }
+
+    /// The instruction of an `execute-agent` message, borrowed from its
+    /// typed body; `None` for any other message, and for one that carries
+    /// the instruction as JSON (see [`ExecuteAgent::from_message`]).
+    pub fn of(msg: &Message) -> Option<&Self> {
+        if msg.control_op() != Some(ops::EXECUTE_AGENT) {
+            return None;
+        }
+        msg.body()
     }
 
     /// Parses an instruction out of a control message; `None` when the
-    /// message is not an `execute-agent` op. Decodes straight from the
-    /// borrowed arguments.
+    /// message is not an `execute-agent` op. A typed body is cloned (its
+    /// row batches are shared); JSON arguments are decoded from the
+    /// borrowed payload.
     pub fn from_message(msg: &Message) -> Option<Self> {
         if msg.control_op() != Some(ops::EXECUTE_AGENT) {
             return None;
         }
-        Self::deserialize(msg.control_args()?).ok()
+        match msg.body::<Self>() {
+            Some(exec) => Some(exec.clone()),
+            None => Self::deserialize(msg.control_args()?).ok(),
+        }
+    }
+}
+
+impl MessageBody for ExecuteAgent {
+    fn to_json(&self) -> Value {
+        self.serialize()
+    }
+
+    /// The derived form's keys in map order, each value's length counted
+    /// without rendering it.
+    fn json_len(&self) -> usize {
+        let span = self.span.map_or(4, |s| number_len(&s.into()));
+        object_len([
+            ("agent", escaped_len(&self.agent)),
+            ("inputs", self.inputs.json_len()),
+            ("node_id", escaped_len(&self.node_id)),
+            ("output_stream", escaped_len(&self.output_stream)),
+            ("span", span),
+            ("task_id", escaped_len(&self.task_id)),
+        ])
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self
     }
 }
 
@@ -245,7 +285,7 @@ mod tests {
             let wire = Message::control(ops::EXECUTE_AGENT, serde_json::to_value(&exec).unwrap())
                 .with_tag(format!("agent:{}", exec.agent));
             let msg = exec.clone().into_message();
-            assert_eq!(msg.payload, wire.payload);
+            assert_eq!(msg.payload(), wire.payload());
             assert_eq!(msg.tags, wire.tags);
             assert_eq!(ExecuteAgent::from_message(&msg), Some(exec));
         }
@@ -257,7 +297,7 @@ mod tests {
             let wire = Message::control(ops::AGENT_REPORT, serde_json::to_value(&report).unwrap())
                 .with_tag(format!("task:{}", report.task_id));
             let msg = report.clone().into_message();
-            assert_eq!(msg.payload, wire.payload);
+            assert_eq!(msg.payload(), wire.payload());
             assert_eq!(msg.tags, wire.tags);
             assert_eq!(AgentReport::from_message(&msg), Some(report));
         }
@@ -271,6 +311,105 @@ mod tests {
         assert_eq!(AgentReport::instruction_of(&instruction), None);
         let foreign = Message::control(ops::AGENT_REPORT, json!({"instruction": "m41"}));
         assert_eq!(AgentReport::instruction_of(&foreign), None);
+    }
+
+    /// An instruction whose `jobs` input is a row batch (with a duplicate
+    /// column, escapes, a non-finite float), and the same instruction with
+    /// the batch's JSON in its place.
+    fn batch_and_json_instructions() -> (ExecuteAgent, ExecuteAgent) {
+        use blueprint_datastore::{Datum, RowBatch};
+        let batch = RowBatch::new(
+            vec![
+                "id".to_string(),
+                "title".into(),
+                "pay".into(),
+                "title".into(),
+            ],
+            vec![
+                vec![
+                    Datum::Int(1),
+                    Datum::from("a\"b"),
+                    Datum::Float(f64::NAN),
+                    Datum::from("x\né"),
+                ],
+                vec![
+                    Datum::Int(-2),
+                    Datum::Null,
+                    Datum::Float(3.0),
+                    Datum::Bool(true),
+                ],
+            ],
+        );
+        let rendered = batch.to_json();
+        let with = |jobs: Inputs| ExecuteAgent {
+            agent: "job-matcher".into(),
+            inputs: jobs.with("criteria", json!("remote")),
+            output_stream: "session:1:task:t1:n1".into(),
+            task_id: "t1".into(),
+            node_id: "n1".into(),
+            span: Some(17),
+        };
+        (
+            with(Inputs::new().with_data("jobs", batch)),
+            with(Inputs::new().with("jobs", rendered)),
+        )
+    }
+
+    #[test]
+    fn batch_instruction_serializes_and_exports_like_its_json_form() {
+        use blueprint_observability::{Observability, SimClock, Tracer};
+        use blueprint_streams::StreamStore;
+        let (typed, json) = batch_and_json_instructions();
+        // The same instruction as a JSON-valued control message.
+        let wire = Message::control(ops::EXECUTE_AGENT, serde_json::to_value(&json).unwrap())
+            .with_tag("agent:job-matcher");
+        let published = |msg: Message| {
+            let clock = SimClock::new();
+            let obs = Observability {
+                tracer: Tracer::new(clock.clone()),
+                ..Observability::disarmed()
+            };
+            let store = StreamStore::observed(clock, obs);
+            let msg = store
+                .publish_to("session:1:instructions", ["instructions"], msg)
+                .unwrap();
+            let trace = store.observability().tracer.snapshot();
+            (
+                serde_json::to_string(&*msg).unwrap(),
+                trace.to_chrome_json().to_string(),
+                store.stats().bytes_published,
+            )
+        };
+        let msg = typed.clone().into_message();
+        assert!(ExecuteAgent::of(&msg)
+            .unwrap()
+            .inputs
+            .rows("jobs")
+            .is_some());
+        assert_eq!(msg.payload_size(), wire.payload_size());
+        assert_eq!(
+            msg.payload_size(),
+            serde_json::to_string(wire.payload()).unwrap().len()
+        );
+        assert_eq!(published(msg), published(wire));
+        assert_eq!(typed, json);
+    }
+
+    #[test]
+    fn batch_inputs_are_shared_not_decoded() {
+        let (typed, _) = batch_and_json_instructions();
+        let batch = std::sync::Arc::clone(typed.inputs.rows("jobs").unwrap());
+        let msg = typed.into_message();
+        let taken = ExecuteAgent::from_message(&msg).unwrap();
+        assert!(std::sync::Arc::ptr_eq(
+            taken.inputs.rows("jobs").unwrap(),
+            &batch
+        ));
+        // A decoded copy of the JSON form carries the rows as JSON.
+        let decoded: Message = serde_json::from_str(&serde_json::to_string(&msg).unwrap()).unwrap();
+        let from_json = ExecuteAgent::from_message(&decoded).unwrap();
+        assert!(from_json.inputs.rows("jobs").is_none());
+        assert_eq!(from_json, taken);
     }
 
     #[test]

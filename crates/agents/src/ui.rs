@@ -121,7 +121,7 @@ impl UiForm {
         if !msg.has_tag(&blueprint_streams::Tag::new("ui-form")) {
             return None;
         }
-        serde_json::from_value(msg.payload.clone()).ok()
+        serde_json::from_value(msg.payload().clone()).ok()
     }
 
     /// Creates the event message emitted when the user interacts with a
@@ -163,7 +163,7 @@ pub fn parse_ui_event(msg: &Message) -> Option<(String, String, Value)> {
     if !msg.has_tag(&blueprint_streams::Tag::new("ui-event")) {
         return None;
     }
-    let obj = msg.payload.as_object()?;
+    let obj = msg.payload().as_object()?;
     Some((
         obj.get("form")?.as_str()?.to_string(),
         obj.get("field")?.as_str()?.to_string(),

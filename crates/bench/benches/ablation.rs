@@ -145,8 +145,13 @@ fn bench_decomposition(c: &mut Criterion) {
                 .unwrap(),
         )
         .unwrap();
-    let d_rows = decomposed.value.as_array().map(Vec::len).unwrap_or(0);
-    let n_rows = direct.value.as_array().map(Vec::len).unwrap_or(0);
+    let d_rows = decomposed
+        .value
+        .as_json()
+        .as_array()
+        .map(Vec::len)
+        .unwrap_or(0);
+    let n_rows = direct.value.as_json().as_array().map(Vec::len).unwrap_or(0);
     assert!(
         d_rows > n_rows,
         "decomposed {d_rows} must beat direct {n_rows}"

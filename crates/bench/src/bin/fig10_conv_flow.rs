@@ -43,7 +43,7 @@ fn main() {
         .expect("summary");
     println!(
         "Final: QS produced → {}\n",
-        summary.payload.as_str().unwrap_or("?")
+        summary.payload().as_str().unwrap_or("?")
     );
 
     println!("sequence (from the trace's flow edges):");
@@ -88,7 +88,7 @@ fn main() {
         &json!({
             "figure": "fig10",
             "utterance": utterance,
-            "summary": summary.payload.as_str().unwrap_or("?"),
+            "summary": summary.payload().as_str().unwrap_or("?"),
             "participants": participants,
             "ordering": "user → intent-classifier → agentic-employer → nl2q → sql-executor → query-summarizer",
             "sequence": sequence,

@@ -84,7 +84,7 @@ fn main() {
     let out = out_sub
         .recv_timeout(Duration::from_secs(5))
         .expect("agent fired");
-    println!("agent fired: skills = {}", out.payload);
+    println!("agent fired: skills = {}", out.payload());
     println!("output stream: session:1:skill-extractor:out");
     // The host publishes its report after the output: wait for it, so the
     // recorded flow is complete whatever the thread timing.
@@ -102,7 +102,7 @@ fn main() {
             "figure": "fig3",
             "agent": "skill-extractor",
             "trigger": "messages tagged [resume] on any stream",
-            "skills": out.payload,
+            "skills": out.payload(),
             "flow": flow,
         }),
     );

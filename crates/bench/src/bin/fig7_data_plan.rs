@@ -31,7 +31,7 @@ fn main() {
     for (node, op, rows) in &result.trace {
         println!("  {node} {op:<14} → {rows} row(s)");
     }
-    let decomposed_rows = result.value.as_array().map(Vec::len).unwrap_or(0);
+    let decomposed_rows = result.value.as_json().as_array().map(Vec::len).unwrap_or(0);
     println!("result: {decomposed_rows} matching jobs");
 
     println!("\n── direct NL2Q baseline (§V-G: \"may not always work\") ──");
@@ -41,7 +41,12 @@ fn main() {
         .expect("plans");
     print!("{}", direct.render_text());
     let direct_result = dp.execute(&direct).expect("executes");
-    let direct_rows = direct_result.value.as_array().map(Vec::len).unwrap_or(0);
+    let direct_rows = direct_result
+        .value
+        .as_json()
+        .as_array()
+        .map(Vec::len)
+        .unwrap_or(0);
     println!("result: {direct_rows} matching jobs");
 
     println!("\n── comparison ──");

@@ -32,10 +32,10 @@ fn main() {
     let s1 = summaries
         .recv_timeout(Duration::from_secs(10))
         .expect("summary");
-    println!("system: {}", s1.payload.as_str().unwrap_or("?"));
+    println!("system: {}", s1.payload().as_str().unwrap_or("?"));
     let mut turns = vec![json!({
         "employer": "[clicks job 1]",
-        "system": s1.payload.as_str().unwrap_or("?"),
+        "system": s1.payload().as_str().unwrap_or("?"),
     })];
 
     // Turn 2: open-ended question.
@@ -49,10 +49,10 @@ fn main() {
         let s = summaries
             .recv_timeout(Duration::from_secs(10))
             .expect("summary");
-        println!("system: {}", s.payload.as_str().unwrap_or("?"));
+        println!("system: {}", s.payload().as_str().unwrap_or("?"));
         turns.push(json!({
             "employer": turn,
-            "system": s.payload.as_str().unwrap_or("?"),
+            "system": s.payload().as_str().unwrap_or("?"),
         }));
     }
 

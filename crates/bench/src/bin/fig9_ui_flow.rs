@@ -46,7 +46,7 @@ fn main() {
         .expect("summary");
     println!(
         "Final: S produced → {}\n",
-        summary.payload.as_str().unwrap_or("?")
+        summary.payload().as_str().unwrap_or("?")
     );
 
     // The coordinator publishes the plan's completion after the summary:
@@ -90,7 +90,7 @@ fn main() {
         "fig9_ui_flow",
         &json!({
             "figure": "fig9",
-            "summary": summary.payload.as_str().unwrap_or("?"),
+            "summary": summary.payload().as_str().unwrap_or("?"),
             "participants": participants,
             "ordering": "user → agentic-employer → task-coordinator → summarizer",
             "sequence": sequence,

@@ -7,6 +7,7 @@ use std::time::{Duration, Instant};
 use serde_json::{json, Value};
 
 use blueprint_agents::{AgentReport, DataType, ExecuteAgent, Inputs};
+use blueprint_datastore::DataValue;
 use blueprint_observability::{Counter, Gauge, Observability, SpanHandle, SpanId};
 use blueprint_optimizer::{Budget, BudgetStatus, Objective, QosConstraints};
 use blueprint_planner::{DataPlanner, IrBinding, IrNode, PlanIr, Schedule, TaskPlan, TaskPlanner};
@@ -215,8 +216,8 @@ struct CoordInstruments {
 
 /// The inputs of a node's instruction. The resolved inputs are owned until
 /// the first publish moves them into the instruction; after that the
-/// published message is the one copy, and a retry, fallback or quarantine
-/// decodes its inputs from it.
+/// published message's typed body is the one copy, and a retry, fallback or
+/// quarantine takes its inputs from it (row batches are shared, not copied).
 enum Instruction {
     /// Not published yet.
     Pending(Inputs),
@@ -225,17 +226,16 @@ enum Instruction {
 }
 
 impl Instruction {
-    /// The inputs, moved out if never published, else decoded from the
-    /// published message. Leaves an empty pending bag behind; the caller
-    /// publishes a new instruction or is done with the node.
+    /// The inputs, moved out if never published, else taken from the
+    /// published message's body. Leaves an empty pending bag behind; the
+    /// caller publishes a new instruction or is done with the node.
     fn take_inputs(&mut self) -> Inputs {
         match std::mem::replace(self, Instruction::Pending(Inputs::new())) {
             Instruction::Pending(inputs) => inputs,
-            Instruction::Published(msg) => {
-                ExecuteAgent::from_message(&msg)
-                    .expect("published instructions decode")
-                    .inputs
-            }
+            Instruction::Published(msg) => ExecuteAgent::of(&msg)
+                .expect("published instructions carry their body")
+                .inputs
+                .clone(),
         }
     }
 }
@@ -523,7 +523,6 @@ impl TaskCoordinator {
                     if json_from_user {
                         let plan = dp.plan_extract(&ir.goal);
                         *binding = IrBinding::Spliced {
-                            query: plan.request.clone(),
                             plan,
                             sources: Vec::new(),
                         };
@@ -906,7 +905,7 @@ impl TaskCoordinator {
         for (param, binding) in &node.inputs {
             match self.resolve_input(ir, binding, upstream, budget) {
                 Ok(v) => {
-                    inputs.insert(param.clone(), v);
+                    inputs.insert_data(param.clone(), v);
                 }
                 Err(reason) => return Ok(Some(Completion::Unresolved(reason))),
             }
@@ -1309,16 +1308,17 @@ impl TaskCoordinator {
 
     /// Resolves one input binding, charging any data-plan costs to the
     /// budget. Errors are task-level (node failure), not machinery-level.
+    /// A spliced SQL result stays the row batch the data planner returned.
     fn resolve_input(
         &self,
         ir: &PlanIr,
         binding: &IrBinding,
         upstream: &[(&str, Option<&Value>)],
         budget: &mut Budget,
-    ) -> Result<Value, String> {
+    ) -> Result<DataValue, String> {
         match binding {
-            IrBinding::Literal(v) => Ok(v.clone()),
-            IrBinding::FromUser => Ok(Value::String(ir.goal.clone())),
+            IrBinding::Literal(v) => Ok(v.clone().into()),
+            IrBinding::FromUser => Ok(Value::String(ir.goal.clone()).into()),
             IrBinding::FromNode { node: from, output } => {
                 let outputs = upstream
                     .iter()
@@ -1333,7 +1333,7 @@ impl TaskCoordinator {
                     })?;
                 outputs
                     .get(output.as_str())
-                    .cloned()
+                    .map(|v| v.clone().into())
                     .ok_or_else(|| format!("upstream {from}.{output} produced no value"))
             }
             IrBinding::Unplanned { error, .. } => Err(error.clone()),

@@ -700,7 +700,7 @@ mod tests {
             .unwrap();
         session.say("How many applicants per city?").unwrap();
         let summary = sub.recv_timeout(Duration::from_secs(10)).unwrap();
-        assert!(summary.payload.as_str().unwrap().contains("row"));
+        assert!(summary.payload().as_str().unwrap().contains("row"));
     }
 
     #[test]

@@ -16,8 +16,12 @@
 //!   Fig 7 lives here);
 //! * [`kv`] — a key-value store;
 //! * [`source`] — the uniform [`DataSource`] interface the data planner
-//!   queries, with per-request cost estimation for the optimizer.
+//!   queries, with per-request cost estimation for the optimizer;
+//! * [`batch`] — query results as a shared, typed [`RowBatch`] that renders
+//!   JSON only on demand, and [`DataValue`], a data plan's value (JSON or a
+//!   batch).
 
+pub mod batch;
 pub mod document;
 pub mod error;
 pub mod graph;
@@ -28,6 +32,7 @@ pub mod source;
 pub mod sql;
 pub mod value;
 
+pub use batch::{DataValue, RowBatch};
 pub use document::{DocHit, Document, DocumentStore};
 pub use error::DataError;
 pub use graph::{Edge, Node, PropertyGraph};

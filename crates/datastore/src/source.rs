@@ -2,7 +2,8 @@
 //!
 //! Each modality — relational, document, graph, KV, and parametric (an LLM
 //! used as a data source; implemented in `blueprint-llmsim`) — is wrapped as
-//! a [`DataSource`]: it answers [`SourceQuery`]s with JSON results and
+//! a [`DataSource`]: it answers [`SourceQuery`]s with JSON results (a
+//! relational source with a shared [`RowBatch`]) and
 //! provides per-request [`CostEstimate`]s from its statistics, which the
 //! optimizer uses to pick sources under QoS constraints.
 
@@ -11,6 +12,7 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 use serde_json::{json, Value};
 
+use crate::batch::{DataValue, RowBatch};
 use crate::document::DocumentStore;
 use crate::error::DataError;
 use crate::graph::PropertyGraph;
@@ -69,8 +71,9 @@ impl SourceQuery {
 /// A data source's answer.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SourceResult {
-    /// JSON payload (usually an array of objects).
-    pub data: Value,
+    /// The payload: a relational source's row batch, or JSON (usually an
+    /// array of objects).
+    pub data: DataValue,
     /// Number of rows/items returned.
     pub rows: usize,
 }
@@ -79,7 +82,10 @@ impl SourceResult {
     /// Wraps a JSON array, deriving the row count.
     pub fn from_array(data: Value) -> Self {
         let rows = data.as_array().map(Vec::len).unwrap_or(1);
-        SourceResult { data, rows }
+        SourceResult {
+            data: data.into(),
+            rows,
+        }
     }
 }
 
@@ -178,10 +184,10 @@ impl DataSource for RelationalSource {
     fn query(&self, query: &SourceQuery) -> Result<SourceResult> {
         match query {
             SourceQuery::Sql(sql) => {
-                let rs = self.db.execute(sql)?;
+                let batch = RowBatch::from(self.db.execute(sql)?);
                 Ok(SourceResult {
-                    rows: rs.len(),
-                    data: rs.into_json(),
+                    rows: batch.len(),
+                    data: batch.into(),
                 })
             }
             other => Err(DataError::Eval(format!(
@@ -376,7 +382,10 @@ impl DataSource for KvSource {
         match query {
             SourceQuery::KvGet(key) => {
                 let v = self.kv.get(key)?;
-                Ok(SourceResult { data: v, rows: 1 })
+                Ok(SourceResult {
+                    data: v.into(),
+                    rows: 1,
+                })
             }
             other => Err(DataError::Eval(format!(
                 "kv source cannot answer {}",
@@ -541,7 +550,7 @@ mod tests {
             ))
             .unwrap();
         assert_eq!(r.rows, 2);
-        assert_eq!(r.data[0]["title"], json!("ds"));
+        assert_eq!(r.data.as_json()[0]["title"], json!("ds"));
         assert!(s.query(&SourceQuery::KvGet("x".into())).is_err());
     }
 
@@ -572,7 +581,7 @@ mod tests {
             })
             .unwrap();
         assert_eq!(r.rows, 1);
-        assert_eq!(r.data[0]["id"], json!("p1"));
+        assert_eq!(r.data.as_json()[0]["id"], json!("p1"));
         let f = s
             .query(&SourceQuery::DocFilter {
                 field: "name".into(),
@@ -607,7 +616,7 @@ mod tests {
             })
             .unwrap();
         assert_eq!(r.rows, 1);
-        assert_eq!(r.data[0]["id"], json!("b"));
+        assert_eq!(r.data.as_json()[0]["id"], json!("b"));
         let est = s.estimate(&SourceQuery::GraphRelated {
             node: "a".into(),
             edge_type: None,
@@ -623,7 +632,7 @@ mod tests {
         kv.put("k", json!({"v": 1}));
         let s = KvSource::new("cache", kv);
         let r = s.query(&SourceQuery::KvGet("k".into())).unwrap();
-        assert_eq!(r.data["v"], json!(1));
+        assert_eq!(r.data.as_json()["v"], json!(1));
         assert!(s.query(&SourceQuery::KvGet("missing".into())).is_err());
         assert!(s.estimate(&SourceQuery::KvGet("k".into())).latency_micros <= 10);
     }

@@ -4,7 +4,9 @@ use std::cmp::Ordering;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
-use serde_json::Value;
+use serde_json::{Number, Value};
+
+use blueprint_streams::{escaped_len, number_len};
 
 /// A scalar datum stored in a table cell.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -136,13 +138,32 @@ impl Datum {
     /// Converts to JSON, moving text into the JSON string.
     pub fn into_json(self) -> Value {
         match self {
-            Datum::Null => Value::Null,
-            Datum::Int(i) => Value::from(i),
-            Datum::Float(f) => serde_json::Number::from_f64(f)
-                .map(Value::Number)
-                .unwrap_or(Value::Null),
             Datum::Text(s) => Value::String(s),
-            Datum::Bool(b) => Value::Bool(b),
+            other => other.to_json(),
+        }
+    }
+
+    /// Converts to JSON, copying text; a non-finite float is `null`.
+    pub fn to_json(&self) -> Value {
+        match self {
+            Datum::Null => Value::Null,
+            Datum::Int(i) => Value::from(*i),
+            Datum::Float(f) => Value::from(*f),
+            Datum::Text(s) => Value::String(s.clone()),
+            Datum::Bool(b) => Value::Bool(*b),
+        }
+    }
+
+    /// Byte length of the compact JSON text of [`Datum::to_json`], counted
+    /// without rendering it.
+    pub fn json_len(&self) -> usize {
+        match self {
+            Datum::Null => 4,
+            Datum::Int(i) => number_len(&Number::from(*i)),
+            Datum::Float(f) => Number::from_f64(*f).map_or(4, |n| number_len(&n)),
+            Datum::Text(s) => escaped_len(s),
+            Datum::Bool(true) => 4,
+            Datum::Bool(false) => 5,
         }
     }
 

@@ -23,7 +23,7 @@ use blueprint_registry::AgentRegistry;
 use blueprint_streams::Message;
 
 use crate::data::{slug, HrDataset};
-use crate::matcher::rank_jobs;
+use crate::matcher::{rank_jobs, rank_rows};
 
 static PLAN_COUNTER: AtomicU64 = AtomicU64::new(1);
 
@@ -125,10 +125,6 @@ pub fn register_hr_agents(
         let proc = Arc::new(FnProcessor::new(
             move |inputs: &Inputs, ctx: &AgentContext| {
                 let profile = inputs.require("job_seeker_data")?;
-                let jobs: &[Value] = inputs
-                    .require("jobs")?
-                    .as_array()
-                    .map_or(&[], Vec::as_slice);
                 let related: Vec<String> = profile
                     .get("title")
                     .and_then(Value::as_str)
@@ -147,9 +143,20 @@ pub fn register_hr_agents(
                             .collect()
                     })
                     .unwrap_or_default();
-                ctx.charge_cost(0.002 * jobs.len() as f64);
-                ctx.charge_latency_micros(100 + 20 * jobs.len() as u64);
-                let ranked = rank_jobs(profile, jobs, &related, 10);
+                // A data plan's rows arrive as a batch, read by column;
+                // JSON rows (a literal, an upstream agent) are ranked as is.
+                let (count, ranked) = match inputs.rows("jobs") {
+                    Some(batch) => (batch.len(), rank_rows(profile, batch, &related, 10)),
+                    None => {
+                        let jobs = inputs
+                            .require("jobs")?
+                            .as_array()
+                            .map_or(&[][..], Vec::as_slice);
+                        (jobs.len(), rank_jobs(profile, jobs, &related, 10))
+                    }
+                };
+                ctx.charge_cost(0.002 * count as f64);
+                ctx.charge_latency_micros(100 + 20 * count as u64);
                 let matches: Vec<Value> = ranked
                     .into_iter()
                     .map(|m| json!({"job": m.job, "score": m.score, "why": m.explanation}))
@@ -737,7 +744,7 @@ mod tests {
             )
             .unwrap();
         let summary = summary_sub.recv_timeout(Duration::from_secs(10)).unwrap();
-        let text = summary.payload.as_str().unwrap();
+        let text = summary.payload().as_str().unwrap();
         assert!(text.contains("row"));
         assert!(text.contains("city"));
     }
@@ -773,7 +780,7 @@ mod tests {
             .read(&StreamId::new("session:1:jobs-selected"), 0)
             .unwrap();
         assert_eq!(selected.len(), 1);
-        assert_eq!(selected[0].payload, json!(1));
+        assert_eq!(selected[0].payload(), &json!(1));
     }
 
     #[test]
@@ -796,7 +803,7 @@ mod tests {
             )
             .unwrap();
         let summary = summary_sub.recv_timeout(Duration::from_secs(5)).unwrap();
-        let full = summary.payload.as_str().unwrap().to_string();
+        let full = summary.payload().as_str().unwrap().to_string();
         // Collect the token stream and rejoin it.
         std::thread::sleep(Duration::from_millis(100));
         let tokens: Vec<String> = token_sub
@@ -887,7 +894,7 @@ mod tests {
             )
             .unwrap();
         let out = out_sub.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(out.payload["tag"], json!("intent-greeting"));
+        assert_eq!(out.payload()["tag"], json!("intent-greeting"));
     }
 
     #[test]

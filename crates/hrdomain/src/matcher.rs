@@ -4,9 +4,15 @@
 //! transparent linear scorer over title affinity (with taxonomy-aware
 //! partial credit), location, skills overlap, and seniority fit. Being
 //! deterministic, its behavior is exactly reproducible in tests and benches.
+//!
+//! Jobs arrive as JSON objects ([`rank_jobs`]) or, from a data plan's SQL
+//! operator, as a [`RowBatch`] ([`rank_rows`]) that is read by column index
+//! and rendered as JSON only for the winners.
 
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
+
+use blueprint_datastore::{Datum, RowBatch};
 
 /// One scored job for a profile.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -106,13 +112,77 @@ pub fn rank_jobs(
     limit: usize,
 ) -> Vec<JobMatch> {
     let terms = ProfileTerms::new(profile, related_titles);
-    let mut scored: Vec<(f64, i64, usize)> = jobs
+    let scored = jobs
         .iter()
         .enumerate()
-        .map(|(pos, job)| (terms.score(job), id_of(job), pos))
+        .map(|(pos, job)| {
+            let text = |key| text_of(job, key).unwrap_or_default();
+            let remote = job.get("remote").and_then(Value::as_bool) == Some(true);
+            (
+                terms.score(text("title"), text("city"), remote),
+                id_of(job),
+                pos,
+            )
+        })
         .collect();
-    // Best first: score descending, then id, then input position: the
-    // order a stable sort by (score, id) leaves the rows in.
+    winners(
+        scored,
+        limit,
+        |pos| jobs[pos].clone(),
+        profile,
+        related_titles,
+    )
+}
+
+/// [`rank_jobs`] over a row batch: the same winners, in the same order,
+/// with bit-identical scores, the same explanations and the same job
+/// objects as ranking the array of objects `jobs` renders to. Rows are
+/// scored by column index (`id`, `title`, `city`, `remote`, the last of
+/// duplicate names, as the rendered object keeps it), and only the `limit`
+/// winners are rendered as JSON.
+pub fn rank_rows(
+    profile: &Value,
+    jobs: &RowBatch,
+    related_titles: &[String],
+    limit: usize,
+) -> Vec<JobMatch> {
+    let terms = ProfileTerms::new(profile, related_titles);
+    let [id, title, city, remote] = ["id", "title", "city", "remote"].map(|c| jobs.column(c));
+    let scored = jobs
+        .rows()
+        .iter()
+        .enumerate()
+        .map(|(pos, row)| {
+            let text = |col: Option<usize>| col.and_then(|c| row[c].as_str()).unwrap_or_default();
+            let remote = remote.and_then(|c| row[c].as_bool()) == Some(true);
+            // As a JSON object, only an Int cell reads back as an `i64`.
+            let id = match id.map(|c| &row[c]) {
+                Some(Datum::Int(i)) => *i,
+                _ => 0,
+            };
+            (terms.score(text(title), text(city), remote), id, pos)
+        })
+        .collect();
+    winners(
+        scored,
+        limit,
+        |pos| jobs.row_json(pos),
+        profile,
+        related_titles,
+    )
+}
+
+/// The `limit` best of `(score, id, position)` triples, best first: score
+/// descending, then id, then input position, the order a stable sort by
+/// (score, id) leaves the rows in. Each winner's job object comes from
+/// `job`, and its explanation from `match_score`.
+fn winners(
+    mut scored: Vec<(f64, i64, usize)>,
+    limit: usize,
+    job: impl Fn(usize) -> Value,
+    profile: &Value,
+    related_titles: &[String],
+) -> Vec<JobMatch> {
     let order = |a: &(f64, i64, usize), b: &(f64, i64, usize)| {
         b.0.partial_cmp(&a.0)
             .unwrap_or(std::cmp::Ordering::Equal)
@@ -130,11 +200,11 @@ pub fn rank_jobs(
     scored
         .into_iter()
         .map(|(score, _, pos)| {
-            let job = &jobs[pos];
-            let (full, explanation) = match_score(profile, job, related_titles);
+            let job = job(pos);
+            let (full, explanation) = match_score(profile, &job, related_titles);
             debug_assert_eq!(full.to_bits(), score.to_bits());
             JobMatch {
-                job: job.clone(),
+                job,
                 score,
                 explanation,
             }
@@ -173,20 +243,19 @@ impl ProfileTerms {
         }
     }
 
-    /// `match_score(profile, job, related).0`, adding the same credits in
-    /// the same order.
-    fn score(&self, job: &Value) -> f64 {
+    /// `match_score(profile, job, related).0` for a job with this title
+    /// and city (empty when absent or not text) that is `remote` when its
+    /// `remote` field is `true`, adding the same credits in the same order.
+    fn score(&self, title: &str, city: &str, remote: bool) -> f64 {
         let mut score = 0.0;
-        let title = text_of(job, "title").unwrap_or_default();
         if !self.title.is_empty() && equals_lowercased(&self.title, title) {
             score += 0.4;
         } else if self.related.iter().any(|t| equals_lowercased(t, title)) {
             score += 0.25;
         }
-        let city = text_of(job, "city").unwrap_or_default();
         if !self.city.is_empty() && equals_lowercased(&self.city, city) {
             score += 0.3;
-        } else if job.get("remote").and_then(Value::as_bool) == Some(true) {
+        } else if remote {
             score += 0.2;
         }
         if let Some(credit) = self.skills {
@@ -534,6 +603,63 @@ mod tests {
             prop_assert_eq!(
                 bitwise(rank_jobs(&profile, &jobs, &related, limit)),
                 bitwise(rank_jobs_oracle(&profile, &jobs, &related, limit))
+            );
+        }
+    }
+
+    /// Column names with repeats, so a later duplicate must win as it does
+    /// in the rendered object.
+    const COLUMNS: &[&str] = &["id", "title", "city", "remote", "seq", "title", "id"];
+
+    /// A cell of any type: text from `TEXTS`, ints with duplicates, floats
+    /// (whole ones render as `n.0`, not as an id), bools and NULLs.
+    fn arb_datum(rng: &mut TestRng) -> Datum {
+        match rng.below(6) {
+            0 => Datum::Null,
+            1 | 2 => Datum::Text(TEXTS[rng.below(TEXTS.len() as u64) as usize].to_string()),
+            3 => Datum::Int(rng.below(6) as i64 - 1),
+            4 => Datum::Float([2.0, 0.5, f64::NAN][rng.below(3) as usize]),
+            _ => Datum::Bool(rng.chance(0.5)),
+        }
+    }
+
+    /// A profile, related titles, a batch of up to 30 rows under up to 6
+    /// columns drawn from `COLUMNS`, and a limit.
+    struct ArbBatchRanking;
+
+    impl Strategy for ArbBatchRanking {
+        type Value = (Value, Vec<String>, RowBatch, usize);
+        fn new_value(&self, rng: &mut TestRng) -> Self::Value {
+            let profile = arb_profile(rng);
+            let related = (0..rng.below(4))
+                .map(|_| TEXTS[rng.below(TEXTS.len() as u64) as usize].to_string())
+                .collect();
+            let columns: Vec<String> = (0..rng.below(7))
+                .map(|_| COLUMNS[rng.below(COLUMNS.len() as u64) as usize].to_string())
+                .collect();
+            let rows = (0..rng.below(31))
+                .map(|_| columns.iter().map(|_| arb_datum(rng)).collect())
+                .collect();
+            let batch = RowBatch::new(columns, rows);
+            let limit = match rng.below(4) {
+                0 => 0,
+                1 => 10,
+                2 => batch.len() + 1,
+                _ => rng.below(batch.len() as u64 + 1) as usize,
+            };
+            (profile, related, batch, limit)
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn rank_rows_equals_rank_jobs_on_the_rendered_rows(
+            (profile, related, batch, limit) in ArbBatchRanking,
+        ) {
+            let rendered = batch.to_json();
+            prop_assert_eq!(
+                bitwise(rank_rows(&profile, &batch, &related, limit)),
+                bitwise(rank_jobs(&profile, rendered.as_array().unwrap(), &related, limit))
             );
         }
     }

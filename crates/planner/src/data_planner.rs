@@ -9,7 +9,7 @@ use std::sync::Arc;
 use serde_json::{json, Value};
 
 use blueprint_agents::CostProfile;
-use blueprint_datastore::{CostEstimate, DataSource, RelationalDb, SourceQuery};
+use blueprint_datastore::{CostEstimate, DataSource, DataValue, RelationalDb, SourceQuery};
 use blueprint_llmsim::SimLlm;
 use blueprint_optimizer::{Objective, QosConstraints};
 use blueprint_registry::DataRegistry;
@@ -22,8 +22,8 @@ use crate::Result;
 /// The result of executing a data plan.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecutedPlan {
-    /// The output node's value.
-    pub value: Value,
+    /// The output node's value: JSON, or a SQL operator's row batch.
+    pub value: DataValue,
     /// Actual QoS incurred (virtual time).
     pub actual: CostProfile,
     /// Per-node trace: `(node id, operator name, rows produced)`.
@@ -436,14 +436,17 @@ impl DataPlanner {
     }
 
     /// Executes a plan, returning the output value, actual QoS, and a trace.
+    /// A SQL operator's value is the relational source's row batch, passed
+    /// on as is: nothing here renders it as JSON unless a later operator
+    /// (`Summarize`) reads it as JSON.
     pub fn execute(&self, plan: &DataPlan) -> Result<ExecutedPlan> {
         plan.validate()?;
-        let mut values: HashMap<&str, Value> = HashMap::new();
+        let mut values: HashMap<&str, DataValue> = HashMap::new();
         let mut actual = CostProfile::FREE;
         let mut trace = Vec::with_capacity(plan.nodes.len());
 
         for node in &plan.nodes {
-            let get = |slot: &str| -> Result<&Value> {
+            let get = |slot: &str| -> Result<&DataValue> {
                 node.inputs
                     .iter()
                     .find(|(s, _)| s == slot)
@@ -452,11 +455,12 @@ impl DataPlanner {
                         PlanError::Execution(format!("node {} missing input slot {slot}", node.id))
                     })
             };
-            let value: Value = match &node.op {
-                DataOp::Literal { value } => value.clone(),
-                DataOp::Q2NL { fragment } => Value::String(q2nl(fragment)),
+            let value: DataValue = match &node.op {
+                DataOp::Literal { value } => value.clone().into(),
+                DataOp::Q2NL { fragment } => Value::String(q2nl(fragment)).into(),
                 DataOp::Knowledge { source } => {
                     let question = get("question")?
+                        .as_json()
                         .as_str()
                         .ok_or_else(|| {
                             PlanError::Execution("knowledge question must be text".into())
@@ -483,8 +487,8 @@ impl DataPlanner {
                         .map_err(|e| PlanError::Execution(e.to_string()))?;
                     // Include the start node's own name with its relatives.
                     let mut names = vec![unslugify(start)];
-                    names.extend(name_list(&result.data));
-                    Value::Array(names.into_iter().map(Value::String).collect())
+                    names.extend(name_list(&result.data.as_json()));
+                    Value::Array(names.into_iter().map(Value::String).collect()).into()
                 }
                 DataOp::SqlTemplate { source, template } => {
                     let mut sql = template.clone();
@@ -492,7 +496,7 @@ impl DataPlanner {
                         let list = values.get(dep.as_str()).ok_or_else(|| {
                             PlanError::Execution(format!("missing dependency {dep}"))
                         })?;
-                        let literals = sql_string_list(list);
+                        let literals = sql_string_list(&list.as_json());
                         sql = sql.replace(&format!("{{{slot}}}"), &literals);
                     }
                     let src = self.source(source)?;
@@ -517,20 +521,24 @@ impl DataPlanner {
                 }
                 DataOp::Extract => {
                     let text = get("text")?
+                        .as_json()
                         .as_str()
                         .ok_or_else(|| PlanError::Execution("extract input must be text".into()))?
                         .to_string();
                     let (criteria, _) = self.llm.extract_criteria(&text);
-                    criteria.to_json()
+                    criteria.to_json().into()
                 }
                 DataOp::Summarize => {
-                    let rows = get("rows")?.clone();
+                    let rows = get("rows")?.as_json();
                     let (summary, _) = self.llm.summarize_rows(&rows);
-                    Value::String(summary)
+                    Value::String(summary).into()
                 }
             };
-            let rows = value.as_array().map(Vec::len).unwrap_or(1);
-            trace.push((node.id.clone(), node.op.name().to_string(), rows));
+            trace.push((
+                node.id.clone(),
+                node.op.name().to_string(),
+                value.item_count(),
+            ));
             actual = actual.then(&CostProfile::new(
                 node.estimate.cost_units,
                 node.estimate.latency_micros,
@@ -721,7 +729,8 @@ mod tests {
         let (p, _) = planner();
         let plan = p.plan_job_query(RUNNING_EXAMPLE).unwrap();
         let result = p.execute(&plan).unwrap();
-        let rows = result.value.as_array().unwrap();
+        let rows = result.value.into_json();
+        let rows = rows.as_array().unwrap();
         // Jobs 1 (ds, sf), 2 (mle, oakland), 4 (analyst, berkeley) match:
         // bay-area cities × taxonomy-expanded titles. NY data scientist and
         // SF recruiter do not.
@@ -739,11 +748,11 @@ mod tests {
         let (p, db) = planner();
         let plan = p.plan_nl2q_direct(RUNNING_EXAMPLE, &db, "hr-db").unwrap();
         let result = p.execute(&plan).unwrap();
-        let direct_rows = result.value.as_array().unwrap().len();
+        let direct_rows = result.value.as_json().as_array().unwrap().len();
         let decomposed = p
             .execute(&p.plan_job_query(RUNNING_EXAMPLE).unwrap())
             .unwrap();
-        let decomposed_rows = decomposed.value.as_array().unwrap().len();
+        let decomposed_rows = decomposed.value.as_json().as_array().unwrap().len();
         assert!(
             direct_rows < decomposed_rows,
             "direct={direct_rows} decomposed={decomposed_rows}"
@@ -761,7 +770,7 @@ mod tests {
         assert!(ops.contains(&"literal"));
         let result = p.execute(&plan).unwrap();
         // Oakland × expanded titles → job 2 only.
-        assert_eq!(result.value.as_array().unwrap().len(), 1);
+        assert_eq!(result.value.as_json().as_array().unwrap().len(), 1);
     }
 
     #[test]
@@ -778,6 +787,7 @@ mod tests {
         // Without taxonomy expansion only the exact title matches: job 1.
         let ids: Vec<i64> = result
             .value
+            .into_json()
             .as_array()
             .unwrap()
             .iter()
@@ -857,8 +867,8 @@ mod tests {
         let (p, _) = planner();
         let plan = p.plan_extract(RUNNING_EXAMPLE);
         let result = p.execute(&plan).unwrap();
-        assert_eq!(result.value["title"], json!("data scientist"));
-        assert_eq!(result.value["location"], json!("sf bay area"));
+        assert_eq!(result.value.as_json()["title"], json!("data scientist"));
+        assert_eq!(result.value.as_json()["location"], json!("sf bay area"));
     }
 
     #[test]
@@ -866,7 +876,7 @@ mod tests {
         let (p, _) = planner();
         let plan = p.plan_summarize(json!([{"city": "sf", "n": 2}]));
         let result = p.execute(&plan).unwrap();
-        assert!(result.value.as_str().unwrap().contains("1 row"));
+        assert!(result.value.as_json().as_str().unwrap().contains("1 row"));
     }
 
     #[test]
@@ -914,7 +924,7 @@ mod tests {
             estimate: CostEstimate::FREE,
         });
         let result = p.execute(&plan).unwrap();
-        assert_eq!(result.value.as_array().unwrap().len(), 1);
+        assert_eq!(result.value.as_json().as_array().unwrap().len(), 1);
     }
 
     #[test]
@@ -923,7 +933,7 @@ mod tests {
         let result = p
             .satisfy("available job listings", RUNNING_EXAMPLE)
             .unwrap();
-        assert_eq!(result.value.as_array().unwrap().len(), 3);
+        assert_eq!(result.value.as_json().as_array().unwrap().len(), 3);
     }
 
     #[test]
@@ -940,7 +950,7 @@ mod tests {
         let result = p
             .satisfy("candidate profiles", "python data scientist")
             .unwrap();
-        assert_eq!(result.value.as_array().unwrap().len(), 1);
+        assert_eq!(result.value.as_json().as_array().unwrap().len(), 1);
     }
 
     #[test]

@@ -72,8 +72,6 @@ pub enum IrBinding {
     /// Satisfied by the spliced data plan, which runs when the node
     /// resolves its inputs; the plan's output is the binding's value.
     Spliced {
-        /// The original `FromData` query (kept for replanning and display).
-        query: String,
         /// The data plan, with the sources currently selected.
         plan: DataPlan,
         /// The interchangeable parametric sources of each `Knowledge`
@@ -470,7 +468,6 @@ fn splice(query: &str, utterance: &str, dp: Option<&DataPlanner>) -> IrBinding {
     };
     match dp.plan_for_binding(query, utterance) {
         Ok(plan) => IrBinding::Spliced {
-            query: query.to_string(),
             sources: dp.knowledge_alternatives(&plan),
             plan,
         },
@@ -650,14 +647,12 @@ mod tests {
             .plan_for_binding("available job listings", RUNNING_EXAMPLE)
             .unwrap();
         let Some(IrBinding::Spliced {
-            query,
             plan: held,
             sources,
         }) = ir.node("n2").unwrap().inputs.get("jobs")
         else {
             panic!("jobs was not spliced");
         };
-        assert_eq!(query, "available job listings");
         assert_eq!(held, &dplan);
         // The knowledge operator carries both parametric tiers as sources,
         // exactly the planner's candidates.

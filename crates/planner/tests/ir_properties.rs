@@ -533,7 +533,11 @@ fn user_text_extraction_is_spliced_into_the_ir() {
     };
     // The same matcher fed the extracted profile as a literal.
     let dp = bp.data_planner();
-    let profile = dp.execute(&dp.plan_extract(RUNNING_EXAMPLE)).unwrap().value;
+    let profile = dp
+        .execute(&dp.plan_extract(RUNNING_EXAMPLE))
+        .unwrap()
+        .value
+        .into_json();
     let mut literal = plan.clone();
     literal.task_id = "literal".into();
     literal.nodes[0]

@@ -117,7 +117,7 @@ fn view(store: &StreamStore, report: &SessionReport) -> SessionView {
                 (
                     m.seq,
                     m.producer.clone(),
-                    serde_json::to_string(&m.payload).unwrap(),
+                    serde_json::to_string(&m.payload()).unwrap(),
                 )
             })
             .collect();
@@ -275,7 +275,7 @@ proptest! {
             for id in store.list_streams(Some(&scope)) {
                 for msg in store.read(&id, 0).unwrap() {
                     prop_assert_eq!(&msg.producer, &format!("agent-s{sid}"));
-                    let text = msg.payload.as_str().unwrap_or_default();
+                    let text = msg.payload().as_str().unwrap_or_default();
                     prop_assert!(
                         text.starts_with(&format!("s{sid}:")),
                         "foreign payload {:?} in {}", text, id

@@ -88,7 +88,7 @@ impl DeadLetterQueue {
                 "reason": reason,
                 "attempts": attempts,
                 "source": source,
-                "original_payload": original.payload,
+                "original_payload": original.payload(),
                 "original_tags": Value::Array(tags),
             }),
         )

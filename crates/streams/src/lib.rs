@@ -29,7 +29,7 @@
 //!
 //! store.publish(&sid, Message::data("I am looking for a data scientist position")).unwrap();
 //! let msg = sub.recv().unwrap();
-//! assert_eq!(msg.payload.as_str(), Some("I am looking for a data scientist position"));
+//! assert_eq!(msg.payload().as_str(), Some("I am looking for a data scientist position"));
 //! ```
 
 pub mod dead_letter;
@@ -42,7 +42,9 @@ pub mod subscription;
 
 pub use dead_letter::{DeadLetterEntry, DeadLetterQueue, DEAD_LETTER_OP, DEAD_LETTER_SEGMENT};
 pub use error::StreamError;
-pub use message::{Message, MessageId, MessageKind};
+pub use message::{
+    escaped_len, json_len, number_len, object_len, Message, MessageBody, MessageId, MessageKind,
+};
 pub use store::{StoreStats, StreamStore, SHARD_COUNT};
 pub use stream::{Stream, StreamId, StreamState};
 pub use subscription::{Selector, Subscription, TagFilter, TASK_SEGMENT};

@@ -6,9 +6,21 @@
 //! inputs"). Control messages are what let the task coordinator drive an
 //! agentic workflow entirely *through* the streams database, keeping the
 //! orchestration observable (§V-A, §V-H).
+//!
+//! A payload is a JSON value, or, for a control message built with
+//! [`Message::control_body`], a typed [`MessageBody`] shared by `Arc`. A
+//! typed body travels as itself: its consumer downcasts it
+//! ([`Message::body`]), it reports its compact-JSON byte length without
+//! rendering ([`MessageBody::json_len`]), and its `{op, args}` JSON is
+//! rendered once, on demand, only where JSON is read: [`Message::payload`],
+//! [`Message::control_args`], `Serialize` and dead letters. Both forms
+//! render to the same JSON, so counters, traces and exports cannot tell
+//! them apart.
 
+use std::any::Any;
 use std::collections::BTreeSet;
 use std::fmt::{self, Write as _};
+use std::sync::{Arc, OnceLock};
 
 use serde::{Deserialize, Serialize};
 use serde_json::{Number, Value};
@@ -39,6 +51,63 @@ pub enum MessageKind {
     Eos,
 }
 
+/// The typed arguments of a control message, shared by `Arc` instead of
+/// being encoded as JSON (see the module docs).
+pub trait MessageBody: fmt::Debug + Send + Sync + 'static {
+    /// The arguments as JSON: what [`Message::control_args`] returns.
+    fn to_json(&self) -> Value;
+
+    /// Byte length of `serde_json::to_string(&self.to_json())`, computed
+    /// without rendering it.
+    fn json_len(&self) -> usize;
+
+    /// The body as `Any`, for [`Message::body`]'s downcast.
+    fn as_any(&self) -> &dyn Any;
+}
+
+/// A message's payload: JSON, or a control op with a typed body whose
+/// `{op, args}` JSON is rendered at most once, when first read.
+#[derive(Debug, Clone)]
+enum Payload {
+    Json(Value),
+    Body {
+        op: String,
+        args: Arc<dyn MessageBody>,
+        rendered: OnceLock<Value>,
+    },
+}
+
+impl Payload {
+    fn json(&self) -> &Value {
+        match self {
+            Payload::Json(v) => v,
+            Payload::Body { op, args, rendered } => {
+                rendered.get_or_init(|| control_payload(op, args.to_json()))
+            }
+        }
+    }
+}
+
+impl Serialize for Payload {
+    fn serialize(&self) -> Value {
+        self.json().clone()
+    }
+}
+
+impl Deserialize for Payload {
+    fn deserialize(value: &Value) -> Result<Self, serde::Error> {
+        Ok(Payload::Json(value.clone()))
+    }
+}
+
+/// The `{op, args}` payload of a control message.
+fn control_payload(op: &str, args: Value) -> Value {
+    let mut payload = serde_json::Map::new();
+    payload.insert("op".to_string(), Value::String(op.to_string()));
+    payload.insert("args".to_string(), args);
+    Value::Object(payload)
+}
+
 /// A single message on a stream.
 ///
 /// Messages are immutable once published; the store wraps them in `Arc` so
@@ -53,8 +122,9 @@ pub struct Message {
     pub kind: MessageKind,
     /// Tags enabling selective consumption (e.g. `nlq`, `sql`, `plan`).
     pub tags: BTreeSet<Tag>,
-    /// The payload: arbitrary JSON value.
-    pub payload: Value,
+    /// The payload: JSON, or a typed control body (read it as JSON with
+    /// [`Message::payload`]).
+    payload: Payload,
     /// Component that produced the message (agent name, "user", ...).
     pub producer: String,
     /// Simulated time of publication in microseconds.
@@ -80,12 +150,19 @@ impl Message {
     /// `args` is moved into the payload, never copied.
     pub fn control(op: impl AsRef<str>, args: Value) -> Self {
         let op = op.as_ref();
-        let mut payload = serde_json::Map::new();
-        payload.insert("op".to_string(), Value::String(op.to_string()));
-        payload.insert("args".to_string(), args);
-        let mut msg = Self::from_value(MessageKind::Control, Value::Object(payload));
+        let mut msg = Self::from_value(MessageKind::Control, control_payload(op, args));
         msg.tags.insert(Tag::new(op));
         msg
+    }
+
+    /// Creates an unpublished control message whose arguments are a typed
+    /// body, shared by `Arc` and rendered as JSON only when read as JSON.
+    /// Tagged with the op, as [`Message::control`] is.
+    pub fn control_body(op: impl Into<String>, args: Arc<dyn MessageBody>) -> Self {
+        let op = op.into();
+        let tag = Tag::new(&op);
+        let rendered = OnceLock::new();
+        Self::from_payload(MessageKind::Control, Payload::Body { op, args, rendered }).with_tag(tag)
     }
 
     /// Creates an end-of-stream marker.
@@ -94,6 +171,10 @@ impl Message {
     }
 
     fn from_value(kind: MessageKind, payload: Value) -> Self {
+        Self::from_payload(kind, Payload::Json(payload))
+    }
+
+    fn from_payload(kind: MessageKind, payload: Payload) -> Self {
         Message {
             id: MessageId(0),
             seq: 0,
@@ -137,20 +218,38 @@ impl Message {
         self.kind == MessageKind::Eos
     }
 
+    /// The payload as JSON. A typed body is rendered on the first call.
+    pub fn payload(&self) -> &Value {
+        self.payload.json()
+    }
+
+    /// The typed body of a control message built with
+    /// [`Message::control_body`], when it is a `T`. Never renders JSON.
+    pub fn body<T: MessageBody>(&self) -> Option<&T> {
+        match &self.payload {
+            Payload::Body { args, .. } => args.as_any().downcast_ref(),
+            Payload::Json(_) => None,
+        }
+    }
+
     /// For control messages, returns the operation name.
     pub fn control_op(&self) -> Option<&str> {
         if self.kind != MessageKind::Control {
             return None;
         }
-        self.payload.get("op").and_then(Value::as_str)
+        match &self.payload {
+            Payload::Json(v) => v.get("op").and_then(Value::as_str),
+            Payload::Body { op, .. } => Some(op),
+        }
     }
 
-    /// For control messages, returns the instruction arguments.
+    /// For control messages, returns the instruction arguments. A typed
+    /// body is rendered on the first call.
     pub fn control_args(&self) -> Option<&Value> {
         if self.kind != MessageKind::Control {
             return None;
         }
-        self.payload.get("args")
+        self.payload().get("args")
     }
 
     /// True if the message carries the given tag.
@@ -160,25 +259,31 @@ impl Message {
 
     /// Text content, if the payload is a JSON string.
     pub fn text(&self) -> Option<&str> {
-        self.payload.as_str()
+        match &self.payload {
+            Payload::Json(v) => v.as_str(),
+            Payload::Body { .. } => None,
+        }
     }
 
     /// Payload size in bytes: the text length of a string payload, 0 for
     /// `null`, and otherwise the length of the compact JSON text, counted
-    /// without rendering it. Used by budget accounting and the
-    /// bytes-published counters.
+    /// without rendering it (a typed body reports its own length). Used by
+    /// budget accounting and the bytes-published counters.
     pub fn payload_size(&self) -> usize {
         match &self.payload {
-            Value::String(s) => s.len(),
-            Value::Null => 0,
-            other => json_len(other),
+            Payload::Json(Value::String(s)) => s.len(),
+            Payload::Json(Value::Null) => 0,
+            Payload::Json(other) => json_len(other),
+            Payload::Body { op, args, .. } => {
+                object_len([("args", args.json_len()), ("op", escaped_len(op))])
+            }
         }
     }
 }
 
 /// Length in bytes of `serde_json::to_string(v)`, computed by walking the
 /// value with the printer's rules instead of rendering it.
-fn json_len(v: &Value) -> usize {
+pub fn json_len(v: &Value) -> usize {
     match v {
         Value::Null => 4,
         Value::Bool(b) => {
@@ -193,24 +298,39 @@ fn json_len(v: &Value) -> usize {
         Value::Array(items) => {
             2 + items.len().saturating_sub(1) + items.iter().map(json_len).sum::<usize>()
         }
-        Value::Object(map) => {
-            2 + map.len().saturating_sub(1)
-                + map
-                    .iter()
-                    .map(|(k, v)| escaped_len(k) + 1 + json_len(v))
-                    .sum::<usize>()
-        }
+        Value::Object(map) => object_len(map.iter().map(|(k, v)| (k.as_str(), json_len(v)))),
     }
 }
 
-/// Length of `s` as a quoted JSON string: characters with a short escape
-/// (`\n`, `\"`, ...) take 2 bytes, other control characters 6 (`\u00XX`),
-/// and every other byte (each byte of a multi-byte character included) is
-/// copied as is.
-fn escaped_len(s: &str) -> usize {
-    2 + s
-        .bytes()
-        .map(|b| match b {
+/// Length of a JSON object's compact text, given each entry's key and the
+/// length of its rendered value: braces, commas, quoted keys and colons.
+pub fn object_len<'k>(entries: impl IntoIterator<Item = (&'k str, usize)>) -> usize {
+    let (mut len, mut n) = (2, 0usize);
+    for (key, value_len) in entries {
+        len += escaped_len(key) + 1 + value_len;
+        n += 1;
+    }
+    len + n.saturating_sub(1)
+}
+
+/// Length of `s` as a quoted JSON string. Text without a byte that needs
+/// escaping (below 0x20, `"`, `\`) is copied as is, so its length is
+/// `len + 2`; one branch-free count finds those bytes. Otherwise characters
+/// with a short escape (`\n`, `\"`, ...) take 2 bytes and other control
+/// characters 6 (`\u00XX`); every other byte (each byte of a multi-byte
+/// character included) is copied as is.
+pub fn escaped_len(s: &str) -> usize {
+    let bytes = s.as_bytes();
+    let special = bytes
+        .iter()
+        .map(|&b| usize::from(b < 0x20 || b == b'"' || b == b'\\'))
+        .sum::<usize>();
+    if special == 0 {
+        return bytes.len() + 2;
+    }
+    2 + bytes
+        .iter()
+        .map(|&b| match b {
             b'"' | b'\\' | b'\n' | b'\r' | b'\t' | 0x08 | 0x0C => 2,
             0x00..=0x1F => 6,
             _ => 1,
@@ -222,7 +342,7 @@ fn escaped_len(s: &str) -> usize {
 /// and sign. A whole float below 1e15 in magnitude prints as its integer
 /// part, then `.0` (`-0.0` keeps its sign); any other float goes through
 /// the printer's own formatting into a byte counter.
-fn number_len(n: &Number) -> usize {
+pub fn number_len(n: &Number) -> usize {
     if let Some(u) = n.as_u64() {
         return digits(u);
     }
@@ -291,7 +411,7 @@ mod tests {
     fn eos_marker() {
         let m = Message::eos();
         assert!(m.is_eos());
-        assert_eq!(m.payload, Value::Null);
+        assert_eq!(m.payload(), &Value::Null);
     }
 
     #[test]
@@ -319,9 +439,65 @@ mod tests {
         let args = serde_json::json!({"agent": "x", "rows": [1, {"a": null}]});
         let m = Message::control("execute-agent", args.clone());
         assert_eq!(
-            m.payload,
-            serde_json::json!({"op": "execute-agent", "args": args})
+            m.payload(),
+            &serde_json::json!({"op": "execute-agent", "args": args})
         );
+    }
+
+    /// A typed body that counts how often it is rendered.
+    #[derive(Debug)]
+    struct Counted {
+        args: Value,
+        renders: std::sync::atomic::AtomicUsize,
+    }
+
+    impl MessageBody for Counted {
+        fn to_json(&self) -> Value {
+            self.renders
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.args.clone()
+        }
+        fn json_len(&self) -> usize {
+            json_len(&self.args)
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+    }
+
+    #[test]
+    fn typed_body_renders_once_and_only_when_read_as_json() {
+        let args = serde_json::json!({"agent": "x", "rows": [1, {"a": "q\"é"}]});
+        let body = Arc::new(Counted {
+            args: args.clone(),
+            renders: Default::default(),
+        });
+        let typed = Message::control_body("execute-agent", body.clone()).with_tag("t");
+        let plain = Message::control("execute-agent", args.clone()).with_tag("t");
+        // Op, tags, size and the typed view need no rendering.
+        assert_eq!(typed.control_op(), Some("execute-agent"));
+        assert_eq!(typed.tags, plain.tags);
+        assert_eq!(typed.payload_size(), plain.payload_size());
+        assert_eq!(typed.text(), None);
+        assert!(std::ptr::eq(typed.body::<Counted>().unwrap(), &*body));
+        assert!(plain.body::<Counted>().is_none());
+        assert_eq!(body.renders.load(std::sync::atomic::Ordering::Relaxed), 0);
+        // Read as JSON, it is the plain message, rendered once.
+        assert_eq!(typed.control_args(), Some(&args));
+        assert_eq!(typed.payload(), plain.payload());
+        assert_eq!(
+            serde_json::to_string(&typed).unwrap(),
+            serde_json::to_string(&plain).unwrap()
+        );
+        assert_eq!(
+            typed.payload_size(),
+            serde_json::to_string(typed.payload()).unwrap().len()
+        );
+        assert_eq!(body.renders.load(std::sync::atomic::Ordering::Relaxed), 1);
+        // A decoded copy carries JSON.
+        let back: Message = serde_json::from_str(&serde_json::to_string(&typed).unwrap()).unwrap();
+        assert_eq!(back.payload(), plain.payload());
+        assert!(back.body::<Counted>().is_none());
     }
 
     /// Characters covering every escape class of the JSON printer, plus

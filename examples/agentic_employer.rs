@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let status = status_sub.recv_timeout(Duration::from_secs(10))?;
     println!("coordinator status: {}", status.control_op().unwrap_or("?"));
     let summary = summary_sub.recv_timeout(Duration::from_secs(10))?;
-    println!("summarizer → {}", summary.payload.as_str().unwrap_or("?"));
+    println!("summarizer → {}", summary.payload().as_str().unwrap_or("?"));
 
     banner("Fig 10: flow initiated from conversation");
     let summary_sub2 = blueprint
@@ -54,7 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let summary2 = summary_sub2.recv_timeout(Duration::from_secs(10))?;
     println!(
         "query summarizer → {}",
-        summary2.payload.as_str().unwrap_or("?")
+        summary2.payload().as_str().unwrap_or("?")
     );
 
     banner("The recorded message-flow trace (sequence diagram)");

@@ -63,7 +63,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let executed = blueprint.data_planner().execute(&plan)?;
     println!(
         "→ {} matching jobs, data-plan cost {:.3}",
-        executed.value.as_array().map(Vec::len).unwrap_or(0),
+        executed
+            .value
+            .as_json()
+            .as_array()
+            .map(Vec::len)
+            .unwrap_or(0),
         executed.actual.cost_per_call
     );
     Ok(())

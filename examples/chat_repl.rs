@@ -123,7 +123,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 }
                 session.say(text)?;
                 match summaries.recv_timeout(Duration::from_secs(10)) {
-                    Ok(m) => println!("sys> {}", m.payload.as_str().unwrap_or("?")),
+                    Ok(m) => println!("sys> {}", m.payload().as_str().unwrap_or("?")),
                     Err(_) => println!("sys> (no agent answered — try /run {text})"),
                 }
             }

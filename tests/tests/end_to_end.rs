@@ -45,7 +45,7 @@ fn agentic_employer_ui_flow_fig9() {
     let form = UiForm::new("applicants", "Applicants");
     session.click(&form, "job", json!(2)).unwrap();
     let summary = summary_sub.recv_timeout(Duration::from_secs(15)).unwrap();
-    assert!(summary.payload.as_str().unwrap().starts_with("Job 2:"));
+    assert!(summary.payload().as_str().unwrap().starts_with("Job 2:"));
 }
 
 #[test]
@@ -62,7 +62,7 @@ fn agentic_employer_conversation_flow_fig10() {
         .unwrap();
     session.say("How many applicants per city?").unwrap();
     let summary = summary_sub.recv_timeout(Duration::from_secs(15)).unwrap();
-    let text = summary.payload.as_str().unwrap();
+    let text = summary.payload().as_str().unwrap();
     assert!(text.contains("row"));
     // The flow passed through the expected participants.
     let participants = bp.trace().participants();
@@ -103,6 +103,14 @@ fn flow_trace_is_replayable_from_streams() {
         .map(|e| e.agent)
         .collect();
     assert_eq!(agents, ["profiler", "job-matcher", "presenter"]);
+    // The job rows travel as the data plan's row batch, not as JSON.
+    let matcher = instructions
+        .iter()
+        .find_map(|m| {
+            blueprint_core::agents::ExecuteAgent::of(m).filter(|e| e.agent == "job-matcher")
+        })
+        .unwrap();
+    assert!(matcher.inputs.rows("jobs").is_some_and(|b| !b.is_empty()));
 }
 
 #[test]
@@ -263,4 +271,34 @@ fn deterministic_across_runs() {
     let (plan_b, rows_b) = run();
     assert_eq!(plan_a, plan_b);
     assert_eq!(rows_a, rows_b);
+}
+
+#[test]
+fn memoized_job_matcher_hits_on_a_repeated_turn() {
+    // The matcher's job rows arrive as a shared row batch; the memo key
+    // renders them as JSON, so a repeated turn still finds the entry.
+    let bp = Blueprint::builder()
+        .with_hr_domain(small_hr())
+        .with_memoization(64)
+        .build()
+        .unwrap();
+    let session = bp.start_session().unwrap();
+    let first = session.handle(RUNNING_EXAMPLE).unwrap();
+    let second = session.handle(RUNNING_EXAMPLE).unwrap();
+    let matcher = |report: &blueprint_core::coordinator::ExecutionReport| {
+        report
+            .node_results
+            .iter()
+            .find(|n| n.agent == "job-matcher")
+            .cloned()
+            .unwrap()
+    };
+    assert!(!matcher(&first).cached);
+    assert!(matcher(&second).cached);
+    let (Outcome::Completed { output: a }, Outcome::Completed { output: b }) =
+        (&first.outcome, &second.outcome)
+    else {
+        panic!("outcomes: {:?} / {:?}", first.outcome, second.outcome);
+    };
+    assert_eq!(a, b);
 }

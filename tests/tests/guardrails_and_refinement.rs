@@ -108,8 +108,8 @@ fn moderator_blocks_pii_through_the_stream_path() {
         )
         .unwrap();
     let verdict = out_sub.recv_timeout(Duration::from_secs(10)).unwrap();
-    assert_eq!(verdict.payload["allowed"], json!(false));
-    let reasons = verdict.payload["reasons"].as_array().unwrap();
+    assert_eq!(verdict.payload()["allowed"], json!(false));
+    let reasons = verdict.payload()["reasons"].as_array().unwrap();
     assert!(reasons.len() >= 2); // SSN term + email PII
 }
 
@@ -143,8 +143,8 @@ fn verifier_checks_summarizer_claims_end_to_end() {
     let instr = ExecuteAgent {
         agent: "fact-verifier".into(),
         inputs: Inputs::new()
-            .with("claim", summary.payload.clone())
-            .with("rows", rows.payload.clone()),
+            .with("claim", summary.payload().clone())
+            .with("rows", rows.payload().clone()),
         output_stream: format!("{scope}:verification"),
         task_id: "verify-1".into(),
         node_id: "n1".into(),
@@ -160,10 +160,10 @@ fn verifier_checks_summarizer_claims_end_to_end() {
     let verdict = verdict_sub.recv_timeout(Duration::from_secs(10)).unwrap();
     // The honest summarizer's row-count claim is grounded in the data.
     assert_eq!(
-        verdict.payload["supported"],
+        verdict.payload()["supported"],
         json!(true),
         "verifier said: {}",
-        verdict.payload["explanation"]
+        verdict.payload()["explanation"]
     );
 }
 
